@@ -92,14 +92,16 @@ def _verdict_payload(v) -> dict:
     }
 
 
-def _emit(args_echo, alg, payload, certificate=None) -> str:
+def _emit(args_echo, alg, payload, certificate=None) -> None:
     doc = {
         "command": args_echo,
         "algebra_fingerprint": alg.fingerprint if alg is not None else None,
         "payload": payload,
         "certificate": certificate,
     }
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    # streamed, so a large payload is never held as one string
+    json.dump(doc, sys.stdout, sort_keys=True, indent=2)
+    sys.stdout.write("\n")
 
 
 def _parse_lambdas(text: str) -> tuple[Fraction, ...]:
@@ -323,8 +325,9 @@ def _cmd_mgs(alg, args):
             contains = _read_sequence(alg, args.contains)
         result = enumerate_mgs(alg, pools, budget=args.budget,
                                require_subsequence=contains)
+        names = {id(w): str(w) for w in pools.member}  # one string per member
         payload = {
-            "sequences": [_walks(s) for s in result.sequences],
+            "sequences": [[names[id(w)] for w in s] for s in result.sequences],
             "count": len(result.sequences),
             "nodes": result.nodes,
             "member_pool": _walks(pools.member),
@@ -439,7 +442,7 @@ def main(argv=None) -> int:
             sort_keys=True, indent=2) + "\n")
         return EXIT_VERDICT
 
-    sys.stdout.write(_emit(argv, alg, payload, certificate))
+    _emit(argv, alg, payload, certificate)
     return code
 
 

@@ -7,6 +7,22 @@ sequence) and string bricks supported on the square of a band are kept out
 of the member pool (they cannot either), but both remain available as
 refinement witnesses in the insertion pool, alongside band bricks
 M(w, lambda, 1) probed at sampled lambda values.
+
+Dead-prefix pruning.  A candidate c of the insertion pool is insertable
+into a prefix when some gap has every entry before it with Hom(e, c) = 0
+and every entry after it with Hom(c, e) = 0.  Let R be the members that
+could still be appended: neither used nor the target of a nonzero Hom
+from an entry.  R only shrinks down the tree, and every later append
+comes from it.  Appending e leaves c insertable at the same gap unless
+Hom(c, e) != 0.  So if c is insertable now and Hom(c, e) = 0 for every e
+in R (which also keeps c itself out of R, as Hom(c, c) != 0), c stays
+insertable in every extension: every leaf below fails certification and
+the subtree is cut.  R does not depend on the length bound, a required
+subsequence or a simple order, which only narrow the appends further, so
+the search emits exactly the sequences of the unpruned search, in the
+same depth-first order.  A band brick takes part only while no band's
+Hom masks differ across the sampled lambdas; otherwise band bricks never
+prune, and a disagreement surfaces at a leaf as before.
 """
 
 from __future__ import annotations
@@ -36,10 +52,12 @@ from .words import (
 class BudgetExhausted(Exception):
     """Search ran out of node budget; carries whatever was found."""
 
-    def __init__(self, partial, nodes):
+    def __init__(self, partial, nodes, pruned=0, diagnostics=()):
         super().__init__(f"node budget exhausted after {nodes} nodes")
         self.partial = partial
         self.nodes = nodes
+        self.pruned = pruned
+        self.diagnostics = diagnostics
 
 
 class OracleDisagreement(Exception):
@@ -316,21 +334,27 @@ class MgsSearchResult:
     sequences: tuple[tuple[Walk, ...], ...]
     nodes: int
     diagnostics: tuple[str, ...] = ()
+    pruned: int = 0
 
 
 class _Searcher:
     """Append-only DFS over the member pool with hom data baked into
     bitmasks: appending a brick forbids every brick it maps onto, and a
-    prefix dies as soon as a simple it still owes becomes forbidden."""
+    prefix dies as soon as a simple it still owes becomes forbidden or an
+    insertion candidate stays insertable in every extension.
+
+    Every insertion candidate (string brick, or band brick at one sampled
+    lambda) owns one bit.  Along a prefix, ``blocked`` holds the candidates
+    some entry maps onto, and ``dead`` those with no insertion gap left: a
+    candidate dies once an entry it maps onto follows (or is) the first
+    entry that maps onto it.  Appending member i costs two big-int steps,
+    ``blocked |= blocks[i]`` and ``dead |= needs[i] & blocked``.
+    """
 
     def __init__(self, alg, pools: BrickPools, table: HomTable):
-        self.alg = alg
-        self.pools = pools
-        self.table = table
         member = list(pools.member)
         self.member = member
         self.m = len(member)
-        self.bit = {w.key(): 1 << i for i, w in enumerate(member)}
         self.index = {w.key(): i for i, w in enumerate(member)}
         # hom(w_i, w_j) != 0 puts j in forbid[i]
         self.forbid = []
@@ -346,64 +370,46 @@ class _Searcher:
             if w.length == 0:
                 self.simples_mask |= 1 << i
                 self.simple_vertex[i] = w.source
-        # insertion-pool candidates as (walk, from_mask, to_mask): bits over
-        # member ids e with hom(e, c) != 0, resp. hom(c, e) != 0
-        self.string_cands = []
+        # candidate bits: string bricks first, then each band brick once per
+        # lambda; blocks[i] / needs[i] hold the candidates c with
+        # hom(w_i, c) != 0, resp. hom(c, w_i) != 0
+        blocks = [0] * self.m
+        needs = [0] * self.m
+        bit = 1
         for c in pools.insertion_strings:
-            fmask = tmask = 0
             for i, e in enumerate(member):
                 if table.hom(e, c) != 0:
-                    fmask |= 1 << i
+                    blocks[i] |= bit
                 if table.hom(c, e) != 0:
-                    tmask |= 1 << i
-            self.string_cands.append((c, fmask, tmask))
-        self.band_cands = []
+                    needs[i] |= bit
+            bit <<= 1
+        self.string_bits = bit - 1
+        self.band_bits = []
+        lambda_free = True
         for bb in pools.insertion_bands:
-            per_lambda = []
+            bits, per_lambda = [], set()
             for lam in bb.lambdas:
                 fmask = tmask = 0
                 for i, e in enumerate(member):
                     if table.hom_string_band(e, bb.walk, lam) != 0:
+                        blocks[i] |= bit
                         fmask |= 1 << i
                     if table.hom_band_string(bb.walk, lam, e) != 0:
+                        needs[i] |= bit
                         tmask |= 1 << i
-                per_lambda.append((fmask, tmask))
-            self.band_cands.append((bb, per_lambda))
-
-    def _insertable_masks(self, seq_ids, fmask, tmask) -> bool:
-        """Some gap admits the candidate: the last entry it must follow
-        comes before the first entry that shuts it out."""
-        first_block = len(seq_ids)
-        for i, e in enumerate(seq_ids):
-            if fmask >> e & 1:
-                first_block = i
-                break
-        last_need = -1
-        for i in range(len(seq_ids) - 1, -1, -1):
-            if tmask >> seq_ids[i] & 1:
-                last_need = i
-                break
-        return last_need < first_block
-
-    def leaf_is_complete(self, seq_ids, used_mask) -> bool:
-        for c, fmask, tmask in self.string_cands:
-            key = c.key()
-            if key in self.bit and self.bit[key] & used_mask:
-                continue
-            if self._insertable_masks(seq_ids, fmask, tmask):
-                return False
-        for bb, per_lambda in self.band_cands:
-            decisions = [
-                self._insertable_masks(seq_ids, fmask, tmask)
-                for fmask, tmask in per_lambda
-            ]
-            if len(set(decisions)) > 1:
-                raise OracleDisagreement(
-                    f"insertability of band brick {bb.walk} differs across lambdas"
-                )
-            if decisions[0]:
-                return False
-        return True
+                bits.append(bit)
+                per_lambda.add((fmask, tmask))
+                bit <<= 1
+            lambda_free = lambda_free and len(per_lambda) == 1
+            self.band_bits.append((bb.walk, tuple(bits)))
+        self.blocks = blocks
+        self.needs = needs
+        all_cands = bit - 1
+        # spares[i]: the candidates with a zero Hom to w_i
+        self.spares = [all_cands & ~n for n in needs]
+        # band bricks prune only if no band's masks depend on lambda, so
+        # that a disagreement still surfaces at a leaf
+        self.prunable = all_cands if lambda_free else self.string_bits
 
     def run(self, *, max_len=None, budget=None, simple_order=None,
             require_subsequence=None, stop_at_first=False) -> MgsSearchResult:
@@ -431,90 +437,70 @@ class _Searcher:
         all_mask = (1 << self.m) - 1
         simples_mask = self.simples_mask
         forbid = self.forbid
-        simple_bit = sum(1 << i for i in self.simple_vertex)
-        state = {"nodes": 0}
+        blocks = self.blocks
+        needs = self.needs
+        spares = self.spares
+        prunable = self.prunable
+        string_bits = self.string_bits
+        band_bits = self.band_bits
+        nodes = pruned = 0
         budget_cap = budget if budget is not None else float("inf")
         seq: list[int] = []
 
         class _Done(Exception):
             pass
 
-        # leaf candidate data: (fmask, tmask, member_bit_or_0) per string
-        # candidate; band candidates carry one (fmask, tmask) per lambda
-        str_cands = [
-            (fmask, tmask, self.bit.get(c.key(), 0))
-            for c, fmask, tmask in self.string_cands
-        ]
-        band_cands = [per for _, per in self.band_cands]
-
-        def leaf_complete(used: int) -> bool:
-            n = len(seq)
-            for fmask, tmask, mbit in str_cands:
-                if mbit and (mbit & used):
-                    continue
-                if fmask & used == 0:
-                    return False  # appendable at the right end
-                first_block = n
-                for i in range(n):
-                    if fmask >> seq[i] & 1:
-                        first_block = i
-                        break
-                last_need = -1
-                for i in range(n - 1, -1, -1):
-                    if tmask >> seq[i] & 1:
-                        last_need = i
-                        break
-                if last_need < first_block:
-                    return False
-            for bb_idx, per_lambda in enumerate(band_cands):
-                decisions = []
-                for fmask, tmask in per_lambda:
-                    if fmask & used == 0:
-                        decisions.append(True)
-                        continue
-                    first_block = n
-                    for i in range(n):
-                        if fmask >> seq[i] & 1:
-                            first_block = i
-                            break
-                    last_need = -1
-                    for i in range(n - 1, -1, -1):
-                        if tmask >> seq[i] & 1:
-                            last_need = i
-                            break
-                    decisions.append(last_need < first_block)
-                if len(set(decisions)) > 1:
+        def leaf_complete(dead: int) -> bool:
+            if string_bits & ~dead:
+                return False
+            for walk, bits in band_bits:
+                live = [dead & b == 0 for b in bits]
+                if len(set(live)) > 1:
                     raise OracleDisagreement(
                         "band-brick insertability differs across lambdas"
                     )
-                if decisions[0]:
+                if live[0]:
                     # no string brick refines this leaf but a band brick does;
                     # worth surfacing, the theory does not settle the case
                     diagnostics.append(
                         "band brick "
-                        + str(self.band_cands[bb_idx][0].walk)
+                        + str(walk)
                         + " is the sole refinement witness for "
                         + str([str(self.member[i]) for i in seq])
                     )
                     return False
             return True
 
-        def rec(used: int, forbidden: int, placed: int, need: int):
-            state["nodes"] += 1
-            if state["nodes"] > budget_cap:
+        def rec(used: int, forbidden: int, placed: int, need: int,
+                blocked: int, dead: int):
+            nonlocal nodes, pruned
+            nodes += 1
+            if nodes > budget_cap:
                 raise _Done
             if simples_mask & forbidden & ~used:
                 return
             if required is not None and required_mask & forbidden & ~used:
                 return  # a still-owed required entry can never be appended
-            cands = all_mask & ~(used | forbidden) if len(seq) < max_len else 0
+            open_ids = all_mask & ~(used | forbidden)
+            # dead prefix: a live candidate has a zero Hom to every brick
+            # that could still be appended
+            closed = prunable & ~dead
+            rest = open_ids
+            while closed and rest:
+                low = rest & -rest
+                rest ^= low
+                closed &= spares[low.bit_length() - 1]
+            if closed:
+                pruned += 1
+                return
+            cands = open_ids if len(seq) < max_len else 0
             appended = False
             rest = cands
             while rest:
                 low = rest & -rest
                 rest ^= low
                 i = low.bit_length() - 1
-                if order_ids is not None and low & simple_bit:
+                if order_ids is not None and low & simples_mask:
                     if placed >= len(order_ids) or order_ids[placed] != i:
                         continue
                 next_need = need
@@ -524,8 +510,10 @@ class _Searcher:
                     next_need = need + 1
                 appended = True
                 seq.append(i)
+                now_blocked = blocked | blocks[i]
                 rec(used | low, forbidden | forbid[i],
-                    placed + (1 if low & simple_bit else 0), next_need)
+                    placed + (1 if low & simples_mask else 0), next_need,
+                    now_blocked, dead | (needs[i] & now_blocked))
                 seq.pop()
                 if stop_at_first and found:
                     return
@@ -533,7 +521,7 @@ class _Searcher:
                 if required is not None and need < len(required):
                     return
                 if (simples_mask & ~used) == 0:
-                    if leaf_complete(used):
+                    if leaf_complete(dead):
                         found.append(tuple(seq))
                         if stop_at_first:
                             raise _Done
@@ -548,21 +536,21 @@ class _Searcher:
         sys.setrecursionlimit(max(old_limit, self.m * 50 + 1000))
         budget_hit = False
         try:
-            rec(0, 0, 0, 0)
+            rec(0, 0, 0, 0, 0, 0)
         except _Done:
-            budget_hit = state["nodes"] > budget_cap
+            budget_hit = nodes > budget_cap
         finally:
             sys.setrecursionlimit(old_limit)
 
-        sequences = tuple(
-            sorted(
-                {tuple(self.member[i] for i in ids) for ids in found},
-                key=lambda s: tuple(w.key() for w in s),
-            )
-        )
+        # order by the members' walk keys, compared through their ranks
+        rank = [0] * self.m
+        for r, i in enumerate(sorted(range(self.m), key=lambda i: self.member[i].key())):
+            rank[i] = r
+        found.sort(key=lambda ids: [rank[i] for i in ids])
+        sequences = tuple(tuple(self.member[i] for i in ids) for ids in found)
         if budget_hit:
-            raise BudgetExhausted(sequences, state["nodes"])
-        return MgsSearchResult(sequences, state["nodes"], tuple(diagnostics))
+            raise BudgetExhausted(sequences, nodes, pruned, tuple(diagnostics))
+        return MgsSearchResult(sequences, nodes, tuple(diagnostics), pruned)
 
 
 def _search_mgs(alg, pools, table, *, max_len=None, budget=None,

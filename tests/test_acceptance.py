@@ -2,6 +2,7 @@
 enforcing its stated exactness and time budget."""
 
 import json
+import os
 import subprocess
 import sys
 import time
@@ -205,6 +206,7 @@ def test_criterion_08_lemma_suite(gentle5, a12tilde):
                 rep.band_module_embedding,
                 rep.square_prefix_nonbrick,
                 rep.extension_brick,
+                rep.band_square_cross_check,
             ):
                 assert chk.examined > 0
             # the conclusions actually fire on these algebras, except the
@@ -268,7 +270,7 @@ def test_criterion_10_determinism():
                         [sys.executable, "-m", "mgslab.cli", *cmd],
                         capture_output=True,
                         text=True,
-                        env={"MGSLAB_THREADS": threads, "PATH": "/usr/bin:/bin"},
+                        env=dict(os.environ, MGSLAB_THREADS=threads),
                     )
                     outputs.append(proc.stdout)
                     json.loads(proc.stdout)  # must stay valid JSON

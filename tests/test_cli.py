@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -191,7 +192,7 @@ def test_thread_count_does_not_change_output():
     outs = []
     for threads in ("1", "3"):
         proc = subprocess.run(cmd, capture_output=True, text=True,
-                              env={"MGSLAB_THREADS": threads, "PATH": "/usr/bin:/bin"})
+                              env=dict(os.environ, MGSLAB_THREADS=threads))
         outs.append(proc.stdout)
     assert outs[0] == outs[1]
     assert json.loads(outs[0])["payload"]["count"] >= 1

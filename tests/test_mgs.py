@@ -4,6 +4,7 @@ from mgslab import band_pool, parse_walk
 from mgslab.mgs import (
     BudgetExhausted,
     HomTable,
+    _Searcher,
     build_brick_pools,
     complete_from_prefix,
     domestic_gentle_order,
@@ -186,6 +187,8 @@ def test_enumerate_mgs_budget(mgs5):
     with pytest.raises(BudgetExhausted) as err:
         enumerate_mgs(mgs5, pools, budget=1000)
     assert err.value.nodes > 1000
+    assert err.value.pruned > 0
+    assert err.value.diagnostics == ()
 
 
 def test_enumerate_mgs_deterministic(a12tilde):
@@ -268,3 +271,81 @@ def test_corollary_4_4_stability(kronecker, a12tilde):
         low = set(enumerate_mgs(alg, build_brick_pools(alg, lo)).sequences)
         high = set(enumerate_mgs(alg, build_brick_pools(alg, hi)).sequences)
         assert low == high
+
+
+class _Unpruned(_Searcher):
+    """Reference search: the same DFS with the dead-prefix rule switched
+    off, so every prefix runs to a leaf and is certified there."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.prunable = 0
+
+
+def pruned_and_reference(alg, pools, **kwargs):
+    table = HomTable(alg)
+    return (_Searcher(alg, pools, table).run(**kwargs),
+            _Unpruned(alg, pools, table).run(**kwargs))
+
+
+@pytest.mark.parametrize("name, max_len, nodes, reference_nodes", [
+    ("a12tilde", 12, 114, 7758),
+    ("two_loops", 10, 36, 651),
+    ("kronecker", 8, 13, 47),
+    ("double_arrows", 8, 21, 89),
+])
+def test_pruning_keeps_emitted_sequences(request, name, max_len, nodes, reference_nodes):
+    alg = request.getfixturevalue(name)
+    pruned, reference = pruned_and_reference(alg, build_brick_pools(alg, max_len))
+    assert pruned.sequences == reference.sequences
+    assert pruned.diagnostics == reference.diagnostics == ()
+    assert (pruned.nodes, reference.nodes) == (nodes, reference_nodes)
+    assert pruned.pruned > 0 and reference.pruned == 0
+
+
+@pytest.mark.parametrize("name, max_len, method", [
+    ("a12tilde", 8, "simples"),
+    ("a12tilde", 8, "gentle"),
+    ("kronecker", 6, "gentle"),
+    ("gentle5", 8, "simples"),
+    ("gentle5", 8, "gentle"),
+    ("double_arrows", 10, "simples"),
+])
+def test_pruning_keeps_first_prefix_completion(request, name, max_len, method):
+    alg = request.getfixturevalue(name)
+    pool = band_pool(alg, max_len // 2)
+    if method == "simples":
+        order = simple_order_socle_first(alg, pool).order
+    else:
+        order = domestic_gentle_order(alg, pool).order
+    pruned, reference = pruned_and_reference(
+        alg, build_brick_pools(alg, max_len), simple_order=order, stop_at_first=True)
+    assert pruned.sequences == reference.sequences
+
+
+def test_pruning_keeps_first_completion_of_fixed_order(mgs5):
+    pruned, reference = pruned_and_reference(
+        mgs5, build_brick_pools(mgs5, 3),
+        simple_order=("4", "5", "1", "2", "3"), stop_at_first=True)
+    assert pruned.sequences == reference.sequences and len(pruned.sequences) == 1
+    assert pruned.nodes < reference.nodes
+
+
+def test_pruning_keeps_required_subsequence_matches(mgs5, data_dir):
+    seq = bundled_sequence(mgs5, data_dir)
+    pruned, reference = pruned_and_reference(
+        mgs5, build_brick_pools(mgs5, 12), require_subsequence=seq)
+    assert pruned.sequences == reference.sequences
+    assert seq in pruned.sequences
+
+
+@pytest.mark.parametrize("name, count", [("mgs5", 2691), ("gentle5", 1416)])
+def test_headline_enumeration_certified(request, name, count):
+    alg = request.getfixturevalue(name)
+    pools = build_brick_pools(alg, 8)
+    table = HomTable(alg)
+    result = enumerate_mgs(alg, pools, budget=500_000, table=table)
+    assert len(result.sequences) == count
+    for seq in result.sequences[::97]:
+        assert is_weakly_fho(alg, seq, table)
+        assert is_complete_relative(alg, seq, pools, table).kind == "complete"
