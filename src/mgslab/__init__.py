@@ -18,6 +18,7 @@ from .words import (
     Occurrence,
     Walk,
     WalkError,
+    all_occurrences,
     band_equivalent,
     band_pool,
     canonical_rotation,
@@ -44,7 +45,6 @@ from .modules import (
     enumerate_bricks,
     hom_dim,
     is_brick,
-    occurrences_with_flags,
     string_module,
     top_socle,
 )

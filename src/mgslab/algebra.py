@@ -169,6 +169,12 @@ class AlgebraPresentation:
         return "\n".join(lines) + "\n"
 
     @cached_property
+    def walk_memo(self) -> dict:
+        """Per-walk occurrence class counts of the substring Hom calculus
+        (:mod:`mgslab.modules`), living exactly as long as the presentation."""
+        return {}
+
+    @cached_property
     def fingerprint(self) -> str:
         return hashlib.sha256(self.normalized_text.encode()).hexdigest()
 

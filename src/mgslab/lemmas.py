@@ -13,12 +13,10 @@ from fractions import Fraction
 
 from .algebra import AlgebraPresentation
 from .mgs import BudgetExhausted, build_brick_pools, enumerate_mgs
-from .modules import is_brick, string_module
+from .modules import band_module, is_brick, string_module
 from .oracle import exists_full_rank_hom, probe_seed, to_explicit
-from .modules import band_module
 from .words import (
     Walk,
-    _periodic_factor,
     canonical_string,
     enumerate_bands,
     enumerate_strings,
@@ -26,6 +24,7 @@ from .words import (
     is_directed,
     is_string,
     maximal_w_substrings,
+    periodic_factor,
     rotations_and_inversions,
     substring_occurrences,
     supported_on,
@@ -194,7 +193,7 @@ def run_lemma_suite(alg: AlgebraPresentation, max_string_len: int,
             chk.counterexamples.append(f"{u} has square-string but root {root} is not a band")
             continue
         if root.length > band_bound or not any(
-            root.length == b.length and _periodic_factor(root.letters, b) is not None
+            root.length == b.length and periodic_factor(root.letters, b) is not None
             for b in bands
         ):
             chk.counterexamples.append(f"band root {root} missing from enumerated pool")
@@ -222,7 +221,7 @@ def run_lemma_suite(alg: AlgebraPresentation, max_string_len: int,
         for eps in bricks:
             if eps.length < w.length or not supported_on(eps, w, 1):
                 continue
-            u = _periodic_factor(eps.letters, w)
+            u = periodic_factor(eps.letters, w)
             if u is None:
                 continue
             chk.examined += 1
@@ -301,7 +300,7 @@ def run_lemma_suite(alg: AlgebraPresentation, max_string_len: int,
                 continue
             found = False
             for z in bricks:
-                if z.length <= walk.length or _periodic_factor(z.letters, w) is None:
+                if z.length <= walk.length or periodic_factor(z.letters, w) is None:
                     continue
                 if not supported_on(z, u, k + 1):
                     continue

@@ -34,6 +34,7 @@ from .algebra import AlgebraPresentation
 from .concurrency import pmap
 from .modules import (
     band_module,
+    band_peaks_valleys,
     band_top_socle,
     enumerate_bricks,
     hom_dim,
@@ -151,18 +152,24 @@ def insertable(alg: AlgebraPresentation, entries, p: int, brick: Walk,
                table: HomTable | None = None) -> bool:
     """Whether inserting the brick after the first p entries keeps the
     sequence weakly FHO; an existing entry is never insertable again."""
-    table = table or HomTable(alg)
-    ckey = canonical_string(brick).key()
-    if any(canonical_string(e).key() == ckey for e in entries):
-        return False
-    for i, e in enumerate(entries, start=1):
-        if i <= p:
-            if table.hom(e, brick) != 0:
-                return False
-        else:
-            if table.hom(brick, e) != 0:
-                return False
-    return True
+    keys = {canonical_string(e).key() for e in entries}
+    return (canonical_string(brick).key() not in keys
+            and _gap_open(entries, p, brick, table or HomTable(alg)))
+
+
+def _gap_open(entries, p: int, brick: Walk, table: HomTable) -> bool:
+    """Hom(e, brick) = 0 for the first p entries, Hom(brick, e) = 0 after."""
+    return (all(table.hom(e, brick) == 0 for e in entries[:p])
+            and all(table.hom(brick, e) == 0 for e in entries[p:]))
+
+
+def _first_gap(entries, keys, brick: Walk, table: HomTable) -> int | None:
+    """The first position at which the brick is insertable, or None; keys
+    holds the canonical keys of the entries."""
+    if canonical_string(brick).key() in keys:
+        return None
+    return next((p for p in range(len(entries) + 1)
+                 if _gap_open(entries, p, brick, table)), None)
 
 
 def _band_brick_lambdas(alg, w: Walk, lambdas) -> bool:
@@ -275,35 +282,28 @@ def is_complete_relative(alg: AlgebraPresentation, entries, pools: BrickPools,
     """
     table = table or HomTable(alg)
     entries = tuple(entries)
+    entry_keys = [canonical_string(e).key() for e in entries]
+    keys = set(entry_keys)
     excluded_map = {canonical_string(w).key(): band for w, band in pools.excluded}
     banned_entries = tuple(
-        (e, excluded_map[canonical_string(e).key()])
-        for e in entries
-        if canonical_string(e).key() in excluded_map
+        (e, excluded_map[k]) for e, k in zip(entries, entry_keys) if k in excluded_map
     )
     blockers = []
     for w, band in pools.excluded:
-        for p in range(len(entries) + 1):
-            if insertable(alg, entries, p, w, table):
-                blockers.append((w, band, p))
-                break
+        p = _first_gap(entries, keys, w, table)
+        if p is not None:
+            blockers.append((w, band, p))
 
     witness = None
     for w in pools.insertion_strings:
-        for p in range(len(entries) + 1):
-            if insertable(alg, entries, p, w, table):
-                witness = (w, False, p)
-                break
-        if witness:
+        p = _first_gap(entries, keys, w, table)
+        if p is not None:
+            witness = (w, False, p)
             break
     if witness is None:
-        for bb in pools.insertion_bands:
-            for p in range(len(entries) + 1):
-                if _band_insertable(alg, entries, p, bb, table):
-                    witness = (bb.walk, True, p)
-                    break
-            if witness:
-                break
+        witness = next(((bb.walk, True, p) for bb in pools.insertion_bands
+                        for p in range(len(entries) + 1)
+                        if _band_insertable(alg, entries, p, bb, table)), None)
 
     present = {e.source for e in entries if e.length == 0}
     missing = tuple(v for v in alg.vertices if v not in present)
@@ -634,20 +634,6 @@ def simple_order_socle_first(alg: AlgebraPresentation, pool: BandPool) -> SocleF
     return SocleFirstResult(not witnesses, witnesses, tuple(socle_simples + rest))
 
 
-def _band_positions(w: Walk):
-    """Cyclic peak and valley positions (0-based) of a band."""
-    d = w.length
-    peaks, valleys = [], []
-    for p in range(d):
-        prev = w.letters[(p - 1) % d]
-        cur = w.letters[p]
-        if prev.sign == -1 and cur.sign == +1:
-            peaks.append(p)
-        if prev.sign == +1 and cur.sign == -1:
-            valleys.append(p)
-    return peaks, valleys
-
-
 def _descents_from_peak(w: Walk, p: int):
     """The two directed paths from a peak down to its adjacent valleys,
     as (arrow list in composition order, valley vertex)."""
@@ -714,7 +700,7 @@ def domestic_gentle_order(alg: AlgebraPresentation, pool: BandPool) -> GentleOrd
         return not alg.path_contains_relation((prev_arrow, path[0]))
 
     def pick_descent(band: Walk, vertex: str, incoming_arrow: str | None):
-        peaks, _ = _band_positions(band)
+        peaks, _ = band_peaks_valleys(band)
         options = []
         for p in peaks:
             if band.vertices[p] != vertex:
@@ -729,7 +715,7 @@ def domestic_gentle_order(alg: AlgebraPresentation, pool: BandPool) -> GentleOrd
         return sorted(options)[0]
 
     def pick_ascent(band: Walk, vertex: str, outgoing_arrow: str | None):
-        _, valleys = _band_positions(band)
+        _, valleys = band_peaks_valleys(band)
         options = []
         for q in valleys:
             if band.vertices[q] != vertex:

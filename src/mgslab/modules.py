@@ -15,7 +15,6 @@ from functools import lru_cache
 
 from .algebra import AlgebraPresentation
 from .words import (
-    Occurrence,
     Walk,
     all_occurrences,
     band_pool,
@@ -102,12 +101,6 @@ def band_module(alg: AlgebraPresentation, w: Walk, lam: Fraction, k: int) -> Ban
     )
 
 
-def occurrences_with_flags(w: Walk) -> list[Occurrence]:
-    """Every located substring occurrence of w with quotient/submodule flags
-    (the flags are properties of the occurrence boundaries)."""
-    return all_occurrences(w)
-
-
 def top_socle(M: StringModuleRep) -> tuple[tuple[str, ...], tuple[str, ...]]:
     """Simple tops sit at peaks of the diagram, socle simples at valleys."""
     w = M.walk
@@ -123,42 +116,54 @@ def top_socle(M: StringModuleRep) -> tuple[tuple[str, ...], tuple[str, ...]]:
     return tuple(sorted(top)), tuple(sorted(socle))
 
 
+def band_peaks_valleys(w: Walk) -> tuple[list[int], list[int]]:
+    """Cyclic peak and valley positions (0-based) of a band."""
+    peaks, valleys = [], []
+    for p in range(w.length):
+        prev, cur = w.letters[p - 1].sign, w.letters[p].sign
+        if prev == -1 and cur == +1:
+            peaks.append(p)
+        if prev == +1 and cur == -1:
+            valleys.append(p)
+    return peaks, valleys
+
+
 def band_top_socle(w: Walk) -> tuple[tuple[str, ...], tuple[str, ...]]:
     """Top and socle of M(w, lambda, 1), read from the band's cyclic peaks
     and valleys; independent of lambda."""
-    d = w.length
-    top, socle = [], []
-    for p in range(d):
-        prev = w.letters[(p - 1) % d]
-        cur = w.letters[p]
-        if prev.sign == -1 and cur.sign == +1:
-            top.append(w.vertices[p])
-        if prev.sign == +1 and cur.sign == -1:
-            socle.append(w.vertices[p])
-    return tuple(sorted(top)), tuple(sorted(socle))
+    peaks, valleys = band_peaks_valleys(w)
+    return (tuple(sorted(w.vertices[p] for p in peaks)),
+            tuple(sorted(w.vertices[p] for p in valleys)))
 
 
-@lru_cache(maxsize=None)
-def _quotient_class_counts(w: Walk) -> dict:
-    counts: dict = {}
-    for occ in all_occurrences(w):
-        if occ.is_quotient_occurrence:
-            key = canonical_string(occ.word).key()
-            counts[key] = counts.get(key, 0) + 1
+def _class_counts(alg: AlgebraPresentation, w: Walk) -> tuple[dict, dict]:
+    """(quotient, submodule) occurrence counts of w per word class up to
+    inversion, memoised on the algebra.  Both orientations of w share the
+    counts of the canonical one: inverting the host swaps the boundary
+    letters and their signs."""
+    memo = alg.walk_memo
+    counts = memo.get(w)
+    if counts is None:
+        if not is_string(alg, w):
+            raise ModuleError("hom_dim requires strings")
+        c = canonical_string(w)
+        counts = memo.get(c)
+        if counts is None:
+            quotient: dict = {}
+            submodule: dict = {}
+            for occ in all_occurrences(c):
+                is_q, is_s = occ.is_quotient_occurrence, occ.is_submodule_occurrence
+                if is_q or is_s:
+                    key = canonical_string(occ.word).key()
+                    if is_q:
+                        quotient[key] = quotient.get(key, 0) + 1
+                    if is_s:
+                        submodule[key] = submodule.get(key, 0) + 1
+            counts = memo[c] = (quotient, submodule)
+        memo[w] = counts
     return counts
 
 
-@lru_cache(maxsize=None)
-def _submodule_class_counts(w: Walk) -> dict:
-    counts: dict = {}
-    for occ in all_occurrences(w):
-        if occ.is_submodule_occurrence:
-            key = canonical_string(occ.word).key()
-            counts[key] = counts.get(key, 0) + 1
-    return counts
-
-
-@lru_cache(maxsize=None)
 def hom_dim(alg: AlgebraPresentation, w: Walk, other: Walk) -> int:
     """dim Hom(M(w), M(other)) by the substring calculus.
 
@@ -166,10 +171,8 @@ def hom_dim(alg: AlgebraPresentation, w: Walk, other: Walk) -> int:
     other carrying the same word up to inversion; a length-0 word matches in
     a single orientation.
     """
-    if not is_string(alg, w) or not is_string(alg, other):
-        raise ModuleError("hom_dim requires strings")
-    q = _quotient_class_counts(canonical_string(w))
-    s = _submodule_class_counts(canonical_string(other))
+    q = _class_counts(alg, w)[0]
+    s = _class_counts(alg, other)[1]
     if len(s) < len(q):
         return sum(q.get(key, 0) * n for key, n in s.items())
     return sum(n * s.get(key, 0) for key, n in q.items())

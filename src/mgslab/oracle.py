@@ -3,6 +3,16 @@
 Independent of the substring calculus: representations are plain matrices
 over exact rationals and Hom dimensions come from solving the intertwiner
 equations f_t phi_a(A) = phi_a(B) f_s by sparse Gaussian elimination.
+
+The elimination is exact and fraction free: each equation is scaled by the
+LCM of the denominators in its arrow's two matrices into a dict of Python
+ints, and reducing a row against a pivot replaces it by b * row - a * pivot
+(a, b the two leading coefficients over their gcd), divided by its content
+gcd.  Nonzero scalings keep the row space, hence the rank and the pivot
+columns, and a null-space vector is fixed by its free coordinates, so back
+substitution over the integer pivots returns the same rational basis as
+rational elimination.
+
 Injectivity/surjectivity of some intertwiner is decided by maximizing
 matrix ranks at pseudo-random rational points of the solution space
 (8 probes by default), or exactly at a symbolic generic point in certified
@@ -15,6 +25,8 @@ import hashlib
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import gcd, lcm
 
 from .algebra import AlgebraPresentation
 from .modules import BandModuleRep, StringModuleRep
@@ -40,6 +52,23 @@ class ExplicitRep:
     def mat(self, arrow: str) -> Matrix:
         return dict(self.mats)[arrow]
 
+    @cached_property
+    def sparse(self) -> dict[str, tuple[int, dict, dict]]:
+        """Per arrow: the LCM of its matrix's denominators, and the matrix
+        times that LCM by column and by row, as index -> ((position, int
+        value), ...) over the columns and rows holding a nonzero."""
+        out = {}
+        for name, m in self.mats:
+            den, flat = _scaled(x for row in m for x in row)
+            ncols = len(m[0]) if m else 0
+            cols, rows = {}, {}
+            for j, v in flat.items():
+                r, c = divmod(j, ncols)
+                rows[r] = rows.get(r, ()) + ((c, v),)
+                cols[c] = cols.get(c, ()) + ((r, v),)
+            out[name] = (den, dict(sorted(cols.items())), rows)
+        return out
+
 
 def _zero_matrix(rows: int, cols: int) -> list[list[Fraction]]:
     return [[_ZERO] * cols for _ in range(rows)]
@@ -62,51 +91,63 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return _freeze(out)
 
 
+def _scaled(values) -> tuple[int, dict[int, int]]:
+    """A row of rationals as (the LCM of its denominators, its nonzeros
+    times that LCM as a sparse dict of ints)."""
+    nz = [(j, Fraction(v)) for j, v in enumerate(values) if v]
+    den = lcm(*(v.denominator for _, v in nz))
+    return den, {j: v.numerator * (den // v.denominator) for j, v in nz}
+
+
 def matrix_rank(mat) -> int:
-    pivots: dict[int, dict[int, Fraction]] = {}
-    rank = 0
-    for raw in mat:
-        row = {j: Fraction(v) for j, v in enumerate(raw) if v}
-        if _echelon_insert(pivots, row):
-            rank += 1
-    return rank
+    pivots: dict[int, tuple[int, dict[int, int]]] = {}
+    return sum(_echelon_insert(pivots, _scaled(raw)[1]) for raw in mat)
 
 
-def _echelon_insert(pivots: dict[int, dict[int, Fraction]], row: dict[int, Fraction]) -> bool:
-    """Reduce a sparse row against the echelon pivots; install it as a new
-    normalized pivot if it survives.  Returns True when the rank grows."""
+def _echelon_insert(pivots: dict[int, tuple[int, dict[int, int]]], row: dict[int, int]) -> bool:
+    """Reduce an integer sparse row (consumed) against the echelon pivots,
+    fraction free; install what survives as a new pivot, stored as its
+    leading coefficient (positive) and the rest of the row, with content 1.
+    Returns True when the rank grows."""
     while row:
         p = min(row)
         if p not in pivots:
-            inv = 1 / row[p]
-            pivots[p] = {c: v * inv for c, v in row.items()}
+            lead = row.pop(p)
+            g = gcd(lead, *row.values()) * (1 if lead > 0 else -1)
+            pivots[p] = (lead // g, {c: v // g for c, v in row.items()})
             return True
-        factor = row.pop(p)
-        for c, v in pivots[p].items():
-            if c == p:
-                continue
-            nv = row.get(c, _ZERO) - factor * v
+        lead, tail = pivots[p]
+        b = row.pop(p)
+        g = gcd(lead, b)
+        scale, b = lead // g, b // g
+        if scale != 1:
+            row = {c: scale * v for c, v in row.items()}
+        for c, v in tail.items():
+            nv = row.get(c, 0) - b * v
             if nv:
                 row[c] = nv
             else:
-                row.pop(c, None)
+                del row[c]
+        if scale != 1:
+            g = gcd(*row.values())
+            if g > 1:
+                row = {c: v // g for c, v in row.items()}
     return False
 
 
-def _basis_from_pivots(pivots: dict[int, dict[int, Fraction]], ncols: int) -> list[dict[int, Fraction]]:
-    """Sparse nullspace basis, one vector per free column."""
+def _basis_from_pivots(pivots: dict[int, tuple[int, dict[int, int]]], ncols: int) -> list[dict[int, Fraction]]:
+    """Sparse nullspace basis, one vector per free column, by back
+    substitution in exact rationals."""
     pivot_cols = sorted(pivots)
     free_cols = [c for c in range(ncols) if c not in pivots]
     basis = []
     for f in free_cols:
         x: dict[int, Fraction] = {f: Fraction(1)}
         for p in reversed(pivot_cols):
-            acc = _ZERO
-            for c, v in pivots[p].items():
-                if c != p and c in x:
-                    acc += v * x[c]
+            lead, tail = pivots[p]
+            acc = sum(v * x[c] for c, v in tail.items() if c in x)
             if acc:
-                x[p] = -acc
+                x[p] = -acc / lead
         basis.append(x)
     return basis
 
@@ -124,73 +165,51 @@ def to_explicit(M: StringModuleRep | BandModuleRep) -> ExplicitRep:
     return rep
 
 
+def _slots(vertices, k: int) -> dict[int, int]:
+    """Per visited position (0-based), the first of its k basis slots at its
+    vertex, positions in walk order."""
+    slot, seen = {}, {}
+    for p, v in enumerate(vertices):
+        slot[p] = seen.get(v, 0)
+        seen[v] = slot[p] + k
+    return slot
+
+
 def _string_to_explicit(M: StringModuleRep) -> ExplicitRep:
     alg = M.alg
-    w = M.walk
     dims = dict(M.dim_vector)
-    # per-vertex basis slots in position order
-    slot: dict[int, int] = {}
-    counter = {v: 0 for v in alg.vertices}
-    for p, v in enumerate(w.vertices, start=1):
-        slot[p] = counter[v]
-        counter[v] += 1
+    slot = _slots(M.walk.vertices, 1)
     arrow_actions = dict(M.arrow_actions)
     mats = {}
     for a in alg.arrows:
         m = _zero_matrix(dims[a.target], dims[a.source])
         for p_from, p_to in arrow_actions.get(a.name, ()):
-            m[slot[p_to]][slot[p_from]] = Fraction(1)
+            m[slot[p_to - 1]][slot[p_from - 1]] = Fraction(1)
         mats[a.name] = _freeze(m)
     return ExplicitRep(alg, M.dim_vector, tuple(sorted(mats.items())))
 
 
-def _jordan(k: int, mu: Fraction) -> list[list[Fraction]]:
-    """Lower-triangular Jordan block with eigenvalue mu."""
-    m = _zero_matrix(k, k)
-    for i in range(k):
-        m[i][i] = mu
-        if i + 1 < k:
-            m[i + 1][i] = Fraction(1)
-    return m
-
-
-def _identity(k: int) -> list[list[Fraction]]:
-    m = _zero_matrix(k, k)
-    for i in range(k):
-        m[i][i] = Fraction(1)
-    return m
-
-
 def _band_to_explicit(M: BandModuleRep) -> ExplicitRep:
+    """Identity blocks along the band, and on the last letter the lower
+    triangular Jordan block J_k(lambda) (J_k(1/lambda) if it is inverse)."""
     alg = M.alg
     w, lam, k = M.walk, M.lam, M.k
     d = w.length
     dims = dict(M.dim_vector)
-    positions: dict[str, list[int]] = {v: [] for v in alg.vertices}
-    for p in range(d):
-        positions[w.vertices[p]].append(p)
-    offset: dict[int, int] = {}
-    for v, plist in positions.items():
-        for rank_, p in enumerate(plist):
-            offset[p] = rank_ * k
+    slot = _slots(w.vertices[:-1], k)
     mats = {a.name: _zero_matrix(dims[a.target], dims[a.source]) for a in alg.arrows}
-    for m_idx in range(d):
-        letter = w.letters[m_idx]
-        pos_a, pos_b = m_idx, (m_idx + 1) % d
-        if letter.sign > 0:
-            src_pos, dst_pos = pos_a, pos_b
-        else:
-            src_pos, dst_pos = pos_b, pos_a
-        if m_idx == d - 1:
-            block = _jordan(k, lam if letter.sign > 0 else 1 / lam)
-        else:
-            block = _identity(k)
+    for i, letter in enumerate(w.letters):
+        src, dst = i, (i + 1) % d
+        if letter.sign < 0:
+            src, dst = dst, src
+        last = i == d - 1
+        diag = (lam if letter.sign > 0 else 1 / lam) if last else Fraction(1)
         target = mats[letter.arrow]
-        r0, c0 = offset[dst_pos], offset[src_pos]
-        for r in range(k):
-            for c in range(k):
-                if block[r][c]:
-                    target[r0 + r][c0 + c] += block[r][c]
+        r0, c0 = slot[dst], slot[src]
+        for j in range(k):
+            target[r0 + j][c0 + j] += diag
+            if last and j + 1 < k:
+                target[r0 + j + 1][c0 + j] += 1
     return ExplicitRep(
         alg,
         M.dim_vector,
@@ -209,9 +228,13 @@ def _check_relations(rep: ExplicitRep) -> None:
 
 
 def _hom_system(A: ExplicitRep, B: ExplicitRep):
-    """Sparse linear system for {f_v} with f_t A_a = B_a f_s per arrow a.
+    """Sparse integer rows of the system for {f_v} with f_t A_a = B_a f_s
+    per arrow a, one per nonempty equation, the equations of an arrow
+    scaled by the LCM of the denominators in A_a and B_a.
 
     Unknown (v, r, c) is entry f_v[r][c] of the (B-dim x A-dim) matrix at v.
+    Equation (r, c) of arrow a reads column c of A_a and row r of B_a, so
+    only the pairs where one of the two holds a nonzero are visited.
     """
     if A.alg is not B.alg and A.alg != B.alg:
         raise OracleError("representations live over different algebras")
@@ -224,28 +247,26 @@ def _hom_system(A: ExplicitRep, B: ExplicitRep):
         offsets[v] = total
         total += bdims[v] * adims[v]
 
-    def idx(v: str, r: int, c: int) -> int:
-        return offsets[v] + r * adims[v] + c
-
     rows = []
-    amats, bmats = dict(A.mats), dict(B.mats)
     for arr in A.alg.arrows:
         s, t = arr.source, arr.target
-        Aa, Ba = amats[arr.name], bmats[arr.name]
+        aden, acols, _ = A.sparse[arr.name]
+        bden, _, brows = B.sparse[arr.name]
+        den = lcm(aden, bden)
+        fa, fb = den // aden, den // bden
+        ns, base_s = adims[s], offsets[s]
         for r in range(bdims[t]):
-            for c in range(adims[s]):
-                row: dict[int, Fraction] = {}
-                for m in range(adims[t]):
-                    coeff = Aa[m][c]
-                    if coeff:
-                        key = idx(t, r, m)
-                        row[key] = row.get(key, _ZERO) + coeff
-                for m in range(bdims[s]):
-                    coeff = Ba[r][m]
-                    if coeff:
-                        key = idx(s, m, c)
-                        row[key] = row.get(key, _ZERO) - coeff
-                row = {kk: vv for kk, vv in row.items() if vv}
+            bnz = brows.get(r, ())
+            base_t = offsets[t] + r * adims[t]
+            for c in range(ns) if bnz else acols:
+                row = {base_t + m: fa * v for m, v in acols.get(c, ())}
+                for m, v in bnz:
+                    key = base_s + m * ns + c
+                    nv = row.get(key, 0) - fb * v
+                    if nv:
+                        row[key] = nv
+                    else:  # a loop: f_v[r][c] on both sides cancels
+                        del row[key]
                 if row:
                     rows.append(row)
     return rows, total, offsets, adims, bdims
@@ -255,35 +276,22 @@ def hom_dim_linalg(A: ExplicitRep, B: ExplicitRep) -> int:
     """Dimension of Hom(A, B): unknowns minus the rank of the intertwiner
     system, by exact elimination."""
     rows, total, *_ = _hom_system(A, B)
-    pivots: dict[int, dict[int, Fraction]] = {}
-    rank = 0
-    for row in rows:
-        if _echelon_insert(pivots, dict(row)):
-            rank += 1
-    return total - rank
+    pivots: dict[int, tuple[int, dict[int, int]]] = {}
+    return total - sum(_echelon_insert(pivots, row) for row in rows)
 
 
 def hom_solution_basis(A: ExplicitRep, B: ExplicitRep):
     """Basis of the intertwiner space as per-vertex matrices."""
     rows, total, offsets, adims, bdims = _hom_system(A, B)
-    pivots: dict[int, dict[int, Fraction]] = {}
+    pivots: dict[int, tuple[int, dict[int, int]]] = {}
     for row in rows:
-        _echelon_insert(pivots, dict(row))
-    basis = _basis_from_pivots(pivots, total)
-    out = []
-    for vec in basis:
-        per_vertex = {}
-        for v in A.alg.vertices:
-            m = _zero_matrix(bdims[v], adims[v])
-            base = offsets[v]
-            for r in range(bdims[v]):
-                for c in range(adims[v]):
-                    val = vec.get(base + r * adims[v] + c)
-                    if val:
-                        m[r][c] = val
-            per_vertex[v] = _freeze(m)
-        out.append(per_vertex)
-    return out
+        _echelon_insert(pivots, row)
+    return [
+        {v: tuple(tuple(vec.get(offsets[v] + r * adims[v] + c, _ZERO)
+                        for c in range(adims[v])) for r in range(bdims[v]))
+         for v in A.alg.vertices}
+        for vec in _basis_from_pivots(pivots, total)
+    ]
 
 
 def probe_seed(alg: AlgebraPresentation, *context: str) -> int:
@@ -296,9 +304,6 @@ def probe_seed(alg: AlgebraPresentation, *context: str) -> int:
 def _combine(basis, coeffs, vertices):
     out = {}
     for v in vertices:
-        if not basis:
-            out[v] = ()
-            continue
         rows = len(basis[0][v])
         cols = len(basis[0][v][0]) if rows else 0
         m = _zero_matrix(rows, cols)

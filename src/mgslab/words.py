@@ -313,7 +313,6 @@ class BandPool:
 
 @dataclass(frozen=True)
 class BandRecord:
-    walk: Walk
     canonical: Walk
     is_minimal: bool
 
@@ -370,7 +369,7 @@ def enumerate_bands(alg: AlgebraPresentation, max_len: int) -> tuple[BandRecord,
         pool = BandPool(
             tuple(b for b in ordered if b.length <= w.length // 2), w.length // 2
         )
-        records.append(BandRecord(w, w, is_minimal_band(alg, w, pool)))
+        records.append(BandRecord(w, is_minimal_band(alg, w, pool)))
     return tuple(records)
 
 
@@ -465,7 +464,7 @@ def supported_on(gamma: Walk, w: Walk, k: int) -> bool:
     return False
 
 
-def _periodic_factor(word: tuple[Letter, ...], w: Walk) -> Walk | None:
+def periodic_factor(word: tuple[Letter, ...], w: Walk) -> Walk | None:
     """If word is a factor of u^N for some rotation u of w or w^-1, return
     that rotation (phase aligned with the first letter of word)."""
     for u in rotations_and_inversions(w):
@@ -497,12 +496,12 @@ def maximal_w_substrings(gamma: Walk, w: Walk) -> list[MaximalWSubstring]:
     for i in range(1, d + 2 - lw):
         for j in range(i + lw - 1, d + 1):
             word = gamma.letters[i - 1 : j]
-            u = _periodic_factor(word, w)
+            u = periodic_factor(word, w)
             if u is None:
                 continue
-            if i > 1 and _periodic_factor(gamma.letters[i - 2 : j], w) is not None:
+            if i > 1 and periodic_factor(gamma.letters[i - 2 : j], w) is not None:
                 continue
-            if j < d and _periodic_factor(gamma.letters[i - 1 : j + 1], w) is not None:
+            if j < d and periodic_factor(gamma.letters[i - 1 : j + 1], w) is not None:
                 continue
             occ = Occurrence(gamma, i, j, "forward")
             k = len(word) // lw

@@ -1,18 +1,22 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from mgslab import (
     ModuleError,
+    all_occurrences,
     band_module,
     band_top_socle,
     enumerate_bricks,
     enumerate_strings,
     hom_dim,
+    hom_dim_linalg,
     is_brick,
-    occurrences_with_flags,
+    load_algebra,
     parse_walk,
     string_module,
+    to_explicit,
     top_socle,
 )
 
@@ -71,7 +75,7 @@ def test_band_module_argument_errors(gentle5):
 
 def test_occurrences_with_flags_single_arrow(a12tilde):
     w = parse_walk(a12tilde, "b1")
-    occs = occurrences_with_flags(w)
+    occs = all_occurrences(w)
     by_pos = {(o.start, o.end): o for o in occs}
     e1 = by_pos[(1, 0)]
     assert e1.word.source == "1"
@@ -84,7 +88,7 @@ def test_occurrences_with_flags_single_arrow(a12tilde):
 
 
 def test_occurrences_with_flags_trivial(gentle5):
-    occs = occurrences_with_flags(parse_walk(gentle5, "e:2"))
+    occs = all_occurrences(parse_walk(gentle5, "e:2"))
     assert len(occs) == 1
     assert occs[0].is_quotient_occurrence and occs[0].is_submodule_occurrence
 
@@ -178,3 +182,52 @@ def test_enumerate_bricks_two_loops_short(two_loops):
     assert names[:2] == ["e:1", "e:2"]
     for i in infos:
         assert hom_dim(two_loops, i.walk, i.walk) == 1
+
+
+def test_hom_dim_memo_filled_from_inverse(data_dir):
+    # fresh presentations: one memo is filled from w^-1 first, the other
+    # from the canonical walks
+    inverse_first = load_algebra(data_dir / "gentle5.alg")
+    canonical_first = load_algebra(data_dir / "gentle5.alg")
+    ws = enumerate_strings(inverse_first, 4)
+    for w in ws:
+        for x in ws:
+            assert hom_dim(inverse_first, w.inverse(), x.inverse()) == hom_dim(canonical_first, w, x)
+    for w in ws:
+        for x in ws:
+            assert hom_dim(inverse_first, w, x) == hom_dim(canonical_first, w.inverse(), x)
+
+
+def test_hom_dim_non_string_raises_every_call(two_loops):
+    bad = parse_walk(two_loops, "a a")
+    e1 = parse_walk(two_loops, "e:1")
+    for _ in range(2):
+        with pytest.raises(ModuleError):
+            hom_dim(two_loops, bad, e1)
+        with pytest.raises(ModuleError):
+            hom_dim(two_loops, e1, bad)
+    assert bad not in two_loops.walk_memo
+
+
+def test_hom_dim_equal_presentations_agree(data_dir):
+    one, two = (load_algebra(data_dir / "mgs5.alg") for _ in range(2))
+    assert one == two and one is not two
+    ws = enumerate_strings(one, 4)
+    for w in ws[::2]:  # the two memos start from different contents
+        hom_dim(one, w, w)
+    for w in ws:
+        for x in ws:
+            assert hom_dim(one, w, x) == hom_dim(two, w, x)
+    assert one.walk_memo is not two.walk_memo
+
+
+def test_hom_dim_matches_oracle_gentle5_sample(gentle5):
+    ws = enumerate_strings(gentle5, 7)
+    rng = random.Random(7)
+    reps = {}
+    for _ in range(400):
+        a, b = rng.choice(ws), rng.choice(ws)
+        for w in (a, b):
+            if w not in reps:
+                reps[w] = to_explicit(string_module(gentle5, w))
+        assert hom_dim(gentle5, a, b) == hom_dim_linalg(reps[a], reps[b])

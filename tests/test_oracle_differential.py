@@ -1,0 +1,186 @@
+"""The integer fraction-free oracle against the rational elimination it
+replaced, kept here as a slow reference: equal Hom dimensions, ranks and
+null-space bases (the same Fraction vectors)."""
+
+from fractions import Fraction
+from itertools import product
+
+import pytest
+
+from mgslab import (
+    band_module,
+    enumerate_bands,
+    enumerate_strings,
+    hom_dim_linalg,
+    hom_solution_basis,
+    load_algebra,
+    string_module,
+    to_explicit,
+)
+from mgslab.oracle import ExplicitRep, matrix_rank
+
+ALGEBRAS = ("a12tilde", "a2", "double_arrows", "gentle5", "kronecker", "mgs5", "two_loops")
+LAMBDAS = (Fraction(1), Fraction(2), Fraction(1, 2), Fraction(-3))
+
+_ZERO = Fraction(0)
+
+
+def _ref_echelon_insert(pivots, row):
+    """Reduce a sparse rational row; install it normalized if it survives."""
+    while row:
+        p = min(row)
+        if p not in pivots:
+            inv = 1 / row[p]
+            pivots[p] = {c: v * inv for c, v in row.items()}
+            return True
+        factor = row.pop(p)
+        for c, v in pivots[p].items():
+            if c == p:
+                continue
+            nv = row.get(c, _ZERO) - factor * v
+            if nv:
+                row[c] = nv
+            else:
+                row.pop(c, None)
+    return False
+
+
+def _ref_hom_system(A, B):
+    """Dense loops over every equation (r, c) of every arrow, in Fractions."""
+    adims, bdims = dict(A.dims), dict(B.dims)
+    offsets, total = {}, 0
+    for v in A.alg.vertices:
+        offsets[v] = total
+        total += bdims[v] * adims[v]
+
+    def idx(v, r, c):
+        return offsets[v] + r * adims[v] + c
+
+    rows = []
+    amats, bmats = dict(A.mats), dict(B.mats)
+    for arr in A.alg.arrows:
+        s, t = arr.source, arr.target
+        Aa, Ba = amats[arr.name], bmats[arr.name]
+        for r in range(bdims[t]):
+            for c in range(adims[s]):
+                row = {}
+                for m in range(adims[t]):
+                    if Aa[m][c]:
+                        key = idx(t, r, m)
+                        row[key] = row.get(key, _ZERO) + Fraction(Aa[m][c])
+                for m in range(bdims[s]):
+                    if Ba[r][m]:
+                        key = idx(s, m, c)
+                        row[key] = row.get(key, _ZERO) - Fraction(Ba[r][m])
+                row = {k: v for k, v in row.items() if v}
+                if row:
+                    rows.append(row)
+    return rows, total, offsets, adims, bdims
+
+
+def ref_hom_dim(A, B):
+    rows, total, *_ = _ref_hom_system(A, B)
+    pivots = {}
+    return total - sum(_ref_echelon_insert(pivots, row) for row in rows)
+
+
+def ref_matrix_rank(mat):
+    pivots = {}
+    return sum(_ref_echelon_insert(pivots, {j: Fraction(v) for j, v in enumerate(raw) if v})
+               for raw in mat)
+
+
+def ref_hom_solution_basis(A, B):
+    rows, total, offsets, adims, bdims = _ref_hom_system(A, B)
+    pivots = {}
+    for row in rows:
+        _ref_echelon_insert(pivots, row)
+    out = []
+    for f in (c for c in range(total) if c not in pivots):
+        x = {f: Fraction(1)}
+        for p in sorted(pivots, reverse=True):
+            acc = sum((v * x[c] for c, v in pivots[p].items() if c != p and c in x), _ZERO)
+            if acc:
+                x[p] = -acc
+        out.append({
+            v: tuple(tuple(x.get(offsets[v] + r * adims[v] + c, _ZERO)
+                           for c in range(adims[v])) for r in range(bdims[v]))
+            for v in A.alg.vertices
+        })
+    return out
+
+
+def _assert_same(A, B):
+    assert hom_dim_linalg(A, B) == ref_hom_dim(A, B)
+    basis, ref = hom_solution_basis(A, B), ref_hom_solution_basis(A, B)
+    assert basis == ref
+    for got, want in zip(basis, ref):
+        for v in got:
+            assert all(type(x) is Fraction for row in got[v] for x in row)
+            for raw in got[v]:
+                assert matrix_rank([raw]) == ref_matrix_rank([raw])
+            assert matrix_rank(got[v]) == ref_matrix_rank(want[v])
+
+
+@pytest.mark.parametrize("name", ALGEBRAS)
+def test_string_pairs_match_reference(name, data_dir):
+    alg = load_algebra(data_dir / f"{name}.alg")
+    reps = [to_explicit(string_module(alg, w)) for w in enumerate_strings(alg, 5)]
+    for A, B in product(reps, repeat=2):
+        _assert_same(A, B)
+
+
+@pytest.mark.parametrize("name", [n for n in ALGEBRAS if n != "a2"])  # a2 has no bands
+def test_band_modules_match_reference(name, data_dir):
+    alg = load_algebra(data_dir / f"{name}.alg")
+    bands = [to_explicit(band_module(alg, rec.canonical, lam, k))
+             for rec in enumerate_bands(alg, 4) for lam in LAMBDAS for k in (1, 2)]
+    strings = [to_explicit(string_module(alg, w)) for w in enumerate_strings(alg, 2)]
+    assert bands
+    for B in bands:
+        for S in strings:
+            _assert_same(B, S)
+            _assert_same(S, B)
+        for other in bands:
+            _assert_same(B, other)
+
+
+def _F(rows):
+    return tuple(tuple(Fraction(x) for x in row) for row in rows)
+
+
+def test_hand_built_non_unit_pivots(kronecker):
+    assert matrix_rank([[2, 3], [4, 7]]) == ref_matrix_rank([[2, 3], [4, 7]]) == 2
+    assert matrix_rank([[2, 4], [3, 6]]) == ref_matrix_rank([[2, 4], [3, 6]]) == 1
+    # pivot 2 reduces 4 by gcd 2: the row must lose 2 x the pivot's tail
+    assert matrix_rank([[2, 3], [4, 6]]) == ref_matrix_rank([[2, 3], [4, 6]]) == 1
+    wide = [[2, 3, 1], [4, 6, 5], [6, 9, 3]]
+    assert matrix_rank(wide) == ref_matrix_rank(wide) == 2
+    thirds = [[Fraction(2, 3), Fraction(1, 2)], [Fraction(4, 9), Fraction(1, 3)]]
+    assert matrix_rank(thirds) == ref_matrix_rank(thirds) == 1
+    dims = (("1", 2), ("2", 2))
+    reps = [
+        ExplicitRep(kronecker, dims, (("a", _F([[2, 3], [4, 7]])), ("b", _F([[2, 4], [3, 6]])))),
+        ExplicitRep(kronecker, dims, (("a", _F([[2, 4], [3, 6]])), ("b", _F([[2, 3], [4, 7]])))),
+        ExplicitRep(kronecker, dims, (("a", _F([[3, 0], [0, 3]])), ("b", _F([[6, 2], [0, 6]])))),
+        ExplicitRep(kronecker, dims, (("a", _F([[2, 0], [0, 5]])), ("b", thirds))),
+        ExplicitRep(kronecker, dims, (("a", _F([[2, 3], [4, 6]])), ("b", _F([[4, 6], [2, 3]])))),
+    ]
+    for A, B in product(reps, repeat=2):
+        _assert_same(A, B)
+    assert hom_dim_linalg(reps[2], reps[2]) == 2  # End of M(a b-, 2, 2)
+
+
+def test_hand_built_loops_cancel(two_loops):
+    # loops with diagonal entries: f_v[r][r] meets itself in the equation of
+    # a loop and cancels where A_a[r][r] = B_a[r][r] (the relations are not
+    # imposed here; this exercises the linear algebra only)
+    dims = (("1", 2), ("2", 1))
+    b = _F([[1, 1]])
+    reps = [
+        ExplicitRep(two_loops, dims, (("a", _F([[1, 0], [0, 2]])), ("b", b), ("g", _F([[2]])))),
+        ExplicitRep(two_loops, dims, (("a", _F([[2, 0], [3, 1]])), ("b", b), ("g", _F([[1]])))),
+        ExplicitRep(two_loops, dims, (("a", _F([[1, 0], [0, 1]])), ("b", _F([[0, 3]])), ("g", _F([[1]])))),
+    ]
+    for A, B in product(reps, repeat=2):
+        _assert_same(A, B)
