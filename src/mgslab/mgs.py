@@ -23,6 +23,15 @@ the search emits exactly the sequences of the unpruned search, in the
 same depth-first order.  A band brick takes part only while no band's
 Hom masks differ across the sampled lambdas; otherwise band bricks never
 prune, and a disagreement surfaces at a leaf as before.
+
+Certification reads the same masks, built on the entries e_1..e_n of the
+sequence.  Candidate c is insertable exactly at the gaps j <= p < f, where
+j is the last entry with Hom(c, e_j) != 0 (0 if none) and f the first with
+Hom(e_f, c) != 0 (n + 1 if none); c is live iff j < f, and its first gap is
+j.  An entry is never insertable again: Hom(c, c) contains the identity, so
+c = e_k gives f <= k <= j.  A band brick has one interval per sampled
+lambda; its first gap open at some lambda must be open at all of them, or
+the lambdas disagree.
 """
 
 from __future__ import annotations
@@ -94,12 +103,12 @@ class BrickPools:
 
 
 class HomTable:
-    """Memoized Hom dimensions keyed by canonical walks; band-module Homs
-    go through the oracle and are cached per lambda."""
+    """Hom dimensions for certification and search.  String Homs go straight
+    to the calculus, whose per-walk memo lives on the presentation;
+    band-module Homs go through the oracle and are cached per lambda."""
 
     def __init__(self, alg: AlgebraPresentation):
         self.alg = alg
-        self._string: dict = {}
         self._band: dict = {}
         self._reps: dict = {}
 
@@ -116,10 +125,7 @@ class HomTable:
         return self._reps[key]
 
     def hom(self, a: Walk, b: Walk) -> int:
-        key = (a.key(), b.key())
-        if key not in self._string:
-            self._string[key] = hom_dim(self.alg, a, b)
-        return self._string[key]
+        return hom_dim(self.alg, a, b)
 
     def hom_string_band(self, a: Walk, band: Walk, lam: Fraction) -> int:
         key = (a.key(), band.key(), lam, "sb")
@@ -152,24 +158,57 @@ def insertable(alg: AlgebraPresentation, entries, p: int, brick: Walk,
                table: HomTable | None = None) -> bool:
     """Whether inserting the brick after the first p entries keeps the
     sequence weakly FHO; an existing entry is never insertable again."""
-    keys = {canonical_string(e).key() for e in entries}
-    return (canonical_string(brick).key() not in keys
-            and _gap_open(entries, p, brick, table or HomTable(alg)))
+    blocks, needs, _, _, _ = _candidate_masks(entries, (brick,), (),
+                                              table or HomTable(alg))
+    j, f = _gap_interval(blocks, needs, 1)
+    return j <= p < f
 
 
-def _gap_open(entries, p: int, brick: Walk, table: HomTable) -> bool:
-    """Hom(e, brick) = 0 for the first p entries, Hom(brick, e) = 0 after."""
-    return (all(table.hom(e, brick) == 0 for e in entries[:p])
-            and all(table.hom(brick, e) == 0 for e in entries[p:]))
+def _candidate_masks(walks, strings, bands, table: HomTable):
+    """One bit per insertion candidate, the string bricks first, then each
+    band brick once per lambda.  blocks[i] / needs[i] hold the candidates c
+    with Hom(w_i, c) != 0, resp. Hom(c, w_i) != 0.  Also returns the mask of
+    the string bits, each band brick's walk with its per-lambda bits, and
+    whether no band's masks depend on lambda."""
+    blocks = [0] * len(walks)
+    needs = [0] * len(walks)
+    bit = 1
+    for c in strings:
+        for i, w in enumerate(walks):
+            if table.hom(w, c) != 0:
+                blocks[i] |= bit
+            if table.hom(c, w) != 0:
+                needs[i] |= bit
+        bit <<= 1
+    string_bits = bit - 1
+    band_bits = []
+    lambda_free = True
+    for bb in bands:
+        bits, per_lambda = [], set()
+        for lam in bb.lambdas:
+            fmask = tmask = 0
+            for i, w in enumerate(walks):
+                if table.hom_string_band(w, bb.walk, lam) != 0:
+                    blocks[i] |= bit
+                    fmask |= 1 << i
+                if table.hom_band_string(bb.walk, lam, w) != 0:
+                    needs[i] |= bit
+                    tmask |= 1 << i
+            bits.append(bit)
+            per_lambda.add((fmask, tmask))
+            bit <<= 1
+        lambda_free = lambda_free and len(per_lambda) == 1
+        band_bits.append((bb.walk, tuple(bits)))
+    return blocks, needs, string_bits, band_bits, lambda_free
 
 
-def _first_gap(entries, keys, brick: Walk, table: HomTable) -> int | None:
-    """The first position at which the brick is insertable, or None; keys
-    holds the canonical keys of the entries."""
-    if canonical_string(brick).key() in keys:
-        return None
-    return next((p for p in range(len(entries) + 1)
-                 if _gap_open(entries, p, brick, table)), None)
+def _gap_interval(blocks, needs, bit: int) -> tuple[int, int]:
+    """(j, f) of the candidate on this bit, read from the masks of a
+    sequence: its open gaps are j <= p < f (see Certification above)."""
+    n = len(blocks)
+    f = next((i for i, mask in enumerate(blocks, start=1) if mask & bit), n + 1)
+    j = next((i for i in range(n, 0, -1) if needs[i - 1] & bit), 0)
+    return j, f
 
 
 def _band_brick_lambdas(alg, w: Walk, lambdas) -> bool:
@@ -243,33 +282,6 @@ class FhoSequence:
     verdict: Verdict | None = None
 
 
-def simple_walks(alg: AlgebraPresentation) -> tuple[Walk, ...]:
-    return tuple(Walk((), (v,)) for v in alg.vertices)
-
-
-def _band_insertable(alg, entries, p, bb: BandBrick, table: HomTable) -> bool:
-    """Positional insertability of a band brick, demanding agreement of the
-    decision across every sampled lambda."""
-    decisions = []
-    for lam in bb.lambdas:
-        ok = True
-        for i, e in enumerate(entries, start=1):
-            if i <= p:
-                if table.hom_string_band(e, bb.walk, lam) != 0:
-                    ok = False
-                    break
-            else:
-                if table.hom_band_string(bb.walk, lam, e) != 0:
-                    ok = False
-                    break
-        decisions.append(ok)
-    if len(set(decisions)) > 1:
-        raise OracleDisagreement(
-            f"insertability of band brick {bb.walk} at {p} differs across lambdas"
-        )
-    return decisions[0]
-
-
 def is_complete_relative(alg: AlgebraPresentation, entries, pools: BrickPools,
                          table: HomTable | None = None) -> Verdict:
     """Scan the insertion pool for a refinement witness; if none exists the
@@ -282,49 +294,60 @@ def is_complete_relative(alg: AlgebraPresentation, entries, pools: BrickPools,
     """
     table = table or HomTable(alg)
     entries = tuple(entries)
-    entry_keys = [canonical_string(e).key() for e in entries]
-    keys = set(entry_keys)
     excluded_map = {canonical_string(w).key(): band for w, band in pools.excluded}
     banned_entries = tuple(
-        (e, excluded_map[k]) for e, k in zip(entries, entry_keys) if k in excluded_map
+        (e, excluded_map[k]) for e in entries
+        if (k := canonical_string(e).key()) in excluded_map
     )
-    blockers = []
-    for w, band in pools.excluded:
-        p = _first_gap(entries, keys, w, table)
-        if p is not None:
-            blockers.append((w, band, p))
+    blocks, needs, string_bits, band_bits, _ = _candidate_masks(
+        entries, pools.insertion_strings, pools.insertion_bands, table)
+    blocked = dead = 0
+    for block, need in zip(blocks, needs):
+        blocked |= block
+        dead |= need & blocked
+
+    # excluded bricks are insertion strings, so they own string bits too
+    string_bit = {w.key(): 1 << k for k, w in enumerate(pools.insertion_strings)}
+    blockers = tuple(
+        (w, band, _gap_interval(blocks, needs, string_bit[w.key()])[0])
+        for w, band in pools.excluded if string_bit[w.key()] & ~dead
+    )
 
     witness = None
-    for w in pools.insertion_strings:
-        p = _first_gap(entries, keys, w, table)
-        if p is not None:
-            witness = (w, False, p)
-            break
-    if witness is None:
-        witness = next(((bb.walk, True, p) for bb in pools.insertion_bands
-                        for p in range(len(entries) + 1)
-                        if _band_insertable(alg, entries, p, bb, table)), None)
+    live = string_bits & ~dead
+    if live:
+        low = live & -live
+        witness = (pools.insertion_strings[low.bit_length() - 1], False,
+                   _gap_interval(blocks, needs, low)[0])
+    else:
+        for walk, bits in band_bits:
+            # the first gap open at some lambda must be open at every lambda
+            gaps = [_gap_interval(blocks, needs, b) for b in bits]
+            starts = [j for j, f in gaps if j < f]
+            if starts:
+                p = min(starts)
+                if not all(j <= p < f for j, f in gaps):
+                    raise OracleDisagreement(
+                        f"insertability of band brick {walk} at {p} differs across lambdas"
+                    )
+                witness = (walk, True, p)
+                break
 
     present = {e.source for e in entries if e.length == 0}
     missing = tuple(v for v in alg.vertices if v not in present)
-
     if witness is not None:
-        return Verdict(
-            "refinable",
-            witness_brick=witness[0],
-            witness_is_band=witness[1],
-            witness_position=witness[2],
-            missing_simples=missing,
-            banned_entries=banned_entries,
-            band_square_blockers=tuple(blockers),
-            pool_descriptor=pools.descriptor(),
-        )
-    kind = "complete" if not missing else "refinable-or-bug"
+        kind = "refinable"
+    else:
+        kind = "complete" if not missing else "refinable-or-bug"
+    brick, is_band, position = witness or (None, False, None)
     return Verdict(
         kind,
+        witness_brick=brick,
+        witness_is_band=is_band,
+        witness_position=position,
         missing_simples=missing,
         banned_entries=banned_entries,
-        band_square_blockers=tuple(blockers),
+        band_square_blockers=blockers,
         pool_descriptor=pools.descriptor(),
     )
 
@@ -343,12 +366,12 @@ class _Searcher:
     prefix dies as soon as a simple it still owes becomes forbidden or an
     insertion candidate stays insertable in every extension.
 
-    Every insertion candidate (string brick, or band brick at one sampled
-    lambda) owns one bit.  Along a prefix, ``blocked`` holds the candidates
-    some entry maps onto, and ``dead`` those with no insertion gap left: a
-    candidate dies once an entry it maps onto follows (or is) the first
-    entry that maps onto it.  Appending member i costs two big-int steps,
-    ``blocked |= blocks[i]`` and ``dead |= needs[i] & blocked``.
+    The candidate bits are those of ``_candidate_masks``.  Along a prefix,
+    ``blocked`` holds the candidates some entry maps onto, and ``dead`` those
+    with no insertion gap left: a candidate dies once an entry it maps onto
+    follows (or is) the first entry that maps onto it.  Appending member i
+    costs two big-int steps, ``blocked |= blocks[i]`` and
+    ``dead |= needs[i] & blocked``.
     """
 
     def __init__(self, alg, pools: BrickPools, table: HomTable):
@@ -370,43 +393,12 @@ class _Searcher:
             if w.length == 0:
                 self.simples_mask |= 1 << i
                 self.simple_vertex[i] = w.source
-        # candidate bits: string bricks first, then each band brick once per
-        # lambda; blocks[i] / needs[i] hold the candidates c with
-        # hom(w_i, c) != 0, resp. hom(c, w_i) != 0
-        blocks = [0] * self.m
-        needs = [0] * self.m
-        bit = 1
-        for c in pools.insertion_strings:
-            for i, e in enumerate(member):
-                if table.hom(e, c) != 0:
-                    blocks[i] |= bit
-                if table.hom(c, e) != 0:
-                    needs[i] |= bit
-            bit <<= 1
-        self.string_bits = bit - 1
-        self.band_bits = []
-        lambda_free = True
-        for bb in pools.insertion_bands:
-            bits, per_lambda = [], set()
-            for lam in bb.lambdas:
-                fmask = tmask = 0
-                for i, e in enumerate(member):
-                    if table.hom_string_band(e, bb.walk, lam) != 0:
-                        blocks[i] |= bit
-                        fmask |= 1 << i
-                    if table.hom_band_string(bb.walk, lam, e) != 0:
-                        needs[i] |= bit
-                        tmask |= 1 << i
-                bits.append(bit)
-                per_lambda.add((fmask, tmask))
-                bit <<= 1
-            lambda_free = lambda_free and len(per_lambda) == 1
-            self.band_bits.append((bb.walk, tuple(bits)))
-        self.blocks = blocks
-        self.needs = needs
-        all_cands = bit - 1
+        (self.blocks, self.needs, self.string_bits, self.band_bits,
+         lambda_free) = _candidate_masks(member, pools.insertion_strings,
+                                         pools.insertion_bands, table)
+        all_cands = self.string_bits + sum(sum(bits) for _, bits in self.band_bits)
         # spares[i]: the candidates with a zero Hom to w_i
-        self.spares = [all_cands & ~n for n in needs]
+        self.spares = [all_cands & ~n for n in self.needs]
         # band bricks prune only if no band's masks depend on lambda, so
         # that a disagreement still surfaces at a leaf
         self.prunable = all_cands if lambda_free else self.string_bits
@@ -553,15 +545,6 @@ class _Searcher:
         return MgsSearchResult(sequences, nodes, tuple(diagnostics), pruned)
 
 
-def _search_mgs(alg, pools, table, *, max_len=None, budget=None,
-                simple_order=None, require_subsequence=None, stop_at_first=False):
-    searcher = _Searcher(alg, pools, table)
-    return searcher.run(max_len=max_len, budget=budget,
-                        simple_order=simple_order,
-                        require_subsequence=require_subsequence,
-                        stop_at_first=stop_at_first)
-
-
 def enumerate_mgs(alg: AlgebraPresentation, pools: BrickPools, *,
                   max_len: int | None = None, budget: int | None = None,
                   require_subsequence=None,
@@ -575,8 +558,8 @@ def enumerate_mgs(alg: AlgebraPresentation, pools: BrickPools, *,
     given entries in the given relative order.
     """
     table = table or HomTable(alg)
-    result = _search_mgs(alg, pools, table, max_len=max_len, budget=budget,
-                         require_subsequence=require_subsequence)
+    result = _Searcher(alg, pools, table).run(
+        max_len=max_len, budget=budget, require_subsequence=require_subsequence)
     for seq in result.sequences:
         present = {e.source for e in seq if e.length == 0}
         if set(alg.vertices) - present:
@@ -592,10 +575,8 @@ def complete_from_prefix(alg: AlgebraPresentation, pools: BrickPools,
     """First complete sequence whose simples respect the given relative
     order, or None when the bounded search exhausts without finding one."""
     table = table or HomTable(alg)
-    result = _search_mgs(
-        alg, pools, table, budget=budget,
-        simple_order=tuple(simple_order), stop_at_first=True,
-    )
+    result = _Searcher(alg, pools, table).run(
+        budget=budget, simple_order=tuple(simple_order), stop_at_first=True)
     if result.sequences:
         return FhoSequence(result.sequences[0],
                            is_complete_relative(alg, result.sequences[0], pools, table))

@@ -253,6 +253,10 @@ DETERMINISM_COMMANDS = (
      "--max-string-len", "8"),
     ("mgs", "check", "--algebra", str(DATA / "mgs5.alg"),
      "--max-string-len", "12", "--sequence", str(DATA / "mgs5_sequence.txt")),
+    ("mgs", "check", "--algebra", str(DATA / "mgs5.alg"),
+     "--max-string-len", "16", "--sequence", str(DATA / "mgs5_sequence.txt")),
+    ("mgs", "check", "--algebra", str(DATA / "kronecker.alg"),
+     "--max-string-len", "4", "--sequence", str(DATA / "kronecker_band_witness.txt")),
     ("mgs", "exists", "--algebra", str(DATA / "a12tilde.alg"),
      "--method", "simples", "--max-string-len", "8"),
     ("lemmas", "run", "--algebra", str(DATA / "a12tilde.alg"),

@@ -1,0 +1,252 @@
+"""Certification on the candidate masks against the walk-level gap scan it
+replaced, kept here as a slow reference: equal Verdicts, equal
+`insertable` at every gap, and OracleDisagreement raised at the same band
+brick and gap when a band's Homs depend on lambda."""
+
+from fractions import Fraction
+
+import pytest
+
+from mgslab import parse_walk
+from mgslab.mgs import (
+    HomTable,
+    OracleDisagreement,
+    Verdict,
+    build_brick_pools,
+    enumerate_mgs,
+    insertable,
+    is_complete_relative,
+)
+from mgslab.words import canonical_string
+
+
+def _ref_gap_open(entries, p, brick, table):
+    """Hom(e, brick) = 0 for the first p entries, Hom(brick, e) = 0 after."""
+    return (all(table.hom(e, brick) == 0 for e in entries[:p])
+            and all(table.hom(brick, e) == 0 for e in entries[p:]))
+
+
+def _ref_first_gap(entries, keys, brick, table):
+    """The first position at which the brick is insertable, or None; keys
+    holds the canonical keys of the entries."""
+    if canonical_string(brick).key() in keys:
+        return None
+    return next((p for p in range(len(entries) + 1)
+                 if _ref_gap_open(entries, p, brick, table)), None)
+
+
+def _ref_insertable(entries, p, brick, table):
+    keys = {canonical_string(e).key() for e in entries}
+    return canonical_string(brick).key() not in keys and _ref_gap_open(entries, p, brick, table)
+
+
+def _ref_band_insertable(entries, p, bb, table):
+    """Positional insertability of a band brick, demanding agreement of the
+    decision across every sampled lambda."""
+    decisions = []
+    for lam in bb.lambdas:
+        ok = True
+        for i, e in enumerate(entries, start=1):
+            if i <= p:
+                if table.hom_string_band(e, bb.walk, lam) != 0:
+                    ok = False
+                    break
+            else:
+                if table.hom_band_string(bb.walk, lam, e) != 0:
+                    ok = False
+                    break
+        decisions.append(ok)
+    if len(set(decisions)) > 1:
+        raise OracleDisagreement(
+            f"insertability of band brick {bb.walk} at {p} differs across lambdas"
+        )
+    return decisions[0]
+
+
+def _ref_is_complete_relative(alg, entries, pools, table):
+    entries = tuple(entries)
+    entry_keys = [canonical_string(e).key() for e in entries]
+    keys = set(entry_keys)
+    excluded_map = {canonical_string(w).key(): band for w, band in pools.excluded}
+    banned_entries = tuple(
+        (e, excluded_map[k]) for e, k in zip(entries, entry_keys) if k in excluded_map
+    )
+    blockers = []
+    for w, band in pools.excluded:
+        p = _ref_first_gap(entries, keys, w, table)
+        if p is not None:
+            blockers.append((w, band, p))
+
+    witness = None
+    for w in pools.insertion_strings:
+        p = _ref_first_gap(entries, keys, w, table)
+        if p is not None:
+            witness = (w, False, p)
+            break
+    if witness is None:
+        witness = next(((bb.walk, True, p) for bb in pools.insertion_bands
+                        for p in range(len(entries) + 1)
+                        if _ref_band_insertable(entries, p, bb, table)), None)
+
+    present = {e.source for e in entries if e.length == 0}
+    missing = tuple(v for v in alg.vertices if v not in present)
+    common = dict(missing_simples=missing, banned_entries=banned_entries,
+                  band_square_blockers=tuple(blockers),
+                  pool_descriptor=pools.descriptor())
+    if witness is not None:
+        return Verdict("refinable", witness_brick=witness[0],
+                       witness_is_band=witness[1], witness_position=witness[2],
+                       **common)
+    return Verdict("complete" if not missing else "refinable-or-bug", **common)
+
+
+class _StringMemo:
+    """The reference's view of a table: string Homs memoized by walk
+    identity (the walks outlive the test), which keeps the reference's
+    O(n^2) gap scan fast; band Homs pass through."""
+
+    def __init__(self, table):
+        self.table = table
+        self.string = {}
+
+    def hom(self, a, b):
+        key = (id(a), id(b))
+        if key not in self.string:
+            self.string[key] = (a, b, self.table.hom(a, b))
+        return self.string[key][2]
+
+    def hom_string_band(self, a, band, lam):
+        return self.table.hom_string_band(a, band, lam)
+
+    def hom_band_string(self, band, lam, b):
+        return self.table.hom_band_string(band, lam, b)
+
+
+def _outcome(certify, *args):
+    try:
+        return certify(*args)
+    except OracleDisagreement as exc:
+        return ("OracleDisagreement", str(exc))
+
+
+def assert_same_certification(alg, sequences, pools, table, bricks=None):
+    """Equal Verdicts (or equal OracleDisagreement messages) on every
+    sequence; equal `insertable` at every gap for each brick in `bricks`."""
+    ref_table = _StringMemo(table)
+    for seq in sequences:
+        got = _outcome(is_complete_relative, alg, seq, pools, table)
+        want = _outcome(_ref_is_complete_relative, alg, seq, pools, ref_table)
+        assert got == want, [str(w) for w in seq]
+        for brick in bricks or ():
+            for p in range(len(seq) + 1):
+                assert (insertable(alg, seq, p, brick, table)
+                        == _ref_insertable(seq, p, brick, ref_table)), (str(brick), p)
+
+
+def weakly_fho_sequences(pools, table):
+    """Every nonempty weakly FHO sequence over the insertion strings."""
+    out = []
+
+    def dfs(seq):
+        if seq:
+            out.append(tuple(seq))
+        for c in pools.insertion_strings:
+            if all(table.hom(e, c) == 0 for e in seq):
+                dfs(seq + [c])
+
+    dfs([])
+    return out
+
+
+def bundled_variants(alg, data_dir):
+    """The bundled mgs5 sequence, each one-entry drop and each swap of two
+    entries (106 sequences)."""
+    lines = (data_dir / "mgs5_sequence.txt").read_text().splitlines()
+    seq = [parse_walk(alg, l) for l in lines if l.strip()]
+    drops = [seq[:i] + seq[i + 1:] for i in range(len(seq))]
+    swaps = []
+    for i in range(len(seq)):
+        for j in range(i + 1, len(seq)):
+            v = list(seq)
+            v[i], v[j] = v[j], v[i]
+            swaps.append(v)
+    return [seq] + drops, swaps
+
+
+def test_kronecker_band_witness(kronecker, data_dir):
+    pools = build_brick_pools(kronecker, 4)
+    lines = (data_dir / "kronecker_band_witness.txt").read_text().splitlines()
+    seq = tuple(parse_walk(kronecker, l) for l in lines)
+    assert [str(w) for w in seq] == ["e:1", "a b-", "a b- a b-", "a", "b",
+                                     "a- b a- b", "a- b", "e:2"]
+    verdict = is_complete_relative(kronecker, seq, pools)
+    assert verdict.kind == "refinable"
+    assert verdict.witness_is_band
+    assert str(verdict.witness_brick) == "a b-"
+    assert verdict.witness_position == 3
+    assert verdict == _ref_is_complete_relative(kronecker, seq, pools,
+                                                _StringMemo(HomTable(kronecker)))
+
+
+def test_kronecker_every_weakly_fho_sequence(kronecker):
+    pools = build_brick_pools(kronecker, 4)
+    table = HomTable(kronecker)
+    sequences = weakly_fho_sequences(pools, table)
+    assert len(sequences) == 320
+    band_witnesses = [s for s in sequences
+                      if is_complete_relative(kronecker, s, pools, table).witness_is_band]
+    assert len(band_witnesses) == 2
+    assert_same_certification(kronecker, sequences, pools, table,
+                              bricks=pools.insertion_strings)
+
+
+@pytest.mark.parametrize("max_len", [12, 16])
+def test_bundled_mgs5_variants(mgs5, data_dir, max_len):
+    pools = build_brick_pools(mgs5, max_len)
+    table = HomTable(mgs5)
+    drops, swaps = bundled_variants(mgs5, data_dir)
+    assert len(drops) + len(swaps) == 106
+    # insertable at every gap of every insertion string on the drops at 12;
+    # the Verdicts already cover the first gaps at 16
+    bricks = pools.insertion_strings if max_len == 12 else None
+    assert_same_certification(mgs5, drops, pools, table, bricks=bricks)
+    assert_same_certification(mgs5, swaps, pools, table)
+
+
+@pytest.mark.parametrize("name, max_len, count", [("a12tilde", 12, 5), ("two_loops", 10, 1)])
+def test_emitted_sequences(request, name, max_len, count):
+    alg = request.getfixturevalue(name)
+    pools = build_brick_pools(alg, max_len)
+    table = HomTable(alg)
+    sequences = enumerate_mgs(alg, pools, table=table).sequences
+    assert len(sequences) == count
+    assert_same_certification(alg, sequences, pools, table, bricks=pools.insertion_strings)
+
+
+class _LambdaDependent(HomTable):
+    """Band-to-string Homs that vanish at lambda 2 wherever `vanish` says so,
+    so that a band brick's gaps differ between the sampled lambdas."""
+
+    def __init__(self, alg, vanish):
+        super().__init__(alg)
+        self.vanish = vanish
+
+    def hom_band_string(self, band, lam, b):
+        if lam == Fraction(2) and self.vanish(b):
+            return 0
+        return super().hom_band_string(band, lam, b)
+
+
+@pytest.mark.parametrize("vanish", [
+    lambda b: True,
+    lambda b: b.length == 0,
+    lambda b: b.length > 0,
+], ids=["all", "simples", "non-simples"])
+def test_lambda_dependent_band_homs(kronecker, vanish):
+    pools = build_brick_pools(kronecker, 4)
+    table = _LambdaDependent(kronecker, vanish)
+    sequences = weakly_fho_sequences(pools, HomTable(kronecker))
+    outcomes = [_outcome(is_complete_relative, kronecker, s, pools, table)
+                for s in sequences]
+    assert any(isinstance(o, tuple) for o in outcomes)
+    assert_same_certification(kronecker, sequences, pools, table)
