@@ -40,8 +40,12 @@ class Arrow:
 class AlgebraPresentation:
     """Quiver with monomial relations, immutable after construction.
 
-    Vertices and arrows keep their file order; all derived lookups are
-    cached so a presentation can be shared freely between threads.
+    Vertices and arrows keep their file order.  The presentation is the one
+    owner of everything derived from it: its lookup tables, the substring
+    calculus memo (:attr:`walk_memo`) and the enumerations, explicit
+    representations and oracle Homs (:attr:`memo`).  None of these take part
+    in equality or hashing, and all are freed with the presentation.  Threads
+    may share it: a racing fill only recomputes an equal value.
     """
 
     vertices: tuple[str, ...]
@@ -110,12 +114,6 @@ class AlgebraPresentation:
             table[a.target].append(a)
         return {v: tuple(lst) for v, lst in table.items()}
 
-    def source(self, arrow_name: str) -> str:
-        return self.arrow_map[arrow_name].source
-
-    def target(self, arrow_name: str) -> str:
-        return self.arrow_map[arrow_name].target
-
     def path_contains_relation(self, path: Sequence[str]) -> bool:
         """True iff some relation occurs as a contiguous subpath.
 
@@ -171,7 +169,15 @@ class AlgebraPresentation:
     @cached_property
     def walk_memo(self) -> dict:
         """Per-walk occurrence class counts of the substring Hom calculus
-        (:mod:`mgslab.modules`), living exactly as long as the presentation."""
+        (:mod:`mgslab.modules`), keyed by walk and owned by the presentation."""
+        return {}
+
+    @cached_property
+    def memo(self) -> dict:
+        """Results derived from this presentation, keyed by a tag and the
+        arguments: the string, band and brick enumerations per length bound,
+        and the oracle's explicit representations and band-module Homs
+        (:mod:`mgslab.mgs`)."""
         return {}
 
     @cached_property

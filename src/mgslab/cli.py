@@ -377,7 +377,7 @@ def _cmd_mgs(alg, args):
         order = res.order
     pools = _pools_for(alg, args)
     completed = complete_from_prefix(alg, pools, order, budget=args.budget)
-    payload["completed"] = None if completed is None else _walks(completed.entries)
+    payload["completed"] = None if completed is None else _walks(completed)
     return payload, pools.descriptor()
 
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .algebra import AlgebraPresentation
 from .mgs import BudgetExhausted, build_brick_pools, enumerate_mgs
-from .modules import band_module, is_brick, string_module
+from .modules import band_module, enumerate_bricks, is_brick, string_module
 from .oracle import exists_full_rank_hom, probe_seed, to_explicit
 from .words import (
     Walk,
@@ -138,7 +138,7 @@ def run_lemma_suite(alg: AlgebraPresentation, max_string_len: int,
     band_bound = band_bound if band_bound is not None else max_string_len
     lambdas = tuple(Fraction(l) for l in lambdas)
     strings = enumerate_strings(alg, max_string_len)
-    bricks = [w for w in strings if is_brick(alg, w)]
+    bricks = [info.walk for info in enumerate_bricks(alg, max_string_len)]
     band_records = enumerate_bands(alg, band_bound)
     bands = [r.canonical for r in band_records]
     minimal_bands = [r.canonical for r in band_records if r.is_minimal]

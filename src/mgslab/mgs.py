@@ -102,42 +102,42 @@ class BrickPools:
         }
 
 
+def _explicit(alg: AlgebraPresentation, w: Walk, lam: Fraction | None):
+    """The oracle's representation of M(w), or of M(w, lam, 1) for a band,
+    built once per presentation."""
+    key = ("rep", w.key(), lam)
+    if key not in alg.memo:
+        module = string_module(alg, w) if lam is None else band_module(alg, w, lam, 1)
+        alg.memo[key] = to_explicit(module)
+    return alg.memo[key]
+
+
+def _oracle_hom(alg: AlgebraPresentation, a: Walk, lam_a, b: Walk, lam_b) -> int:
+    """dim Hom between two modules of ``_explicit``, by the oracle, memoised
+    on the presentation."""
+    key = ("hom", a.key(), lam_a, b.key(), lam_b)
+    if key not in alg.memo:
+        alg.memo[key] = hom_dim_linalg(_explicit(alg, a, lam_a), _explicit(alg, b, lam_b))
+    return alg.memo[key]
+
+
 class HomTable:
-    """Hom dimensions for certification and search.  String Homs go straight
-    to the calculus, whose per-walk memo lives on the presentation;
-    band-module Homs go through the oracle and are cached per lambda."""
+    """Hom dimensions for certification and search.  String Homs go to the
+    calculus, band-module Homs (per lambda) to the oracle; the memos behind
+    both live on the presentation, so a table holds only ``alg``.  Tests
+    subclass it to substitute Homs; such a fake must not write the memos."""
 
     def __init__(self, alg: AlgebraPresentation):
         self.alg = alg
-        self._band: dict = {}
-        self._reps: dict = {}
-
-    def _rep(self, w: Walk):
-        key = w.key()
-        if key not in self._reps:
-            self._reps[key] = to_explicit(string_module(self.alg, w))
-        return self._reps[key]
-
-    def _band_rep(self, w: Walk, lam: Fraction):
-        key = (w.key(), lam)
-        if key not in self._reps:
-            self._reps[key] = to_explicit(band_module(self.alg, w, lam, 1))
-        return self._reps[key]
 
     def hom(self, a: Walk, b: Walk) -> int:
         return hom_dim(self.alg, a, b)
 
     def hom_string_band(self, a: Walk, band: Walk, lam: Fraction) -> int:
-        key = (a.key(), band.key(), lam, "sb")
-        if key not in self._band:
-            self._band[key] = hom_dim_linalg(self._rep(a), self._band_rep(band, lam))
-        return self._band[key]
+        return _oracle_hom(self.alg, a, None, band, lam)
 
     def hom_band_string(self, band: Walk, lam: Fraction, b: Walk) -> int:
-        key = (band.key(), b.key(), lam, "bs")
-        if key not in self._band:
-            self._band[key] = hom_dim_linalg(self._band_rep(band, lam), self._rep(b))
-        return self._band[key]
+        return _oracle_hom(self.alg, band, lam, b, None)
 
 
 def is_weakly_fho(alg: AlgebraPresentation, entries, table: HomTable | None = None) -> bool:
@@ -213,10 +213,7 @@ def _gap_interval(blocks, needs, bit: int) -> tuple[int, int]:
 
 def _band_brick_lambdas(alg, w: Walk, lambdas) -> bool:
     """M(w, lambda, 1) is a brick; sampled lambdas must agree."""
-    dims = []
-    for lam in lambdas:
-        rep = to_explicit(band_module(alg, w, lam, 1))
-        dims.append(hom_dim_linalg(rep, rep))
+    dims = [_oracle_hom(alg, w, lam, w, lam) for lam in lambdas]
     if len(set(dims)) > 1:
         raise OracleDisagreement(
             f"End M({w}, lambda, 1) differs across lambda samples: {dims}"
@@ -274,12 +271,6 @@ class Verdict:
     @property
     def band_square_obstructed(self) -> bool:
         return bool(self.banned_entries) or bool(self.band_square_blockers)
-
-
-@dataclass(frozen=True)
-class FhoSequence:
-    entries: tuple[Walk, ...]
-    verdict: Verdict | None = None
 
 
 def is_complete_relative(alg: AlgebraPresentation, entries, pools: BrickPools,
@@ -573,14 +564,12 @@ def complete_from_prefix(alg: AlgebraPresentation, pools: BrickPools,
                          simple_order, *, budget: int | None = None,
                          table: HomTable | None = None):
     """First complete sequence whose simples respect the given relative
-    order, or None when the bounded search exhausts without finding one."""
-    table = table or HomTable(alg)
-    result = _Searcher(alg, pools, table).run(
+    order, or None when the bounded search exhausts without finding one.
+    The search's leaf check certifies it on the masks of
+    ``is_complete_relative``, so it is complete relative to the pools."""
+    result = _Searcher(alg, pools, table or HomTable(alg)).run(
         budget=budget, simple_order=tuple(simple_order), stop_at_first=True)
-    if result.sequences:
-        return FhoSequence(result.sequences[0],
-                           is_complete_relative(alg, result.sequences[0], pools, table))
-    return None
+    return result.sequences[0] if result.sequences else None
 
 
 @dataclass(frozen=True)

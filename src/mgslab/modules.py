@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .algebra import AlgebraPresentation
 from .words import (
@@ -190,13 +189,15 @@ class BrickInfo:
     band_square_supports: tuple[Walk, ...]  # bands w with the brick supported on w^2
 
 
-@lru_cache(maxsize=None)
 def enumerate_bricks(alg: AlgebraPresentation, max_len: int) -> tuple[BrickInfo, ...]:
     """All string bricks of length <= max_len in deterministic order, each
     annotated with the bands (of length <= max_len//2) whose square
-    supports it."""
+    supports it; memoised on the presentation."""
     from .concurrency import pmap
 
+    key = ("bricks", max_len)
+    if key in alg.memo:
+        return alg.memo[key]
     pool = band_pool(alg, max_len // 2)
     strings = enumerate_strings(alg, max_len)
     brickhood = pmap(lambda w: is_brick(alg, w), strings)
@@ -206,4 +207,4 @@ def enumerate_bricks(alg: AlgebraPresentation, max_len: int) -> tuple[BrickInfo,
             continue
         squares = tuple(b for b in pool.bands if supported_on(w, b, 2))
         out.append(BrickInfo(w, squares))
-    return tuple(out)
+    return alg.memo.setdefault(key, tuple(out))

@@ -46,12 +46,6 @@ class ExplicitRep:
     dims: tuple[tuple[str, int], ...]
     mats: tuple[tuple[str, Matrix], ...]  # per arrow, shape (n_target, n_source)
 
-    def dim(self, v: str) -> int:
-        return dict(self.dims)[v]
-
-    def mat(self, arrow: str) -> Matrix:
-        return dict(self.mats)[arrow]
-
     @cached_property
     def sparse(self) -> dict[str, tuple[int, dict, dict]]:
         """Per arrow: the LCM of its matrix's denominators, and the matrix

@@ -4,14 +4,13 @@ A walk is a composable word in arrows and inverse arrows.  A string is a
 walk with no immediate backtracking such that neither the walk nor its
 inverse contains a relation as a directed subpath.  Bands are primitive
 cyclic strings all of whose powers are strings; they are identified up to
-rotation and inversion.  All functions here are pure and walks are
-immutable, so results can be shared across threads.
+rotation and inversion.  Walks are immutable; the enumerations are
+memoised on the presentation (``alg.memo``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator, Sequence
 
 from .algebra import AlgebraPresentation
@@ -227,9 +226,11 @@ def _extended_is_string(alg: AlgebraPresentation, w: Walk, letter: Letter) -> Wa
     return new
 
 
-@lru_cache(maxsize=None)
 def _all_string_walks(alg: AlgebraPresentation, max_len: int) -> tuple[Walk, ...]:
     """Every string walk (both orientations) of length <= max_len."""
+    key = ("string_walks", max_len)
+    if key in alg.memo:
+        return alg.memo[key]
     out: list[Walk] = [Walk((), (v,)) for v in alg.vertices]
     frontier: list[Walk] = []
     for a in alg.arrows:
@@ -246,18 +247,20 @@ def _all_string_walks(alg: AlgebraPresentation, max_len: int) -> tuple[Walk, ...
                 if grown is not None:
                     nxt.append(grown)
         frontier = nxt
-    return tuple(w for w in out if w.length <= max_len)
+    return alg.memo.setdefault(key, tuple(w for w in out if w.length <= max_len))
 
 
-@lru_cache(maxsize=None)
 def enumerate_strings(alg: AlgebraPresentation, max_len: int) -> tuple[Walk, ...]:
     """All strings of length <= max_len, one canonical representative per
     {w, w^-1} class, ordered by length then canonical word."""
+    key = ("strings", max_len)
+    if key in alg.memo:
+        return alg.memo[key]
     seen = {}
     for w in _all_string_walks(alg, max_len):
         c = canonical_string(w)
         seen[c.key()] = c
-    return tuple(sorted(seen.values(), key=Walk.key))
+    return alg.memo.setdefault(key, tuple(sorted(seen.values(), key=Walk.key)))
 
 
 def is_primitive(w: Walk) -> bool:
@@ -351,10 +354,12 @@ def is_minimal_band(alg: AlgebraPresentation, w: Walk, pool: BandPool) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
 def enumerate_bands(alg: AlgebraPresentation, max_len: int) -> tuple[BandRecord, ...]:
     """All bands of length <= max_len, one per rotation/inversion class,
     each with its minimality flag, in deterministic order."""
+    key = ("bands", max_len)
+    if key in alg.memo:
+        return alg.memo[key]
     classes: dict[tuple, Walk] = {}
     for w in _all_string_walks(alg, max_len):
         if w.length < 1 or not w.is_cyclic:
@@ -370,7 +375,7 @@ def enumerate_bands(alg: AlgebraPresentation, max_len: int) -> tuple[BandRecord,
             tuple(b for b in ordered if b.length <= w.length // 2), w.length // 2
         )
         records.append(BandRecord(w, is_minimal_band(alg, w, pool)))
-    return tuple(records)
+    return alg.memo.setdefault(key, tuple(records))
 
 
 def band_pool(alg: AlgebraPresentation, max_len: int) -> BandPool:

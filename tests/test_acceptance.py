@@ -259,6 +259,8 @@ DETERMINISM_COMMANDS = (
      "--max-string-len", "4", "--sequence", str(DATA / "kronecker_band_witness.txt")),
     ("mgs", "exists", "--algebra", str(DATA / "a12tilde.alg"),
      "--method", "simples", "--max-string-len", "8"),
+    ("mgs", "exists", "--algebra", str(DATA / "a12tilde.alg"),
+     "--method", "gentle", "--max-string-len", "8"),
     ("lemmas", "run", "--algebra", str(DATA / "a12tilde.alg"),
      "--max-len", "6", "--budget", "50000"),
 )

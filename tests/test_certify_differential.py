@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from mgslab import parse_walk
+from mgslab import band_module, hom_dim_linalg, parse_walk, string_module, to_explicit
 from mgslab.mgs import (
     HomTable,
     OracleDisagreement,
@@ -250,3 +250,21 @@ def test_lambda_dependent_band_homs(kronecker, vanish):
                 for s in sequences]
     assert any(isinstance(o, tuple) for o in outcomes)
     assert_same_certification(kronecker, sequences, pools, table)
+
+
+def test_fake_homs_leave_the_presentation_memos_clean(kronecker):
+    """The band-Hom memo is shared by every table on the presentation, so a
+    fake table that substitutes Homs must not write it."""
+    pools = build_brick_pools(kronecker, 4)
+    fake = _LambdaDependent(kronecker, lambda b: True)
+    sequences = weakly_fho_sequences(pools, HomTable(kronecker))
+    for seq in sequences:
+        _outcome(is_complete_relative, kronecker, seq, pools, fake)
+    table = HomTable(kronecker)
+    for bb in pools.insertion_bands:
+        for lam in bb.lambdas:
+            band = to_explicit(band_module(kronecker, bb.walk, lam, 1))
+            for w in pools.insertion_strings:
+                rep = to_explicit(string_module(kronecker, w))
+                assert table.hom_band_string(bb.walk, lam, w) == hom_dim_linalg(band, rep)
+                assert table.hom_string_band(w, bb.walk, lam) == hom_dim_linalg(rep, band)

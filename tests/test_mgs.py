@@ -1,6 +1,17 @@
+import gc
+import weakref
+
 import pytest
 
-from mgslab import band_pool, parse_walk
+from mgslab import (
+    band_pool,
+    enumerate_bands,
+    enumerate_bricks,
+    enumerate_strings,
+    load_algebra,
+    parse_walk,
+)
+from mgslab.lemmas import run_lemma_suite
 from mgslab.mgs import (
     BudgetExhausted,
     HomTable,
@@ -244,20 +255,20 @@ def test_domestic_gentle_order_rejects_non_gentle(double_arrows):
 def test_complete_from_prefix_a12(a12tilde):
     pools = build_brick_pools(a12tilde, 8)
     order = simple_order_socle_first(a12tilde, band_pool(a12tilde, 4)).order
-    fho = complete_from_prefix(a12tilde, pools, order)
-    assert fho is not None
-    assert fho.verdict.kind == "complete"
-    placed = [w.source for w in fho.entries if w.length == 0]
+    seq = complete_from_prefix(a12tilde, pools, order)
+    assert seq is not None
+    assert is_complete_relative(a12tilde, seq, pools).kind == "complete"
+    placed = [w.source for w in seq if w.length == 0]
     assert placed == list(order)
 
 
 def test_complete_from_prefix_mgs5(mgs5):
     pools = build_brick_pools(mgs5, 3)
-    fho = complete_from_prefix(mgs5, pools, ("4", "5", "1", "2", "3"), budget=3_000_000)
-    assert fho is not None
-    placed = [w.source for w in fho.entries if w.length == 0]
+    seq = complete_from_prefix(mgs5, pools, ("4", "5", "1", "2", "3"), budget=3_000_000)
+    assert seq is not None
+    placed = [w.source for w in seq if w.length == 0]
     assert placed == ["4", "5", "1", "2", "3"]
-    assert fho.verdict.kind == "complete"
+    assert is_complete_relative(mgs5, seq, pools).kind == "complete"
 
 
 def test_complete_from_prefix_ex43_fails_both_orders(double_arrows):
@@ -349,3 +360,18 @@ def test_headline_enumeration_certified(request, name, count):
     for seq in result.sequences[::97]:
         assert is_weakly_fho(alg, seq, table)
         assert is_complete_relative(alg, seq, pools, table).kind == "complete"
+
+
+def test_dropped_presentation_is_freed(data_dir):
+    """Every memo lives on the presentation, so nothing outlives it."""
+    alg = load_algebra(data_dir / "a12tilde.alg")
+    enumerate_strings(alg, 6)
+    enumerate_bands(alg, 6)
+    enumerate_bricks(alg, 6)
+    pools = build_brick_pools(alg, 6)
+    assert enumerate_mgs(alg, pools).sequences
+    assert run_lemma_suite(alg, 6, mgs_budget=50_000).total_counterexamples == 0
+    ref = weakref.ref(alg)
+    del alg
+    gc.collect()
+    assert ref() is None

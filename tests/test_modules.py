@@ -8,6 +8,7 @@ from mgslab import (
     all_occurrences,
     band_module,
     band_top_socle,
+    enumerate_bands,
     enumerate_bricks,
     enumerate_strings,
     hom_dim,
@@ -19,6 +20,7 @@ from mgslab import (
     to_explicit,
     top_socle,
 )
+from mgslab.words import _all_string_walks
 
 
 def test_string_module_dims_pinned(gentle5):
@@ -219,6 +221,9 @@ def test_hom_dim_equal_presentations_agree(data_dir):
         for x in ws:
             assert hom_dim(one, w, x) == hom_dim(two, w, x)
     assert one.walk_memo is not two.walk_memo
+    for enumerate_ in (_all_string_walks, enumerate_strings, enumerate_bands,
+                       enumerate_bricks):
+        assert enumerate_(one, 6) == enumerate_(two, 6)
 
 
 def test_hom_dim_matches_oracle_gentle5_sample(gentle5):
