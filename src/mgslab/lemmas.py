@@ -17,7 +17,6 @@ from .modules import band_module, enumerate_bricks, is_brick, string_module
 from .oracle import exists_full_rank_hom, probe_seed, to_explicit
 from .words import (
     Walk,
-    canonical_string,
     enumerate_bands,
     enumerate_strings,
     is_band,
@@ -25,6 +24,7 @@ from .words import (
     is_string,
     maximal_w_substrings,
     periodic_factor,
+    primitive_root,
     rotations_and_inversions,
     substring_occurrences,
     supported_on,
@@ -96,14 +96,6 @@ class LemmaSuiteReport:
                 self.band_square_cross_check,
             )
         )
-
-
-def _primitive_root(w: Walk) -> Walk:
-    d = w.length
-    for p in range(1, d + 1):
-        if d % p == 0 and w.letters == w.letters[:p] * (d // p):
-            return w.sub(1, p)
-    return w
 
 
 def _square_prefix(u: Walk) -> Walk | None:
@@ -188,7 +180,7 @@ def run_lemma_suite(alg: AlgebraPresentation, max_string_len: int,
         if not is_string(alg, u.power(2)):
             continue
         chk.satisfied += 1
-        root = _primitive_root(u)
+        root = primitive_root(u)
         if not is_band(alg, root):
             chk.counterexamples.append(f"{u} has square-string but root {root} is not a band")
             continue
@@ -281,7 +273,7 @@ def run_lemma_suite(alg: AlgebraPresentation, max_string_len: int,
                 if not (occ.is_submodule_occurrence or occ.is_quotient_occurrence):
                     continue
                 want_quotient = occ.is_submodule_occurrence
-                other = _find_second_host(alg, m.word, gamma, bricks, want_quotient)
+                other = _find_second_host(m.word, gamma, bricks, want_quotient)
                 if other is None:
                     continue
                 chk.examined += 1
@@ -343,13 +335,11 @@ def run_lemma_suite(alg: AlgebraPresentation, max_string_len: int,
     return report
 
 
-def _find_second_host(alg, word: Walk, gamma: Walk, bricks, want_quotient: bool):
+def _find_second_host(word: Walk, gamma: Walk, bricks, want_quotient: bool):
     """A brick other than gamma in which word sits as a quotient (or
     submodule) occurrence."""
-    wkey = canonical_string(word).key()
-    gkey = canonical_string(gamma).key()
     for cand in bricks:
-        if canonical_string(cand).key() == gkey:
+        if cand in (gamma, gamma.inverse()):
             continue
         for occ in substring_occurrences(cand, word):
             flag = occ.is_quotient_occurrence if want_quotient else occ.is_submodule_occurrence

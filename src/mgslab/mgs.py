@@ -105,7 +105,7 @@ class BrickPools:
 def _explicit(alg: AlgebraPresentation, w: Walk, lam: Fraction | None):
     """The oracle's representation of M(w), or of M(w, lam, 1) for a band,
     built once per presentation."""
-    key = ("rep", w.key(), lam)
+    key = ("rep", w, lam)
     if key not in alg.memo:
         module = string_module(alg, w) if lam is None else band_module(alg, w, lam, 1)
         alg.memo[key] = to_explicit(module)
@@ -115,7 +115,7 @@ def _explicit(alg: AlgebraPresentation, w: Walk, lam: Fraction | None):
 def _oracle_hom(alg: AlgebraPresentation, a: Walk, lam_a, b: Walk, lam_b) -> int:
     """dim Hom between two modules of ``_explicit``, by the oracle, memoised
     on the presentation."""
-    key = ("hom", a.key(), lam_a, b.key(), lam_b)
+    key = ("hom", a, lam_a, b, lam_b)
     if key not in alg.memo:
         alg.memo[key] = hom_dim_linalg(_explicit(alg, a, lam_a), _explicit(alg, b, lam_b))
     return alg.memo[key]
@@ -285,10 +285,10 @@ def is_complete_relative(alg: AlgebraPresentation, entries, pools: BrickPools,
     """
     table = table or HomTable(alg)
     entries = tuple(entries)
-    excluded_map = {canonical_string(w).key(): band for w, band in pools.excluded}
+    excluded_map = dict(pools.excluded)
     banned_entries = tuple(
         (e, excluded_map[k]) for e in entries
-        if (k := canonical_string(e).key()) in excluded_map
+        if (k := canonical_string(e)) in excluded_map
     )
     blocks, needs, string_bits, band_bits, _ = _candidate_masks(
         entries, pools.insertion_strings, pools.insertion_bands, table)
@@ -298,10 +298,10 @@ def is_complete_relative(alg: AlgebraPresentation, entries, pools: BrickPools,
         dead |= need & blocked
 
     # excluded bricks are insertion strings, so they own string bits too
-    string_bit = {w.key(): 1 << k for k, w in enumerate(pools.insertion_strings)}
+    string_bit = {w: 1 << k for k, w in enumerate(pools.insertion_strings)}
     blockers = tuple(
-        (w, band, _gap_interval(blocks, needs, string_bit[w.key()])[0])
-        for w, band in pools.excluded if string_bit[w.key()] & ~dead
+        (w, band, _gap_interval(blocks, needs, string_bit[w])[0])
+        for w, band in pools.excluded if string_bit[w] & ~dead
     )
 
     witness = None
@@ -369,7 +369,7 @@ class _Searcher:
         member = list(pools.member)
         self.member = member
         self.m = len(member)
-        self.index = {w.key(): i for i, w in enumerate(member)}
+        self.index = {w: i for i, w in enumerate(member)}
         # hom(w_i, w_j) != 0 puts j in forbid[i]
         self.forbid = []
         for a in member:
@@ -409,10 +409,10 @@ class _Searcher:
         if require_subsequence is not None:
             required = []
             for w in require_subsequence:
-                key = canonical_string(w).key()
-                if key not in self.index:
+                c = canonical_string(w)
+                if c not in self.index:
                     raise ValueError(f"required entry {w} is not in the member pool")
-                required.append(self.index[key])
+                required.append(self.index[c])
             for i in required:
                 required_mask |= 1 << i
         found: list[tuple[int, ...]] = []
@@ -525,9 +525,9 @@ class _Searcher:
         finally:
             sys.setrecursionlimit(old_limit)
 
-        # order by the members' walk keys, compared through their ranks
+        # order by the members' walk order, compared through their ranks
         rank = [0] * self.m
-        for r, i in enumerate(sorted(range(self.m), key=lambda i: self.member[i].key())):
+        for r, i in enumerate(sorted(range(self.m), key=self.member.__getitem__)):
             rank[i] = r
         found.sort(key=lambda ids: [rank[i] for i in ids])
         sequences = tuple(tuple(self.member[i] for i in ids) for ids in found)
@@ -748,12 +748,8 @@ def domestic_gentle_order(alg: AlgebraPresentation, pool: BandPool) -> GentleOrd
             )
         chunks.append(ordered_chunk)
         used_simples.update(ordered_chunk)
-        touched = set()
-        for w in remaining:
-            t, s = band_top_socle(w)
-            if (set(t) | set(s)) & used_simples:
-                touched.add(w.key())
-        remaining = [w for w in remaining if w.key() not in touched]
+        remaining = [w for w in remaining if used_simples.isdisjoint(
+            v for side in band_top_socle(w) for v in side)]
 
     rest = tuple(v for v in alg.vertices if v not in used_simples)
     order = tuple(v for chunk in chunks for v in chunk) + rest

@@ -139,7 +139,8 @@ def _class_counts(alg: AlgebraPresentation, w: Walk) -> tuple[dict, dict]:
     """(quotient, submodule) occurrence counts of w per word class up to
     inversion, memoised on the algebra.  Both orientations of w share the
     counts of the canonical one: inverting the host swaps the boundary
-    letters and their signs."""
+    letters and their signs.  A class key is read from the host's key and
+    its inverse's: host letters i..j, inverted, are letters d-j+1..d-i+1."""
     memo = alg.walk_memo
     counts = memo.get(w)
     if counts is None:
@@ -150,10 +151,16 @@ def _class_counts(alg: AlgebraPresentation, w: Walk) -> tuple[dict, dict]:
         if counts is None:
             quotient: dict = {}
             submodule: dict = {}
+            d = c.length
+            letters, inverse = c.key()[1], c.inverse().key()[1]
             for occ in all_occurrences(c):
                 is_q, is_s = occ.is_quotient_occurrence, occ.is_submodule_occurrence
                 if is_q or is_s:
-                    key = canonical_string(occ.word).key()
+                    i, j = occ.start, occ.end
+                    if j < i:
+                        key = (0, (c.vertices[i - 1],))
+                    else:
+                        key = (j - i + 1, min(letters[i - 1 : j], inverse[d - j : d - i + 1]))
                     if is_q:
                         quotient[key] = quotient.get(key, 0) + 1
                     if is_s:

@@ -4,13 +4,14 @@ A walk is a composable word in arrows and inverse arrows.  A string is a
 walk with no immediate backtracking such that neither the walk nor its
 inverse contains a relation as a directed subpath.  Bands are primitive
 cyclic strings all of whose powers are strings; they are identified up to
-rotation and inversion.  Walks are immutable; the enumerations are
-memoised on the presentation (``alg.memo``).
+rotation and inversion.  Walks are immutable and compare, hash and sort
+by their key (``Walk.key``); the enumerations are memoised on ``alg.memo``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Sequence
 
 from .algebra import AlgebraPresentation
@@ -28,21 +29,21 @@ class Letter:
     def inverse(self) -> "Letter":
         return Letter(self.arrow, -self.sign)
 
-    @property
-    def key(self) -> tuple[str, int]:
-        # direct letters sort before inverse letters of the same arrow
-        return (self.arrow, 0 if self.sign > 0 else 1)
-
     def __str__(self) -> str:
         return self.arrow + ("-" if self.sign < 0 else "")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Walk:
     """A composable word together with its visited vertices.
 
     ``vertices`` always has one more entry than ``letters``; a length-0 walk
     is the trivial path e_i at ``vertices[0]``.
+
+    ``==``, ``hash`` and ``<`` compare ``key()``, computed once per walk:
+    the length, then (arrow, 0 if direct else 1) per letter; a length-0 walk
+    is keyed (0, (vertex,)).  Within one presentation the letters determine
+    the vertices, so equal keys mean equal letters and vertices.
     """
 
     letters: tuple[Letter, ...]
@@ -99,10 +100,24 @@ class Walk:
         verts = self.vertices[shift:-1] + self.vertices[: shift + 1]
         return Walk(letters, verts)
 
-    def key(self) -> tuple:
+    @cached_property
+    def _key(self) -> tuple:
         if self.letters:
-            return (self.length, tuple(l.key for l in self.letters))
+            return (self.length,
+                    tuple((l.arrow, 0 if l.sign > 0 else 1) for l in self.letters))
         return (0, (self.vertices[0],))
+
+    def key(self) -> tuple:
+        return self._key
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Walk) and self._key == other._key
+
+    def __hash__(self) -> int:
+        return hash(self._key)
+
+    def __lt__(self, other: "Walk") -> bool:
+        return self._key < other._key
 
     def __str__(self) -> str:
         if not self.letters:
@@ -186,10 +201,9 @@ def is_string(alg: AlgebraPresentation, w: Walk) -> bool:
 
 
 def canonical_string(w: Walk) -> Walk:
-    """Representative of the class {w, w^-1}: the smaller under the letter
-    order keyed by (arrow name, sign) with direct before inverse."""
+    """Representative of the class {w, w^-1}: the smaller in walk order."""
     inv = w.inverse()
-    return w if w.key() <= inv.key() else inv
+    return inv if inv < w else w
 
 
 def _extensions(alg: AlgebraPresentation, w: Walk) -> Iterator[Letter]:
@@ -256,19 +270,21 @@ def enumerate_strings(alg: AlgebraPresentation, max_len: int) -> tuple[Walk, ...
     key = ("strings", max_len)
     if key in alg.memo:
         return alg.memo[key]
-    seen = {}
-    for w in _all_string_walks(alg, max_len):
-        c = canonical_string(w)
-        seen[c.key()] = c
-    return alg.memo.setdefault(key, tuple(sorted(seen.values(), key=Walk.key)))
+    seen = {canonical_string(w) for w in _all_string_walks(alg, max_len)}
+    return alg.memo.setdefault(key, tuple(sorted(seen)))
 
 
-def is_primitive(w: Walk) -> bool:
+def primitive_root(w: Walk) -> Walk:
+    """The shortest prefix u of w with w = u^k; w itself if primitive."""
     d = w.length
     for p in range(1, d):
         if d % p == 0 and w.letters == w.letters[:p] * (d // p):
-            return False
-    return True
+            return w.sub(1, p)
+    return w
+
+
+def is_primitive(w: Walk) -> bool:
+    return primitive_root(w) is w
 
 
 def is_band(alg: AlgebraPresentation, w: Walk) -> bool:
@@ -286,24 +302,20 @@ def is_band(alg: AlgebraPresentation, w: Walk) -> bool:
 
 def rotations_and_inversions(w: Walk) -> list[Walk]:
     """All rotations of w and of w^-1, deduplicated, for a cyclic walk."""
-    out = {}
-    for base in (w, w.inverse()):
-        for s in range(base.length):
-            r = base.rotate(s)
-            out[r.key()] = r
-    return list(out.values())
+    return list(dict.fromkeys(
+        base.rotate(s) for base in (w, w.inverse()) for s in range(base.length)))
 
 
 def canonical_rotation(w: Walk) -> Walk:
-    """Lexicographically minimal walk over all rotations of w and w^-1."""
-    return min(rotations_and_inversions(w), key=Walk.key)
+    """The smallest walk, in walk order, over all rotations of w and w^-1."""
+    return min(rotations_and_inversions(w))
 
 
 def band_equivalent(w: Walk, other: Walk) -> bool:
     """w ~ w': equal up to cyclic permutation and inversion."""
     if w.length != other.length:
         return False
-    return canonical_rotation(w).key() == canonical_rotation(other).key()
+    return canonical_rotation(w) == canonical_rotation(other)
 
 
 @dataclass(frozen=True)
@@ -360,15 +372,8 @@ def enumerate_bands(alg: AlgebraPresentation, max_len: int) -> tuple[BandRecord,
     key = ("bands", max_len)
     if key in alg.memo:
         return alg.memo[key]
-    classes: dict[tuple, Walk] = {}
-    for w in _all_string_walks(alg, max_len):
-        if w.length < 1 or not w.is_cyclic:
-            continue
-        if not is_band(alg, w):
-            continue
-        c = canonical_rotation(w)
-        classes.setdefault(c.key(), c)
-    ordered = sorted(classes.values(), key=Walk.key)
+    ordered = sorted({canonical_rotation(w) for w in _all_string_walks(alg, max_len)
+                      if w.is_cyclic and is_band(alg, w)})
     records = []
     for w in ordered:
         pool = BandPool(

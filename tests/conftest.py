@@ -5,6 +5,7 @@ import pytest
 from mgslab import load_algebra
 
 DATA = Path(__file__).parent / "data"
+ALGEBRAS = tuple(sorted(p.stem for p in DATA.glob("*.alg")))  # the seven bundled
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,7 @@
 """Acceptance gate: one test per criterion, each printing a PASS line and
 enforcing its stated exactness and time budget."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -266,7 +267,15 @@ DETERMINISM_COMMANDS = (
 )
 
 
+def _without_data_dir(text):
+    return text.replace(str(DATA), "$DATA")
+
+
 def test_criterion_10_determinism():
+    # Exit code and sha256 of stdout per command, recorded from an earlier
+    # commit with the data directory written as $DATA: refactors must keep
+    # every byte of output.
+    digests = json.loads((DATA / "determinism_digests.json").read_text())
     with timer(600.0) as t:
         for cmd in DETERMINISM_COMMANDS:
             outputs = []
@@ -280,5 +289,12 @@ def test_criterion_10_determinism():
                     )
                     outputs.append(proc.stdout)
                     json.loads(proc.stdout)  # must stay valid JSON
+                    if len(outputs) == 1:
+                        stdout = _without_data_dir(proc.stdout).encode()
+                        assert digests[_without_data_dir(" ".join(cmd))] == {
+                            "exit": proc.returncode,
+                            "sha256": hashlib.sha256(stdout).hexdigest(),
+                        }, f"output differs from the recorded digest for {cmd}"
             assert len(set(outputs)) == 1, f"nondeterministic output for {cmd}"
-    report(10, "byte-identical JSON across reruns and thread counts", t)
+    report(10, "byte-identical JSON across reruns, thread counts and the "
+               "recorded digests", t)

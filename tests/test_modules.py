@@ -8,6 +8,7 @@ from mgslab import (
     all_occurrences,
     band_module,
     band_top_socle,
+    canonical_string,
     enumerate_bands,
     enumerate_bricks,
     enumerate_strings,
@@ -20,7 +21,10 @@ from mgslab import (
     to_explicit,
     top_socle,
 )
+from mgslab.modules import _class_counts
 from mgslab.words import _all_string_walks
+
+from conftest import ALGEBRAS
 
 
 def test_string_module_dims_pinned(gentle5):
@@ -236,3 +240,25 @@ def test_hom_dim_matches_oracle_gentle5_sample(gentle5):
             if w not in reps:
                 reps[w] = to_explicit(string_module(gentle5, w))
         assert hom_dim(gentle5, a, b) == hom_dim_linalg(reps[a], reps[b])
+
+
+def _reference_class_counts(w):
+    """Occurrence class counts built per occurrence: a sub-walk and its
+    canonical key each time; the reference for the key slices."""
+    quotient, submodule = {}, {}
+    for occ in all_occurrences(canonical_string(w)):
+        key = canonical_string(occ.word).key()
+        if occ.is_quotient_occurrence:
+            quotient[key] = quotient.get(key, 0) + 1
+        if occ.is_submodule_occurrence:
+            submodule[key] = submodule.get(key, 0) + 1
+    return quotient, submodule
+
+
+@pytest.mark.parametrize("name", ALGEBRAS)
+def test_class_counts_match_per_occurrence_reference(data_dir, name):
+    alg = load_algebra(data_dir / f"{name}.alg")
+    walks = _all_string_walks(alg, 7)  # both orientations
+    assert {w.inverse() for w in walks} == set(walks)
+    for w in walks:
+        assert _class_counts(alg, w) == _reference_class_counts(w)

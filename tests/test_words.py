@@ -12,12 +12,15 @@ from mgslab import (
     is_directed,
     is_minimal_band,
     is_string,
+    load_algebra,
     maximal_w_substrings,
     parse_walk,
     substring_occurrences,
     supported_on,
 )
-from mgslab.words import BandPool
+from mgslab.words import BandPool, _all_string_walks
+
+from conftest import ALGEBRAS
 
 
 def test_parse_walk_roundtrip(gentle5):
@@ -223,3 +226,21 @@ def test_walk_power_and_rotation(gentle5):
     assert w2.rotate(1).letters == w2.letters[1:] + w2.letters[:1]
     with pytest.raises(WalkError):
         parse_walk(gentle5, "b1").rotate(1)
+
+
+@pytest.mark.parametrize("name", ALGEBRAS)
+def test_walk_identity_and_order_are_the_key(data_dir, name):
+    alg = load_algebra(data_dir / f"{name}.alg")
+    walks = _all_string_walks(alg, 5)  # both orientations
+    copies = [parse_walk(alg, str(w)) for w in walks]
+    for w, copy in zip(walks, copies):
+        assert copy is not w and copy == w and hash(copy) == hash(w)
+        assert canonical_string(w) == canonical_string(w.inverse())
+    for w in walks:
+        for x in copies:
+            same = w.key() == x.key()
+            assert (w == x) is same and (w != x) is not same
+            assert same == ((w.letters, w.vertices) == (x.letters, x.vertices))
+            assert (w < x) is (w.key() < x.key())
+            if same:
+                assert hash(w) == hash(x)
