@@ -9,10 +9,8 @@ decided directly from this data by :func:`validate_axioms`.
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 
 class AlgebraError(Exception):
@@ -29,30 +27,27 @@ class AlgebraParseError(AlgebraError):
         super().__init__(message)
 
 
-@dataclass(frozen=True)
-class Arrow:
+class Arrow(NamedTuple):
     name: str
     source: str
     target: str
 
 
-@dataclass(frozen=True)
 class AlgebraPresentation:
-    """Quiver with monomial relations, immutable after construction.
+    """Quiver with monomial relations; nothing reassigns it once built.
 
     Vertices and arrows keep their file order.  The presentation is the one
     owner of everything derived from it: its lookup tables, the substring
     calculus memo (:attr:`walk_memo`) and the enumerations, explicit
     representations and oracle Homs (:attr:`memo`).  None of these take part
-    in equality or hashing, and all are freed with the presentation.  Threads
-    may share it: a racing fill only recomputes an equal value.
+    in equality or hashing, none refers back to the presentation, and all are
+    freed with it.  Threads may share it: a racing fill only recomputes an
+    equal value.
     """
 
-    vertices: tuple[str, ...]
-    arrows: tuple[Arrow, ...]
-    relations: tuple[tuple[str, ...], ...]
-
-    def __post_init__(self):
+    def __init__(self, vertices: tuple[str, ...], arrows: tuple[Arrow, ...],
+                 relations: tuple[tuple[str, ...], ...]):
+        self.vertices, self.arrows, self.relations = vertices, arrows, relations
         seen = set()
         for v in self.vertices:
             if v in seen:
@@ -78,6 +73,19 @@ class AlgebraPresentation:
                     raise AlgebraError(
                         f"relation {' '.join(rel)!r} is not composable at {left!r} {right!r}"
                     )
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.vertices, self.arrows, self.relations)
+                == (other.vertices, other.arrows, other.relations))
+
+    def __hash__(self) -> int:
+        return hash((self.vertices, self.arrows, self.relations))
+
+    def __repr__(self) -> str:
+        return (f"AlgebraPresentation(vertices={self.vertices!r}, "
+                f"arrows={self.arrows!r}, relations={self.relations!r})")
 
     @cached_property
     def arrow_map(self) -> dict[str, Arrow]:
@@ -182,6 +190,8 @@ class AlgebraPresentation:
 
     @cached_property
     def fingerprint(self) -> str:
+        import hashlib
+
         return hashlib.sha256(self.normalized_text.encode()).hexdigest()
 
 
@@ -248,8 +258,7 @@ def load_algebra(path) -> AlgebraPresentation:
         return parse_algebra(fh.read())
 
 
-@dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(NamedTuple):
     is_string_algebra: bool
     is_gentle: bool
     violations: tuple[tuple[str, str], ...]

@@ -15,9 +15,7 @@ import json
 import sys
 from fractions import Fraction
 
-from . import diagram
 from .algebra import AlgebraError, load_algebra, validate_axioms, vertex_arrow_count
-from .lemmas import run_lemma_suite
 from .mgs import (
     BudgetExhausted,
     HomTable,
@@ -247,6 +245,8 @@ def _cmd_bands(alg, args):
 def _cmd_module(alg, args):
     _require_string_algebra(alg)
     if args.module_cmd == "show":
+        from . import diagram
+
         w = parse_walk(alg, args.walk)
         M = string_module(alg, w)
         top, socle = top_socle(M)
@@ -382,6 +382,8 @@ def _cmd_mgs(alg, args):
 
 
 def _cmd_lemmas(alg, args):
+    from .lemmas import run_lemma_suite
+
     _require_string_algebra(alg)
     report = run_lemma_suite(
         alg, args.max_len, band_bound=args.band_len, mgs_budget=args.budget

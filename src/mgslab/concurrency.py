@@ -6,7 +6,6 @@ ones."""
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 
 
 def thread_count() -> int:
@@ -22,5 +21,7 @@ def pmap(fn, items):
     n = thread_count()
     if n <= 1 or len(items) <= 1:
         return [fn(x) for x in items]
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=n) as ex:
         return list(ex.map(fn, items))

@@ -8,8 +8,8 @@ to any of these is a build failure, not data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
+from types import SimpleNamespace
 
 from .algebra import AlgebraPresentation
 from .mgs import BudgetExhausted, build_brick_pools, enumerate_mgs
@@ -25,18 +25,19 @@ from .words import (
     maximal_w_substrings,
     periodic_factor,
     primitive_root,
-    rotations_and_inversions,
     substring_occurrences,
     supported_on,
 )
 
 
-@dataclass
-class CheckResult:
-    examined: int = 0
-    satisfied: int = 0
-    counterexamples: list[str] = field(default_factory=list)
-    mode: str | None = None
+class CheckResult(SimpleNamespace):
+    """Tallies of one check, filled in as the suite runs."""
+
+    def __init__(self, examined: int = 0, satisfied: int = 0,
+                 counterexamples: list[str] | None = None, mode: str | None = None):
+        super().__init__(
+            examined=examined, satisfied=satisfied,
+            counterexamples=[] if counterexamples is None else counterexamples, mode=mode)
 
     def payload(self) -> dict:
         out = {
@@ -49,20 +50,29 @@ class CheckResult:
         return out
 
 
-@dataclass
-class LemmaSuiteReport:
-    bounds: dict
-    sub_or_quotient: CheckResult          # maximal band substrings of bricks
-    power_factorization: CheckResult      # undirected u with u^2 a string
-    square_substring_brick: CheckResult                 # maximal substrings over band squares
-    band_module_embedding: CheckResult    # bricks inside M(w, lambda, N+1)
-    square_prefix_nonbrick: CheckResult   # u = u0^2 u' forces non-brick
-    extension_brick: CheckResult                 # adding a band copy keeps brickhood
-    dual_host_shaped: CheckResult
-    extension_host_shaped_count: CheckResult
-    band_square_cross_check: CheckResult
-    mgs_budget_exhausted: bool = False
-    notes: list[str] = field(default_factory=list)
+class LemmaSuiteReport(SimpleNamespace):
+    """One CheckResult per check, plus the suite's bounds and notes."""
+
+    def __init__(self, bounds: dict,
+                 sub_or_quotient: CheckResult,         # maximal band substrings of bricks
+                 power_factorization: CheckResult,     # undirected u with u^2 a string
+                 square_substring_brick: CheckResult,  # maximal substrings over band squares
+                 band_module_embedding: CheckResult,   # bricks inside M(w, lambda, N+1)
+                 square_prefix_nonbrick: CheckResult,  # u = u0^2 u' forces non-brick
+                 extension_brick: CheckResult,         # adding a band copy keeps brickhood
+                 dual_host_shaped: CheckResult,
+                 extension_host_shaped_count: CheckResult,
+                 band_square_cross_check: CheckResult,
+                 mgs_budget_exhausted: bool = False, notes: list[str] | None = None):
+        super().__init__(
+            bounds=bounds, sub_or_quotient=sub_or_quotient,
+            power_factorization=power_factorization, square_substring_brick=square_substring_brick,
+            band_module_embedding=band_module_embedding,
+            square_prefix_nonbrick=square_prefix_nonbrick, extension_brick=extension_brick,
+            dual_host_shaped=dual_host_shaped,
+            extension_host_shaped_count=extension_host_shaped_count,
+            band_square_cross_check=band_square_cross_check,
+            mgs_budget_exhausted=mgs_budget_exhausted, notes=[] if notes is None else notes)
 
     def payload(self) -> dict:
         return {
@@ -82,20 +92,8 @@ class LemmaSuiteReport:
 
     @property
     def total_counterexamples(self) -> int:
-        return sum(
-            len(c.counterexamples)
-            for c in (
-                self.sub_or_quotient,
-                self.power_factorization,
-                self.square_substring_brick,
-                self.band_module_embedding,
-                self.square_prefix_nonbrick,
-                self.extension_brick,
-                self.dual_host_shaped,
-                self.extension_host_shaped_count,
-                self.band_square_cross_check,
-            )
-        )
+        return sum(len(c.counterexamples) for c in vars(self).values()
+                   if isinstance(c, CheckResult))
 
 
 def _square_prefix(u: Walk) -> Walk | None:
@@ -109,7 +107,7 @@ def _square_prefix(u: Walk) -> Walk | None:
 def _band_power_prefix_strings(alg, w: Walk, max_len: int, min_k: int = 1):
     """Strings u^k v for rotations/inversions u of the band w and proper
     prefixes v, up to max_len; yields (u, k, v, walk)."""
-    for u in rotations_and_inversions(w):
+    for u in w.rotations:
         k = min_k
         while k * u.length <= max_len:
             base = u.power(k)

@@ -36,8 +36,8 @@ the lambdas disagree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .algebra import AlgebraPresentation
 from .concurrency import pmap
@@ -78,14 +78,12 @@ class TheoremCounterexample(Exception):
     """A constructive step the theory guarantees failed on this input."""
 
 
-@dataclass(frozen=True)
-class BandBrick:
+class BandBrick(NamedTuple):
     walk: Walk  # canonical band rotation
     lambdas: tuple[Fraction, ...]
 
 
-@dataclass(frozen=True)
-class BrickPools:
+class BrickPools(NamedTuple):
     member: tuple[Walk, ...]
     insertion_strings: tuple[Walk, ...]
     insertion_bands: tuple[BandBrick, ...]
@@ -257,8 +255,7 @@ def build_brick_pools(alg: AlgebraPresentation, max_string_len: int,
     )
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     kind: str  # "complete" | "refinable" | "refinable-or-bug"
     witness_brick: Walk | None = None
     witness_is_band: bool = False
@@ -266,7 +263,7 @@ class Verdict:
     missing_simples: tuple[str, ...] = ()
     banned_entries: tuple[tuple[Walk, Walk], ...] = ()
     band_square_blockers: tuple[tuple[Walk, Walk, int], ...] = ()
-    pool_descriptor: dict = field(default_factory=dict)
+    pool_descriptor: dict = {}  # one shared default: nothing mutates a record
 
     @property
     def band_square_obstructed(self) -> bool:
@@ -343,8 +340,7 @@ def is_complete_relative(alg: AlgebraPresentation, entries, pools: BrickPools,
     )
 
 
-@dataclass
-class MgsSearchResult:
+class MgsSearchResult(NamedTuple):
     sequences: tuple[tuple[Walk, ...], ...]
     nodes: int
     diagnostics: tuple[str, ...] = ()
@@ -572,8 +568,7 @@ def complete_from_prefix(alg: AlgebraPresentation, pools: BrickPools,
     return result.sequences[0] if result.sequences else None
 
 
-@dataclass(frozen=True)
-class SocleFirstResult:
+class SocleFirstResult(NamedTuple):
     hypothesis_holds: bool
     witnesses: tuple[tuple[str, str, str], ...]  # (simple, band with it on top, band with it in socle)
     order: tuple[str, ...]
@@ -640,8 +635,7 @@ def _ascents_to_valley(w: Walk, q: int):
     return [(tuple(left_arrows), left_peak), (tuple(right_arrows), right_peak)]
 
 
-@dataclass(frozen=True)
-class GentleOrderResult:
+class GentleOrderResult(NamedTuple):
     chunks: tuple[tuple[str, ...], ...]
     order: tuple[str, ...]
 

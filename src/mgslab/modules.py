@@ -9,8 +9,8 @@ discrepancy is a build failure, not a tolerance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .algebra import AlgebraPresentation
 from .words import (
@@ -29,8 +29,7 @@ class ModuleError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class StringModuleRep:
+class StringModuleRep(NamedTuple):
     """M(w): one basis vector per visited vertex position, arrows acting
     along the letters of the walk."""
 
@@ -48,8 +47,7 @@ class StringModuleRep:
         return sum(d for _, d in self.dim_vector)
 
 
-@dataclass(frozen=True)
-class BandModuleRep:
+class BandModuleRep(NamedTuple):
     """M(w, lambda, k): k copies of each visited position, identity blocks
     along the band and one Jordan block J_k(lambda^eps) on the last letter."""
 
@@ -190,8 +188,7 @@ def is_brick(alg: AlgebraPresentation, w: Walk) -> bool:
     return hom_dim(alg, w, w) == 1
 
 
-@dataclass(frozen=True)
-class BrickInfo:
+class BrickInfo(NamedTuple):
     walk: Walk
     band_square_supports: tuple[Walk, ...]  # bands w with the brick supported on w^2
 

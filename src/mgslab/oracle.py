@@ -21,9 +21,6 @@ mode.
 
 from __future__ import annotations
 
-import hashlib
-import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
@@ -40,11 +37,28 @@ class OracleError(Exception):
     pass
 
 
-@dataclass(frozen=True)
 class ExplicitRep:
-    alg: AlgebraPresentation
-    dims: tuple[tuple[str, int], ...]
-    mats: tuple[tuple[str, Matrix], ...]  # per arrow, shape (n_target, n_source)
+    """Matrices of a representation, per arrow of shape (n_target, n_source).
+    It keeps the quiver's defining tuples, not ``alg``, so a rep memoised on
+    the presentation does not refer back to it."""
+
+    def __init__(self, alg: AlgebraPresentation, dims: tuple[tuple[str, int], ...],
+                 mats: tuple[tuple[str, Matrix], ...]):
+        self.quiver = (alg.vertices, alg.arrows, alg.relations)
+        self.vertices, self.arrows, self.relations = self.quiver
+        self.dims, self.mats = dims, mats
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.quiver, self.dims, self.mats) == (other.quiver, other.dims, other.mats)
+
+    def __hash__(self) -> int:
+        return hash((self.quiver, self.dims, self.mats))
+
+    def __repr__(self) -> str:
+        return (f"ExplicitRep(alg={AlgebraPresentation(*self.quiver)!r}, "
+                f"dims={self.dims!r}, mats={self.mats!r})")
 
     @cached_property
     def sparse(self) -> dict[str, tuple[int, dict, dict]]:
@@ -213,7 +227,7 @@ def _band_to_explicit(M: BandModuleRep) -> ExplicitRep:
 
 def _check_relations(rep: ExplicitRep) -> None:
     mats = dict(rep.mats)
-    for r in rep.alg.relations:
+    for r in rep.relations:
         prod = mats[r[0]]
         for name in r[1:]:
             prod = mat_mul(mats[name], prod)
@@ -230,19 +244,19 @@ def _hom_system(A: ExplicitRep, B: ExplicitRep):
     Equation (r, c) of arrow a reads column c of A_a and row r of B_a, so
     only the pairs where one of the two holds a nonzero are visited.
     """
-    if A.alg is not B.alg and A.alg != B.alg:
+    if A.quiver != B.quiver:
         raise OracleError("representations live over different algebras")
     adims, bdims = dict(A.dims), dict(B.dims)
     if set(adims) != set(bdims):
         raise OracleError("vertex sets differ")
     offsets: dict[str, int] = {}
     total = 0
-    for v in A.alg.vertices:
+    for v in A.vertices:
         offsets[v] = total
         total += bdims[v] * adims[v]
 
     rows = []
-    for arr in A.alg.arrows:
+    for arr in A.arrows:
         s, t = arr.source, arr.target
         aden, acols, _ = A.sparse[arr.name]
         bden, _, brows = B.sparse[arr.name]
@@ -283,7 +297,7 @@ def hom_solution_basis(A: ExplicitRep, B: ExplicitRep):
     return [
         {v: tuple(tuple(vec.get(offsets[v] + r * adims[v] + c, _ZERO)
                         for c in range(adims[v])) for r in range(bdims[v]))
-         for v in A.alg.vertices}
+         for v in A.vertices}
         for vec in _basis_from_pivots(pivots, total)
     ]
 
@@ -291,6 +305,8 @@ def hom_solution_basis(A: ExplicitRep, B: ExplicitRep):
 def probe_seed(alg: AlgebraPresentation, *context: str) -> int:
     """Deterministic seed for rank probes, derived from the algebra
     fingerprint so reruns and thread counts cannot change results."""
+    import hashlib
+
     h = hashlib.sha256(("|".join((alg.fingerprint,) + context)).encode())
     return int.from_bytes(h.digest()[:8], "big")
 
@@ -344,11 +360,13 @@ def exists_full_rank_hom(
     if not basis:
         return all(g == 0 for g in goals.values())
     if certified:
-        return _generic_full_rank(basis, goals, A.alg.vertices)
+        return _generic_full_rank(basis, goals, A.vertices)
+    import random
+
     rng = random.Random(seed)
     for _ in range(samples):
         coeffs = [Fraction(rng.randint(-999, 999)) for _ in basis]
-        fmap = _combine(basis, coeffs, A.alg.vertices)
+        fmap = _combine(basis, coeffs, A.vertices)
         if _rank_goal_met(fmap, goals):
             return True
     return False

@@ -4,15 +4,14 @@ A walk is a composable word in arrows and inverse arrows.  A string is a
 walk with no immediate backtracking such that neither the walk nor its
 inverse contains a relation as a directed subpath.  Bands are primitive
 cyclic strings all of whose powers are strings; they are identified up to
-rotation and inversion.  Walks are immutable and compare, hash and sort
-by their key (``Walk.key``); the enumerations are memoised on ``alg.memo``.
+rotation and inversion.  Nothing reassigns a walk; walks compare, hash and
+sort by their key (``Walk.key``), and enumerations are memoised on ``alg.memo``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .algebra import AlgebraPresentation
 
@@ -21,8 +20,7 @@ class WalkError(Exception):
     """Malformed walk: unknown arrow, broken composability, or bad literal."""
 
 
-@dataclass(frozen=True)
-class Letter:
+class Letter(NamedTuple):
     arrow: str
     sign: int  # +1 direct, -1 inverse
 
@@ -33,7 +31,6 @@ class Letter:
         return self.arrow + ("-" if self.sign < 0 else "")
 
 
-@dataclass(frozen=True, eq=False)
 class Walk:
     """A composable word together with its visited vertices.
 
@@ -46,8 +43,11 @@ class Walk:
     the vertices, so equal keys mean equal letters and vertices.
     """
 
-    letters: tuple[Letter, ...]
-    vertices: tuple[str, ...]
+    def __init__(self, letters: tuple[Letter, ...], vertices: tuple[str, ...]):
+        self.letters, self.vertices = letters, vertices
+
+    def __repr__(self) -> str:
+        return f"Walk(letters={self.letters!r}, vertices={self.vertices!r})"
 
     @property
     def length(self) -> int:
@@ -109,6 +109,13 @@ class Walk:
 
     def key(self) -> tuple:
         return self._key
+
+    @cached_property
+    def rotations(self) -> tuple[Walk, ...]:
+        """All rotations of w and then of w^-1, deduplicated, for a cyclic
+        walk; built once per walk."""
+        return tuple(dict.fromkeys(
+            base.rotate(s) for base in (self, self.inverse()) for s in range(base.length)))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Walk) and self._key == other._key
@@ -300,15 +307,9 @@ def is_band(alg: AlgebraPresentation, w: Walk) -> bool:
     return is_string(alg, w.power(K))
 
 
-def rotations_and_inversions(w: Walk) -> list[Walk]:
-    """All rotations of w and of w^-1, deduplicated, for a cyclic walk."""
-    return list(dict.fromkeys(
-        base.rotate(s) for base in (w, w.inverse()) for s in range(base.length)))
-
-
 def canonical_rotation(w: Walk) -> Walk:
     """The smallest walk, in walk order, over all rotations of w and w^-1."""
-    return min(rotations_and_inversions(w))
+    return min(w.rotations)
 
 
 def band_equivalent(w: Walk, other: Walk) -> bool:
@@ -318,16 +319,14 @@ def band_equivalent(w: Walk, other: Walk) -> bool:
     return canonical_rotation(w) == canonical_rotation(other)
 
 
-@dataclass(frozen=True)
-class BandPool:
+class BandPool(NamedTuple):
     """Bands enumerated to a stated length bound."""
 
     bands: tuple[Walk, ...]
     max_length: int
 
 
-@dataclass(frozen=True)
-class BandRecord:
+class BandRecord(NamedTuple):
     canonical: Walk
     is_minimal: bool
 
@@ -357,7 +356,7 @@ def is_minimal_band(alg: AlgebraPresentation, w: Walk, pool: BandPool) -> bool:
             continue
         if band_equivalent(v, w):
             continue
-        for u in rotations_and_inversions(v):
+        for u in v.rotations:
             k = 2
             while k * lv <= w.length:
                 if _occurs_in(doubled, u.power(k).letters):
@@ -372,8 +371,12 @@ def enumerate_bands(alg: AlgebraPresentation, max_len: int) -> tuple[BandRecord,
     key = ("bands", max_len)
     if key in alg.memo:
         return alg.memo[key]
-    ordered = sorted({canonical_rotation(w) for w in _all_string_walks(alg, max_len)
-                      if w.is_cyclic and is_band(alg, w)})
+    # a class's rotations are string walks too: the first met builds them once
+    canonical: dict[Walk, Walk] = {}
+    for w in _all_string_walks(alg, max_len):
+        if w.is_cyclic and w not in canonical and is_band(alg, w):
+            canonical.update(dict.fromkeys(w.rotations, canonical_rotation(w)))
+    ordered = sorted(set(canonical.values()))
     records = []
     for w in ordered:
         pool = BandPool(
@@ -387,8 +390,7 @@ def band_pool(alg: AlgebraPresentation, max_len: int) -> BandPool:
     return BandPool(tuple(r.canonical for r in enumerate_bands(alg, max_len)), max_len)
 
 
-@dataclass(frozen=True)
-class Occurrence:
+class Occurrence(NamedTuple):
     """A located substring of a host walk.
 
     Letters start..end (1-based, inclusive) with end = start-1 for a
@@ -468,7 +470,7 @@ def supported_on(gamma: Walk, w: Walk, k: int) -> bool:
     need = k * w.length
     if need > gamma.length:
         return False
-    for u in rotations_and_inversions(w):
+    for u in w.rotations:
         if _occurs_in(gamma.letters, u.power(k).letters):
             return True
     return False
@@ -477,7 +479,7 @@ def supported_on(gamma: Walk, w: Walk, k: int) -> bool:
 def periodic_factor(word: tuple[Letter, ...], w: Walk) -> Walk | None:
     """If word is a factor of u^N for some rotation u of w or w^-1, return
     that rotation (phase aligned with the first letter of word)."""
-    for u in rotations_and_inversions(w):
+    for u in w.rotations:
         period = u.letters
         n = len(period)
         if all(word[i] == period[i % n] for i in range(len(word))):
@@ -485,8 +487,7 @@ def periodic_factor(word: tuple[Letter, ...], w: Walk) -> Walk | None:
     return None
 
 
-@dataclass(frozen=True)
-class MaximalWSubstring:
+class MaximalWSubstring(NamedTuple):
     occurrence: Occurrence
     band: Walk  # the rotation u ~ w aligned with the occurrence
     power: int  # k in epsilon = u^k v

@@ -196,3 +196,40 @@ def test_thread_count_does_not_change_output():
         outs.append(proc.stdout)
     assert outs[0] == outs[1]
     assert json.loads(outs[0])["payload"]["count"] >= 1
+
+
+def _modules_after(code: str) -> set[str]:
+    """Modules loaded in a fresh interpreter after running code, which
+    prints nothing to stderr; mgslab is importable as in this process."""
+    import mgslab
+
+    src = os.path.dirname(os.path.dirname(mgslab.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    probe = code + "\nimport sys\nsys.stderr.write(' '.join(sys.modules))\n"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), check=True)
+    return set(proc.stderr.split())
+
+
+# what `import mgslab.cli` must not add to a bare interpreter: each costs
+# start-up time that no command needs up front
+HEAVY = ("dataclasses", "inspect", "concurrent.futures", "logging", "hashlib",
+         "mgslab.lemmas")
+
+
+def test_cli_import_footprint():
+    bare = _modules_after("pass")
+    loaded = _modules_after("import mgslab.cli")
+    assert "mgslab.cli" in loaded
+    assert not (set(HEAVY) & (loaded - bare))
+
+
+def test_mgs_check_does_not_load_the_lemma_suite():
+    loaded = _modules_after(
+        "import mgslab.cli\n"
+        f"code = mgslab.cli.main(['mgs', 'check', '--algebra', {str(DATA / 'mgs5.alg')!r},"
+        " '--max-string-len', '8',"
+        f" '--sequence', {str(DATA / 'mgs5_sequence.txt')!r}])\n"
+        "assert code == 0, code")
+    assert "mgslab.mgs" in loaded
+    assert "mgslab.lemmas" not in loaded

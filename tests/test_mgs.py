@@ -375,3 +375,20 @@ def test_dropped_presentation_is_freed(data_dir):
     del alg
     gc.collect()
     assert ref() is None
+
+
+def test_dropped_presentation_is_freed_without_the_cycle_collector(data_dir):
+    """Nothing memoised on the presentation refers back to it, so reference
+    counting alone frees it."""
+    gc.disable()
+    try:
+        alg = load_algebra(data_dir / "a12tilde.alg")
+        pools = build_brick_pools(alg, 6)
+        assert enumerate_mgs(alg, pools).sequences
+        assert run_lemma_suite(alg, 6, mgs_budget=50_000).total_counterexamples == 0
+        assert any(key[0] == "rep" for key in alg.memo)
+        ref = weakref.ref(alg)
+        del alg
+        assert ref() is None
+    finally:
+        gc.enable()

@@ -49,7 +49,7 @@ def _ref_hom_system(A, B):
     """Dense loops over every equation (r, c) of every arrow, in Fractions."""
     adims, bdims = dict(A.dims), dict(B.dims)
     offsets, total = {}, 0
-    for v in A.alg.vertices:
+    for v in A.vertices:
         offsets[v] = total
         total += bdims[v] * adims[v]
 
@@ -58,7 +58,7 @@ def _ref_hom_system(A, B):
 
     rows = []
     amats, bmats = dict(A.mats), dict(B.mats)
-    for arr in A.alg.arrows:
+    for arr in A.arrows:
         s, t = arr.source, arr.target
         Aa, Ba = amats[arr.name], bmats[arr.name]
         for r in range(bdims[t]):
@@ -105,7 +105,7 @@ def ref_hom_solution_basis(A, B):
         out.append({
             v: tuple(tuple(x.get(offsets[v] + r * adims[v] + c, _ZERO)
                            for c in range(adims[v])) for r in range(bdims[v]))
-            for v in A.alg.vertices
+            for v in A.vertices
         })
     return out
 
