@@ -34,15 +34,15 @@ class Arrow(NamedTuple):
 
 
 class AlgebraPresentation:
-    """Quiver with monomial relations; nothing reassigns it once built.
+    """Quiver with monomial relations.  Nothing may reassign its fields once
+    built: its memos, and every memo keyed on it, would silently go stale.
 
-    Vertices and arrows keep their file order.  The presentation is the one
-    owner of everything derived from it: its lookup tables, the substring
-    calculus memo (:attr:`walk_memo`) and the enumerations, explicit
-    representations and oracle Homs (:attr:`memo`).  None of these take part
-    in equality or hashing, none refers back to the presentation, and all are
-    freed with it.  Threads may share it: a racing fill only recomputes an
-    equal value.
+    Vertices and arrows keep their file order.  The presentation owns all
+    that is derived from it: its lookup tables, the substring calculus memo
+    (:attr:`walk_memo`) and the enumerations, explicit representations and
+    oracle Homs (:attr:`memo`).  None of these take part in equality or
+    hashing, none refers back to the presentation, and all are freed with
+    it.  Threads may share it: a racing fill only recomputes an equal value.
     """
 
     def __init__(self, vertices: tuple[str, ...], arrows: tuple[Arrow, ...],

@@ -38,27 +38,26 @@ class OracleError(Exception):
 
 
 class ExplicitRep:
-    """Matrices of a representation, per arrow of shape (n_target, n_source).
-    It keeps the quiver's defining tuples, not ``alg``, so a rep memoised on
-    the presentation does not refer back to it."""
+    """Matrices per arrow, of shape (n_target, n_source), over the quiver's
+    defining tuples: no ``alg``, so a memoised rep does not refer back to it."""
 
     def __init__(self, alg: AlgebraPresentation, dims: tuple[tuple[str, int], ...],
                  mats: tuple[tuple[str, Matrix], ...]):
-        self.quiver = (alg.vertices, alg.arrows, alg.relations)
-        self.vertices, self.arrows, self.relations = self.quiver
+        self.vertices, self.arrows, self.relations = alg.vertices, alg.arrows, alg.relations
         self.dims, self.mats = dims, mats
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.quiver, self.dims, self.mats) == (other.quiver, other.dims, other.mats)
+        return ((self.vertices, self.arrows, self.relations, self.dims, self.mats)
+                == (other.vertices, other.arrows, other.relations, other.dims, other.mats))
 
     def __hash__(self) -> int:
-        return hash((self.quiver, self.dims, self.mats))
+        return hash((self.vertices, self.arrows, self.relations, self.dims, self.mats))
 
     def __repr__(self) -> str:
-        return (f"ExplicitRep(alg={AlgebraPresentation(*self.quiver)!r}, "
-                f"dims={self.dims!r}, mats={self.mats!r})")
+        alg = AlgebraPresentation(self.vertices, self.arrows, self.relations)
+        return f"ExplicitRep(alg={alg!r}, dims={self.dims!r}, mats={self.mats!r})"
 
     @cached_property
     def sparse(self) -> dict[str, tuple[int, dict, dict]]:
@@ -244,7 +243,7 @@ def _hom_system(A: ExplicitRep, B: ExplicitRep):
     Equation (r, c) of arrow a reads column c of A_a and row r of B_a, so
     only the pairs where one of the two holds a nonzero are visited.
     """
-    if A.quiver != B.quiver:
+    if (A.vertices, A.arrows, A.relations) != (B.vertices, B.arrows, B.relations):
         raise OracleError("representations live over different algebras")
     adims, bdims = dict(A.dims), dict(B.dims)
     if set(adims) != set(bdims):

@@ -35,7 +35,8 @@ class Walk:
     """A composable word together with its visited vertices.
 
     ``vertices`` always has one more entry than ``letters``; a length-0 walk
-    is the trivial path e_i at ``vertices[0]``.
+    is the trivial path e_i at ``vertices[0]``.  Nothing may reassign either
+    field: the key and rotations cached on the walk would silently go stale.
 
     ``==``, ``hash`` and ``<`` compare ``key()``, computed once per walk:
     the length, then (arrow, 0 if direct else 1) per letter; a length-0 walk
