@@ -41,8 +41,7 @@ class AlgebraPresentation:
     that is derived from it: its lookup tables, the substring calculus memo
     (:attr:`walk_memo`) and the enumerations, explicit representations and
     oracle Homs (:attr:`memo`).  None of these take part in equality or
-    hashing, none refers back to the presentation, and all are freed with
-    it.  Threads may share it: a racing fill only recomputes an equal value.
+    hashing, none refers back to the presentation, and all are freed with it.
     """
 
     def __init__(self, vertices: tuple[str, ...], arrows: tuple[Arrow, ...],

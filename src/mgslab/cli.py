@@ -30,6 +30,7 @@ from .mgs import (
     simple_order_socle_first,
 )
 from .modules import (
+    ModuleError,
     band_module,
     enumerate_bricks,
     hom_dim,
@@ -90,16 +91,19 @@ def _verdict_payload(v) -> dict:
     }
 
 
-def _emit(args_echo, alg, payload, certificate=None) -> None:
-    doc = {
-        "command": args_echo,
-        "algebra_fingerprint": alg.fingerprint if alg is not None else None,
-        "payload": payload,
-        "certificate": certificate,
-    }
+def _write(doc: dict) -> None:
     # streamed, so a large payload is never held as one string
     json.dump(doc, sys.stdout, sort_keys=True, indent=2)
     sys.stdout.write("\n")
+
+
+def _emit(args_echo, alg, payload, certificate=None) -> None:
+    _write({
+        "command": args_echo,
+        "algebra_fingerprint": alg.fingerprint,
+        "payload": payload,
+        "certificate": certificate,
+    })
 
 
 def _parse_lambdas(text: str) -> tuple[Fraction, ...]:
@@ -400,13 +404,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
 
-    try:
-        alg = load_algebra(args.algebra)
-    except (OSError, AlgebraError) as exc:
-        sys.stdout.write(json.dumps(
-            {"command": argv, "error": str(exc)}, sort_keys=True, indent=2) + "\n")
-        return EXIT_INPUT
-
     handlers = {
         "validate": _cmd_validate,
         "strings": _cmd_strings,
@@ -420,6 +417,7 @@ def main(argv=None) -> int:
     }
     code = EXIT_OK
     try:
+        alg = load_algebra(args.algebra)
         out = handlers[args.cmd](alg, args)
         if len(out) == 3:
             payload, certificate, code = out
@@ -434,14 +432,12 @@ def main(argv=None) -> int:
         }
         certificate = None
         code = EXIT_BUDGET
-    except (AlgebraError, WalkError, ValueError) as exc:
-        sys.stdout.write(json.dumps(
-            {"command": argv, "error": str(exc)}, sort_keys=True, indent=2) + "\n")
+    except (AlgebraError, WalkError, ModuleError, ValueError, OSError) as exc:
+        # input errors; an OracleError means a bug and stays a crash
+        _write({"command": argv, "error": str(exc)})
         return EXIT_INPUT
     except (TheoremCounterexample, OracleDisagreement) as exc:
-        sys.stdout.write(json.dumps(
-            {"command": argv, "error": str(exc), "kind": type(exc).__name__},
-            sort_keys=True, indent=2) + "\n")
+        _write({"command": argv, "error": str(exc), "kind": type(exc).__name__})
         return EXIT_VERDICT
 
     _emit(argv, alg, payload, certificate)

@@ -8,7 +8,6 @@ to any of these is a build failure, not data.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from types import SimpleNamespace
 
 from .algebra import AlgebraPresentation
@@ -122,11 +121,9 @@ def _band_power_prefix_strings(alg, w: Walk, max_len: int, min_k: int = 1):
 
 def run_lemma_suite(alg: AlgebraPresentation, max_string_len: int,
                     band_bound: int | None = None,
-                    lambdas=(Fraction(1), Fraction(2)),
-                    mgs_budget: int = 500_000,
-                    certified: bool = False) -> LemmaSuiteReport:
+                    mgs_budget: int = 500_000) -> LemmaSuiteReport:
     band_bound = band_bound if band_bound is not None else max_string_len
-    lambdas = tuple(Fraction(l) for l in lambdas)
+    pools = build_brick_pools(alg, max_string_len)
     strings = enumerate_strings(alg, max_string_len)
     bricks = [info.walk for info in enumerate_bricks(alg, max_string_len)]
     band_records = enumerate_bands(alg, band_bound)
@@ -137,12 +134,12 @@ def run_lemma_suite(alg: AlgebraPresentation, max_string_len: int,
         bounds={
             "max_string_len": max_string_len,
             "band_bound": band_bound,
-            "lambdas": [str(l) for l in lambdas],
+            "lambdas": [str(l) for l in pools.lambdas],
         },
         sub_or_quotient=CheckResult(),
         power_factorization=CheckResult(),
         square_substring_brick=CheckResult(),
-        band_module_embedding=CheckResult(mode="certified" if certified else "sampled"),
+        band_module_embedding=CheckResult(mode="sampled"),
         square_prefix_nonbrick=CheckResult(),
         extension_brick=CheckResult(),
         dual_host_shaped=CheckResult(),
@@ -218,13 +215,11 @@ def run_lemma_suite(alg: AlgebraPresentation, max_string_len: int,
             chk.satisfied += 1
             N = -(-eps.length // w.length)
             eps_rep = to_explicit(string_module(alg, eps))
-            for lam in lambdas:
+            for lam in pools.lambdas:
                 B = to_explicit(band_module(alg, u, lam, N + 1))
                 seed = probe_seed(alg, "band-embedding", str(eps), str(u), str(lam))
-                embeds = exists_full_rank_hom(eps_rep, B, "inj", seed,
-                                              certified=certified)
-                surjects = exists_full_rank_hom(B, eps_rep, "surj", seed + 1,
-                                                certified=certified)
+                embeds = exists_full_rank_hom(eps_rep, B, "inj", seed)
+                surjects = exists_full_rank_hom(B, eps_rep, "surj", seed + 1)
                 if not (embeds or surjects):
                     chk.counterexamples.append(
                         f"brick {eps} neither embeds in nor is a quotient of"
@@ -309,7 +304,6 @@ def run_lemma_suite(alg: AlgebraPresentation, max_string_len: int,
 
     # --- no emitted maximal green sequence touches a band square
     chk = report.band_square_cross_check
-    pools = build_brick_pools(alg, max_string_len, lambdas=lambdas)
     square_pool = [b for b in bands if b.length <= max_string_len // 2]
     try:
         result = enumerate_mgs(alg, pools, budget=mgs_budget)

@@ -17,12 +17,12 @@ comes from it.  Appending e leaves c insertable at the same gap unless
 Hom(c, e) != 0.  So if c is insertable now and Hom(c, e) = 0 for every e
 in R (which also keeps c itself out of R, as Hom(c, c) != 0), c stays
 insertable in every extension: every leaf below fails certification and
-the subtree is cut.  R does not depend on the length bound, a required
-subsequence or a simple order, which only narrow the appends further, so
-the search emits exactly the sequences of the unpruned search, in the
-same depth-first order.  A band brick takes part only while no band's
-Hom masks differ across the sampled lambdas; otherwise band bricks never
-prune, and a disagreement surfaces at a leaf as before.
+the subtree is cut.  R does not depend on a required subsequence, which
+only narrows the appends further, so the search emits exactly the
+sequences of the unpruned search, in the same depth-first order.  A band
+brick takes part only while no band's Hom masks differ across the sampled
+lambdas; otherwise band bricks never prune, and a disagreement surfaces at
+a leaf as before.
 
 Certification reads the same masks, built on the entries e_1..e_n of the
 sequence.  Candidate c is insertable exactly at the gaps j <= p < f, where
@@ -375,11 +375,9 @@ class _Searcher:
                     mask |= 1 << j
             self.forbid.append(mask)
         self.simples_mask = 0
-        self.simple_vertex = {}
         for i, w in enumerate(member):
             if w.length == 0:
                 self.simples_mask |= 1 << i
-                self.simple_vertex[i] = w.source
         (self.blocks, self.needs, self.string_bits, self.band_bits,
          lambda_free) = _candidate_masks(member, pools.insertion_strings,
                                          pools.insertion_bands, table)
@@ -390,31 +388,25 @@ class _Searcher:
         # that a disagreement still surfaces at a leaf
         self.prunable = all_cands if lambda_free else self.string_bits
 
-    def run(self, *, max_len=None, budget=None, simple_order=None,
-            require_subsequence=None, stop_at_first=False) -> MgsSearchResult:
+    def run(self, *, budget=None, require_subsequence=None,
+            stop_at_first=False) -> MgsSearchResult:
         import sys
 
-        if max_len is None:
-            max_len = self.m
-        order_ids = None
-        if simple_order is not None:
-            by_vertex = {v: i for i, v in self.simple_vertex.items()}
-            order_ids = [by_vertex[v] for v in simple_order if v in by_vertex]
-        required: list[int] | None = None
+        required: list[int] = []
         required_mask = 0
-        if require_subsequence is not None:
-            required = []
-            for w in require_subsequence:
-                c = canonical_string(w)
-                if c not in self.index:
-                    raise ValueError(f"required entry {w} is not in the member pool")
-                required.append(self.index[c])
-            for i in required:
-                required_mask |= 1 << i
+        for w in require_subsequence or ():
+            c = canonical_string(w)
+            if c not in self.index:
+                raise ValueError(f"required entry {w} is not in the member pool")
+            required.append(self.index[c])
+            required_mask |= 1 << self.index[c]
+        n_required = len(required)
         found: list[tuple[int, ...]] = []
         diagnostics: list[str] = []
         all_mask = (1 << self.m) - 1
         simples_mask = self.simples_mask
+        # a still-owed simple or required entry must stay appendable
+        owed_mask = simples_mask | required_mask
         forbid = self.forbid
         blocks = self.blocks
         needs = self.needs
@@ -450,16 +442,13 @@ class _Searcher:
                     return False
             return True
 
-        def rec(used: int, forbidden: int, placed: int, need: int,
-                blocked: int, dead: int):
+        def rec(used: int, forbidden: int, need: int, blocked: int, dead: int):
             nonlocal nodes, pruned
             nodes += 1
             if nodes > budget_cap:
                 raise _Done
-            if simples_mask & forbidden & ~used:
+            if owed_mask & forbidden & ~used:
                 return
-            if required is not None and required_mask & forbidden & ~used:
-                return  # a still-owed required entry can never be appended
             open_ids = all_mask & ~(used | forbidden)
             # dead prefix: a live candidate has a zero Hom to every brick
             # that could still be appended
@@ -472,39 +461,34 @@ class _Searcher:
             if closed:
                 pruned += 1
                 return
-            cands = open_ids if len(seq) < max_len else 0
             appended = False
-            rest = cands
+            rest = open_ids
             while rest:
                 low = rest & -rest
                 rest ^= low
                 i = low.bit_length() - 1
-                if order_ids is not None and low & simples_mask:
-                    if placed >= len(order_ids) or order_ids[placed] != i:
-                        continue
                 next_need = need
-                if required is not None and low & required_mask:
-                    if need >= len(required) or required[need] != i:
+                if low & required_mask:
+                    if need >= n_required or required[need] != i:
                         continue
                     next_need = need + 1
                 appended = True
                 seq.append(i)
                 now_blocked = blocked | blocks[i]
-                rec(used | low, forbidden | forbid[i],
-                    placed + (1 if low & simples_mask else 0), next_need,
+                rec(used | low, forbidden | forbid[i], next_need,
                     now_blocked, dead | (needs[i] & now_blocked))
                 seq.pop()
                 if stop_at_first and found:
                     return
             if not appended and seq:
-                if required is not None and need < len(required):
+                if need < n_required:
                     return
                 if (simples_mask & ~used) == 0:
                     if leaf_complete(dead):
                         found.append(tuple(seq))
                         if stop_at_first:
                             raise _Done
-                elif order_ids is None and required is None:
+                elif not required:
                     # cannot happen: an unforbidden missing simple is appendable
                     diagnostics.append(
                         "leaf missing simples despite no appendable brick: "
@@ -515,7 +499,7 @@ class _Searcher:
         sys.setrecursionlimit(max(old_limit, self.m * 50 + 1000))
         budget_hit = False
         try:
-            rec(0, 0, 0, 0, 0, 0)
+            rec(0, 0, 0, 0, 0)
         except _Done:
             budget_hit = nodes > budget_cap
         finally:
@@ -533,20 +517,19 @@ class _Searcher:
 
 
 def enumerate_mgs(alg: AlgebraPresentation, pools: BrickPools, *,
-                  max_len: int | None = None, budget: int | None = None,
-                  require_subsequence=None,
+                  budget: int | None = None, require_subsequence=None,
                   table: HomTable | None = None) -> MgsSearchResult:
     """Maximal green sequences whose bricks lie in the member pool, each
     certified complete relative to the pools; deterministic order.
 
-    Limits: maximum sequence length, a node budget (exceeding it raises
-    BudgetExhausted carrying the partial output), and optionally a required
-    subsequence, restricting the search to complete sequences containing the
-    given entries in the given relative order.
+    Limits: a node budget (exceeding it raises BudgetExhausted carrying the
+    partial output), and optionally a required subsequence, restricting the
+    search to complete sequences containing the given entries in the given
+    relative order.
     """
     table = table or HomTable(alg)
     result = _Searcher(alg, pools, table).run(
-        max_len=max_len, budget=budget, require_subsequence=require_subsequence)
+        budget=budget, require_subsequence=require_subsequence)
     for seq in result.sequences:
         present = {e.source for e in seq if e.length == 0}
         if set(alg.vertices) - present:
@@ -559,12 +542,16 @@ def enumerate_mgs(alg: AlgebraPresentation, pools: BrickPools, *,
 def complete_from_prefix(alg: AlgebraPresentation, pools: BrickPools,
                          simple_order, *, budget: int | None = None,
                          table: HomTable | None = None):
-    """First complete sequence whose simples respect the given relative
-    order, or None when the bounded search exhausts without finding one.
-    The search's leaf check certifies it on the masks of
-    ``is_complete_relative``, so it is complete relative to the pools."""
+    """First complete sequence, in search order, that places the simples
+    S(v) of the listed vertices in the given relative order; unlisted
+    simples are unconstrained.  Returns None when the search finishes
+    without one, and raises BudgetExhausted when the budget runs out first,
+    or ValueError for an unknown vertex.  The search's leaf check certifies
+    the sequence on the masks of ``is_complete_relative``, so it is complete
+    relative to the pools."""
+    simples = tuple(Walk((), (v,)) for v in simple_order)
     result = _Searcher(alg, pools, table or HomTable(alg)).run(
-        budget=budget, simple_order=tuple(simple_order), stop_at_first=True)
+        budget=budget, require_subsequence=simples, stop_at_first=True)
     return result.sequences[0] if result.sequences else None
 
 

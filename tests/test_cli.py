@@ -1,7 +1,11 @@
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
+
+import pytest
 
 from mgslab.cli import main
 
@@ -172,6 +176,40 @@ def test_missing_file_exit_three(capsys):
     assert code == 3
 
 
+def test_input_error_document_bytes(capsys):
+    assert main(["validate", "--algebra", "no-such-file.alg"]) == 3
+    assert capsys.readouterr().out == (
+        '{\n  "command": [\n    "validate",\n    "--algebra",\n    "no-such-file.alg"\n'
+        '  ],\n  "error": "[Errno 2] No such file or directory: \'no-such-file.alg\'"\n}\n')
+
+
+MISSING = str(DATA / "no-such-sequence.txt")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("hom", "--algebra", str(DATA / "a12tilde.alg"), "b1 b1-", "e:1"),
+     "hom_dim requires strings"),
+    (("module", "band", "--algebra", str(DATA / "gentle5.alg"), "b2 a2- g2", "--lam", "0"),
+     "lambda must be nonzero"),
+    (("module", "band", "--algebra", str(DATA / "gentle5.alg"), "b2 a2- g2", "--k", "0"),
+     "k must be >= 1"),
+    (("module", "band", "--algebra", str(DATA / "gentle5.alg"), "b2"),
+     "walk b2 is not a band"),
+    (("oracle", "hom", "--algebra", str(DATA / "gentle5.alg"), "b2", "b2", "--band1", "2"),
+     "walk b2 is not a band"),
+    (("mgs", "check", "--algebra", str(DATA / "mgs5.alg"), "--max-string-len", "8",
+      "--sequence", MISSING), "No such file or directory"),
+    (("mgs", "enumerate", "--algebra", str(DATA / "mgs5.alg"), "--max-string-len", "8",
+      "--contains", MISSING), "No such file or directory"),
+], ids=["hom-non-string", "band-lambda-zero", "band-k-zero", "band-non-band",
+        "oracle-band-non-band", "check-missing-sequence", "contains-missing-file"])
+def test_bad_module_or_sequence_input_exit_three(capsys, argv, message):
+    code, doc = run_cli(capsys, *argv)
+    assert code == 3
+    assert doc["command"] == list(argv)
+    assert message in doc["error"]
+
+
 def test_usage_error_exit_two(capsys):
     assert main(["mgs"]) == 2
     capsys.readouterr()
@@ -186,16 +224,14 @@ def test_byte_identical_reruns():
     assert a.returncode == b.returncode == 0
 
 
-def test_thread_count_does_not_change_output():
-    cmd = [sys.executable, "-m", "mgslab.cli", "mgs", "enumerate",
-           "--algebra", str(DATA / "a12tilde.alg"), "--max-string-len", "8"]
-    outs = []
-    for threads in ("1", "3"):
-        proc = subprocess.run(cmd, capture_output=True, text=True,
-                              env=dict(os.environ, MGSLAB_THREADS=threads))
-        outs.append(proc.stdout)
-    assert outs[0] == outs[1]
-    assert json.loads(outs[0])["payload"]["count"] >= 1
+def test_no_environment_setting():
+    """Outputs depend only on the arguments: no module reads the environment."""
+    import mgslab
+
+    sources = sorted(Path(mgslab.__file__).parent.glob("*.py"))
+    assert sources
+    readers = [p.name for p in sources if re.search(r"environ|getenv", p.read_text())]
+    assert readers == []
 
 
 def _modules_after(code: str) -> set[str]:

@@ -31,6 +31,11 @@ def walks(alg, *literals):
     return tuple(parse_walk(alg, lit) for lit in literals)
 
 
+def simples(alg, order):
+    """The simples S(v) of the given vertices, as walks in that order."""
+    return walks(alg, *(f"e:{v}" for v in order))
+
+
 def bundled_sequence(mgs5, data_dir):
     lines = (data_dir / "mgs5_sequence.txt").read_text().splitlines()
     return tuple(parse_walk(mgs5, l) for l in lines if l.strip())
@@ -277,6 +282,60 @@ def test_complete_from_prefix_ex43_fails_both_orders(double_arrows):
     assert complete_from_prefix(double_arrows, pools, ("2", "1"), budget=2_000_000) is None
 
 
+# The first completion of each `mgs exists` order, with the search's nodes and
+# pruned subtrees, recorded while the search still placed simples by a
+# separate simple-order rule.  Every case gives the same at bounds 8 and 10.
+FIRST_COMPLETIONS = [
+    ("gentle5", "simples", ("e:3", "e:4", "e:1", "b1", "e:2", "e:5"), 8, 1),
+    ("gentle5", "gentle", ("e:4", "e:1", "e:3", "e:5", "b1 g2-", "b1", "g2", "e:2"), 14, 5),
+    ("mgs5", "simples", ("e:2", "e:1", "b2", "e:3", "e:4", "e:5"), 8, 1),
+    ("mgs5", "gentle", ("e:2", "e:1", "b2", "e:3", "e:4", "e:5"), 8, 1),
+    ("a12tilde", "simples", ("e:2", "e:1", "b1", "e:3"), 6, 1),
+    ("a12tilde", "gentle", ("e:2", "e:1", "b1", "e:3"), 6, 1),
+    ("two_loops", "simples", ("e:2", "e:1"), 3, 0),
+    ("two_loops", "gentle", ("e:2", "e:1"), 3, 0),
+    ("kronecker", "simples", ("e:2", "e:1"), 3, 0),
+    ("kronecker", "gentle", ("e:2", "e:1"), 3, 0),
+    ("double_arrows", "simples", None, 15, 5),
+]
+
+
+@pytest.mark.parametrize("bound", [8, 10])
+@pytest.mark.parametrize("name, method, expected, nodes, pruned", FIRST_COMPLETIONS)
+def test_complete_from_prefix_pinned(request, name, method, expected, nodes, pruned, bound):
+    alg = request.getfixturevalue(name)
+    pool = band_pool(alg, bound // 2)
+    construction = simple_order_socle_first if method == "simples" else domestic_gentle_order
+    order = construction(alg, pool).order
+    pools = build_brick_pools(alg, bound)
+    seq = complete_from_prefix(alg, pools, order)
+    assert (seq if seq is None else tuple(map(str, seq))) == expected
+    result = _Searcher(alg, pools, HomTable(alg)).run(
+        require_subsequence=simples(alg, order), stop_at_first=True)
+    assert (result.nodes, result.pruned, result.diagnostics) == (nodes, pruned, ())
+
+
+def test_complete_from_prefix_partial_order(mgs5):
+    """Only the listed simples are ordered; the others may go anywhere."""
+    pools = build_brick_pools(mgs5, 8)
+    seq = complete_from_prefix(mgs5, pools, ("4", "5"))
+    assert seq is not None
+    placed = [w.source for w in seq if w.length == 0]
+    assert sorted(placed) == ["1", "2", "3", "4", "5"]
+    assert placed.index("4") < placed.index("5")
+    assert is_complete_relative(mgs5, seq, pools).kind == "complete"
+
+
+def test_complete_from_prefix_unknown_vertex(mgs5):
+    with pytest.raises(ValueError, match="not in the member pool"):
+        complete_from_prefix(mgs5, build_brick_pools(mgs5, 3), ("4", "9"))
+
+
+def test_complete_from_prefix_budget(mgs5):
+    with pytest.raises(BudgetExhausted):
+        complete_from_prefix(mgs5, build_brick_pools(mgs5, 8), ("4", "5"), budget=3)
+
+
 def test_corollary_4_4_stability(kronecker, a12tilde):
     for alg, lo, hi in ((kronecker, 6, 8), (a12tilde, 8, 10)):
         low = set(enumerate_mgs(alg, build_brick_pools(alg, lo)).sequences)
@@ -330,14 +389,16 @@ def test_pruning_keeps_first_prefix_completion(request, name, max_len, method):
     else:
         order = domestic_gentle_order(alg, pool).order
     pruned, reference = pruned_and_reference(
-        alg, build_brick_pools(alg, max_len), simple_order=order, stop_at_first=True)
+        alg, build_brick_pools(alg, max_len), require_subsequence=simples(alg, order),
+        stop_at_first=True)
     assert pruned.sequences == reference.sequences
 
 
 def test_pruning_keeps_first_completion_of_fixed_order(mgs5):
     pruned, reference = pruned_and_reference(
         mgs5, build_brick_pools(mgs5, 3),
-        simple_order=("4", "5", "1", "2", "3"), stop_at_first=True)
+        require_subsequence=simples(mgs5, ("4", "5", "1", "2", "3")),
+        stop_at_first=True)
     assert pruned.sequences == reference.sequences and len(pruned.sequences) == 1
     assert pruned.nodes < reference.nodes
 
