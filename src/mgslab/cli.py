@@ -106,11 +106,15 @@ def _emit(args_echo, alg, payload, certificate=None) -> None:
     })
 
 
-def _parse_lambdas(text: str) -> tuple[Fraction, ...]:
+def _fraction(text: str) -> Fraction:
     try:
-        vals = tuple(Fraction(tok) for tok in text.split(","))
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise WalkError(f"bad lambda list {text!r}: {exc}")
+        raise WalkError(f"bad number {text!r}: {exc}")
+
+
+def _parse_lambdas(text: str) -> tuple[Fraction, ...]:
+    vals = tuple(_fraction(tok) for tok in text.split(","))
     if any(v == 0 for v in vals) or not vals:
         raise WalkError("lambda samples must be nonzero")
     return vals
@@ -135,6 +139,17 @@ def _read_sequence(alg, path) -> tuple[Walk, ...]:
     return tuple(entries)
 
 
+def _count(text: str) -> int:
+    """argparse type of bounds and budgets: a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="mgslab")
     sub = p.add_subparsers(dest="cmd", required=True)
@@ -147,11 +162,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("strings", help="enumerate strings up to a length")
     alg_arg(sp)
-    sp.add_argument("--max-len", type=int, required=True)
+    sp.add_argument("--max-len", type=_count, required=True)
 
     sp = sub.add_parser("bands", help="enumerate band classes up to a length")
     alg_arg(sp)
-    sp.add_argument("--max-len", type=int, required=True)
+    sp.add_argument("--max-len", type=_count, required=True)
 
     sp = sub.add_parser("module", help="string or band module representations")
     msub = sp.add_subparsers(dest="module_cmd", required=True)
@@ -171,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("bricks", help="enumerate string bricks")
     alg_arg(sp)
-    sp.add_argument("--max-len", type=int, required=True)
+    sp.add_argument("--max-len", type=_count, required=True)
 
     sp = sub.add_parser("oracle", help="linear-algebra oracle")
     osub = sp.add_subparsers(dest="oracle_cmd", required=True)
@@ -186,14 +201,14 @@ def build_parser() -> argparse.ArgumentParser:
     gsub = sp.add_subparsers(dest="mgs_cmd", required=True)
 
     def pool_args(spp):
-        spp.add_argument("--max-string-len", type=int, required=True)
-        spp.add_argument("--band-len", type=int, default=None)
+        spp.add_argument("--max-string-len", type=_count, required=True)
+        spp.add_argument("--band-len", type=_count, default=None)
         spp.add_argument("--lambda", dest="lambdas", default="1,2")
 
     ge = gsub.add_parser("enumerate", help="enumerate complete sequences")
     alg_arg(ge)
     pool_args(ge)
-    ge.add_argument("--budget", type=int, default=None)
+    ge.add_argument("--budget", type=_count, default=None)
     ge.add_argument("--contains", default=None,
                     help="sequence file; restrict to sequences containing"
                          " these entries in this relative order")
@@ -204,18 +219,18 @@ def build_parser() -> argparse.ArgumentParser:
     gx = gsub.add_parser("exists", help="existence constructions")
     alg_arg(gx)
     gx.add_argument("--method", choices=("simples", "gentle"), required=True)
-    gx.add_argument("--max-string-len", type=int, default=8)
-    gx.add_argument("--band-len", type=int, default=None)
+    gx.add_argument("--max-string-len", type=_count, default=8)
+    gx.add_argument("--band-len", type=_count, default=None)
     gx.add_argument("--lambda", dest="lambdas", default="1,2")
-    gx.add_argument("--budget", type=int, default=None)
+    gx.add_argument("--budget", type=_count, default=None)
 
     sp = sub.add_parser("lemmas", help="lemma property suite")
     lsub = sp.add_subparsers(dest="lemmas_cmd", required=True)
     lr = lsub.add_parser("run")
     alg_arg(lr)
-    lr.add_argument("--max-len", type=int, required=True)
-    lr.add_argument("--band-len", type=int, default=None)
-    lr.add_argument("--budget", type=int, default=500_000)
+    lr.add_argument("--max-len", type=_count, required=True)
+    lr.add_argument("--band-len", type=_count, default=None)
+    lr.add_argument("--budget", type=_count, default=500_000)
 
     return p
 
@@ -263,7 +278,7 @@ def _cmd_module(alg, args):
         payload.update(_mat_payload(to_explicit(M)))
         return payload, None
     w = parse_walk(alg, args.walk)
-    B = band_module(alg, w, Fraction(args.lam), args.k)
+    B = band_module(alg, w, _fraction(args.lam), args.k)
     payload = {"walk": str(w), "lambda": args.lam, "k": args.k}
     payload.update(_mat_payload(to_explicit(B)))
     return payload, None
@@ -303,7 +318,7 @@ def _cmd_oracle(alg, args):
     def rep(text, band_lam):
         w = parse_walk(alg, text)
         if band_lam is not None:
-            return to_explicit(band_module(alg, w, Fraction(band_lam), 1))
+            return to_explicit(band_module(alg, w, _fraction(band_lam), 1))
         return to_explicit(string_module(alg, w))
 
     A = rep(args.source, args.band1)

@@ -11,18 +11,19 @@ M(w, lambda, 1) probed at sampled lambda values.
 Dead-prefix pruning.  A candidate c of the insertion pool is insertable
 into a prefix when some gap has every entry before it with Hom(e, c) = 0
 and every entry after it with Hom(c, e) = 0.  Let R be the members that
-could still be appended: neither used nor the target of a nonzero Hom
-from an entry.  R only shrinks down the tree, and every later append
-comes from it.  Appending e leaves c insertable at the same gap unless
-Hom(c, e) != 0.  So if c is insertable now and Hom(c, e) = 0 for every e
-in R (which also keeps c itself out of R, as Hom(c, c) != 0), c stays
-insertable in every extension: every leaf below fails certification and
-the subtree is cut.  R does not depend on a required subsequence, which
-only narrows the appends further, so the search emits exactly the
-sequences of the unpruned search, in the same depth-first order.  A band
-brick takes part only while no band's Hom masks differ across the sampled
-lambdas; otherwise band bricks never prune, and a disagreement surfaces at
-a leaf as before.
+could still be appended: the members outside ``blocked``, the candidates
+some entry maps onto (the entries among them, as Hom(e, e) != 0).  R only
+shrinks down the tree, and every later append comes from it.  Appending e
+leaves c insertable at the same gap unless Hom(c, e) != 0.  So if c is
+insertable now and Hom(c, e) = 0 for every e in R (which also keeps c
+itself out of R, as Hom(c, c) != 0), c stays insertable in every
+extension: every leaf below fails certification and the subtree is cut.
+R does not depend on a required subsequence, which only narrows the
+appends further, so the search emits exactly the sequences of the
+unpruned search, in the same depth-first order.  A band brick takes part
+only while no band's Hom masks differ across the sampled lambdas;
+otherwise band bricks never prune, and a disagreement surfaces at a leaf
+as before.
 
 Certification reads the same masks, built on the entries e_1..e_n of the
 sequence.  Candidate c is insertable exactly at the gaps j <= p < f, where
@@ -349,16 +350,18 @@ class MgsSearchResult(NamedTuple):
 
 class _Searcher:
     """Append-only DFS over the member pool with hom data baked into
-    bitmasks: appending a brick forbids every brick it maps onto, and a
-    prefix dies as soon as a simple it still owes becomes forbidden or an
+    bitmasks: appending a brick rules out every brick it maps onto, and a
+    prefix dies as soon as a simple it still owes is ruled out or an
     insertion candidate stays insertable in every extension.
 
-    The candidate bits are those of ``_candidate_masks``.  Along a prefix,
-    ``blocked`` holds the candidates some entry maps onto, and ``dead`` those
-    with no insertion gap left: a candidate dies once an entry it maps onto
-    follows (or is) the first entry that maps onto it.  Appending member i
-    costs two big-int steps, ``blocked |= blocks[i]`` and
-    ``dead |= needs[i] & blocked``.
+    The candidate bits are those of ``_candidate_masks``, with the members
+    first, so that candidate bit i is member i.  Along a prefix, ``blocked``
+    holds the candidates some entry maps onto, and ``dead`` those with no
+    insertion gap left: a candidate dies once an entry it maps onto follows
+    (or is) the first entry that maps onto it.  As Hom(w, w) != 0,
+    ``blocked`` holds the used members too, so the members outside it are
+    exactly the appendable ones.  Appending member i costs two big-int
+    steps, ``blocked |= blocks[i]`` and ``dead |= needs[i] & blocked``.
     """
 
     def __init__(self, alg, pools: BrickPools, table: HomTable):
@@ -366,21 +369,11 @@ class _Searcher:
         self.member = member
         self.m = len(member)
         self.index = {w: i for i, w in enumerate(member)}
-        # hom(w_i, w_j) != 0 puts j in forbid[i]
-        self.forbid = []
-        for a in member:
-            mask = 0
-            for j, b in enumerate(member):
-                if table.hom(a, b) != 0:
-                    mask |= 1 << j
-            self.forbid.append(mask)
-        self.simples_mask = 0
-        for i, w in enumerate(member):
-            if w.length == 0:
-                self.simples_mask |= 1 << i
+        self.simples_mask = sum(1 << i for i, w in enumerate(member) if w.length == 0)
+        # members first, so that candidate bit i is member i
+        candidates = member + [s for s in pools.insertion_strings if s not in self.index]
         (self.blocks, self.needs, self.string_bits, self.band_bits,
-         lambda_free) = _candidate_masks(member, pools.insertion_strings,
-                                         pools.insertion_bands, table)
+         lambda_free) = _candidate_masks(member, candidates, pools.insertion_bands, table)
         all_cands = self.string_bits + sum(sum(bits) for _, bits in self.band_bits)
         # spares[i]: the candidates with a zero Hom to w_i
         self.spares = [all_cands & ~n for n in self.needs]
@@ -407,7 +400,6 @@ class _Searcher:
         simples_mask = self.simples_mask
         # a still-owed simple or required entry must stay appendable
         owed_mask = simples_mask | required_mask
-        forbid = self.forbid
         blocks = self.blocks
         needs = self.needs
         spares = self.spares
@@ -442,14 +434,14 @@ class _Searcher:
                     return False
             return True
 
-        def rec(used: int, forbidden: int, need: int, blocked: int, dead: int):
+        def rec(used: int, need: int, blocked: int, dead: int):
             nonlocal nodes, pruned
             nodes += 1
             if nodes > budget_cap:
                 raise _Done
-            if owed_mask & forbidden & ~used:
+            if owed_mask & blocked & ~used:
                 return
-            open_ids = all_mask & ~(used | forbidden)
+            open_ids = all_mask & ~blocked
             # dead prefix: a live candidate has a zero Hom to every brick
             # that could still be appended
             closed = prunable & ~dead
@@ -475,11 +467,8 @@ class _Searcher:
                 appended = True
                 seq.append(i)
                 now_blocked = blocked | blocks[i]
-                rec(used | low, forbidden | forbid[i], next_need,
-                    now_blocked, dead | (needs[i] & now_blocked))
+                rec(used | low, next_need, now_blocked, dead | (needs[i] & now_blocked))
                 seq.pop()
-                if stop_at_first and found:
-                    return
             if not appended and seq:
                 if need < n_required:
                     return
@@ -489,7 +478,7 @@ class _Searcher:
                         if stop_at_first:
                             raise _Done
                 elif not required:
-                    # cannot happen: an unforbidden missing simple is appendable
+                    # cannot happen: an unblocked missing simple is appendable
                     diagnostics.append(
                         "leaf missing simples despite no appendable brick: "
                         + str([str(self.member[i]) for i in seq])
@@ -499,7 +488,7 @@ class _Searcher:
         sys.setrecursionlimit(max(old_limit, self.m * 50 + 1000))
         budget_hit = False
         try:
-            rec(0, 0, 0, 0, 0)
+            rec(0, 0, 0, 0)
         except _Done:
             budget_hit = nodes > budget_cap
         finally:

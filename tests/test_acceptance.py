@@ -263,6 +263,10 @@ DETERMINISM_COMMANDS = (
      "--method", "gentle", "--max-string-len", "8"),
     ("lemmas", "run", "--algebra", str(DATA / "a12tilde.alg"),
      "--max-len", "6", "--budget", "50000"),
+    ("lemmas", "run", "--algebra", str(DATA / "a12tilde.alg"), "--max-len", "10"),
+    ("lemmas", "run", "--algebra", str(DATA / "two_loops.alg"), "--max-len", "10"),
+    ("lemmas", "run", "--algebra", str(DATA / "kronecker.alg"), "--max-len", "10"),
+    ("lemmas", "run", "--algebra", str(DATA / "gentle5.alg"), "--max-len", "9"),
 )
 
 

@@ -201,8 +201,16 @@ MISSING = str(DATA / "no-such-sequence.txt")
       "--sequence", MISSING), "No such file or directory"),
     (("mgs", "enumerate", "--algebra", str(DATA / "mgs5.alg"), "--max-string-len", "8",
       "--contains", MISSING), "No such file or directory"),
+    (("module", "band", "--algebra", str(DATA / "gentle5.alg"), "b2 a2- g2", "--lam", "1/0"),
+     "bad number '1/0'"),
+    (("oracle", "hom", "--algebra", str(DATA / "gentle5.alg"), "b2 a2- g2", "b2 a2- g2",
+      "--band1", "1/0"), "bad number '1/0'"),
+    (("oracle", "hom", "--algebra", str(DATA / "gentle5.alg"), "b2 a2- g2", "b2 a2- g2",
+      "--band2", "1/0"), "bad number '1/0'"),
 ], ids=["hom-non-string", "band-lambda-zero", "band-k-zero", "band-non-band",
-        "oracle-band-non-band", "check-missing-sequence", "contains-missing-file"])
+        "oracle-band-non-band", "check-missing-sequence", "contains-missing-file",
+        "band-lambda-zero-denominator", "oracle-band1-zero-denominator",
+        "oracle-band2-zero-denominator"])
 def test_bad_module_or_sequence_input_exit_three(capsys, argv, message):
     code, doc = run_cli(capsys, *argv)
     assert code == 3
@@ -210,9 +218,23 @@ def test_bad_module_or_sequence_input_exit_three(capsys, argv, message):
     assert message in doc["error"]
 
 
-def test_usage_error_exit_two(capsys):
-    assert main(["mgs"]) == 2
-    capsys.readouterr()
+A12 = str(DATA / "a12tilde.alg")
+
+
+@pytest.mark.parametrize("argv", [
+    ("mgs",),
+    ("mgs", "enumerate", "--algebra", A12, "--max-string-len", "-3"),
+    ("strings", "--algebra", A12, "--max-len", "-1"),
+    ("bands", "--algebra", A12, "--max-len", "-1"),
+    ("lemmas", "run", "--algebra", A12, "--max-len", "-1"),
+    ("mgs", "exists", "--algebra", A12, "--method", "simples", "--band-len", "-2"),
+    ("mgs", "enumerate", "--algebra", A12, "--max-string-len", "6", "--budget", "-1"),
+], ids=["missing-subcommand", "enumerate-negative-string-len", "strings-negative-len",
+        "bands-negative-len", "lemmas-negative-len", "exists-negative-band-len",
+        "enumerate-negative-budget"])
+def test_usage_error_exit_two(capsys, argv):
+    assert main(list(argv)) == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_byte_identical_reruns():

@@ -411,13 +411,15 @@ def test_pruning_keeps_required_subsequence_matches(mgs5, data_dir):
     assert seq in pruned.sequences
 
 
-@pytest.mark.parametrize("name, count", [("mgs5", 2691), ("gentle5", 1416)])
-def test_headline_enumeration_certified(request, name, count):
+@pytest.mark.parametrize("name, count, nodes, pruned", [
+    ("mgs5", 2691, 229_566, 162_278), ("gentle5", 1416, 270_281, 155_231)])
+def test_headline_enumeration_certified(request, name, count, nodes, pruned):
     alg = request.getfixturevalue(name)
     pools = build_brick_pools(alg, 8)
     table = HomTable(alg)
     result = enumerate_mgs(alg, pools, budget=500_000, table=table)
     assert len(result.sequences) == count
+    assert (result.nodes, result.pruned) == (nodes, pruned)
     for seq in result.sequences[::97]:
         assert is_weakly_fho(alg, seq, table)
         assert is_complete_relative(alg, seq, pools, table).kind == "complete"
