@@ -412,7 +412,8 @@ def test_pruning_keeps_required_subsequence_matches(mgs5, data_dir):
 
 
 @pytest.mark.parametrize("name, count, nodes, pruned", [
-    ("mgs5", 2691, 229_566, 162_278), ("gentle5", 1416, 270_281, 155_231)])
+    pytest.param("mgs5", 2691, 229_566, 162_278, id="mgs5-2691"),
+    pytest.param("gentle5", 1416, 270_281, 155_231, id="gentle5-1416")])
 def test_headline_enumeration_certified(request, name, count, nodes, pruned):
     alg = request.getfixturevalue(name)
     pools = build_brick_pools(alg, 8)
