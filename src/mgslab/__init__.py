@@ -1,61 +1,34 @@
-"""String algebra combinatorics and maximal green sequences."""
+"""String algebra combinatorics and maximal green sequences.
 
-from .algebra import (
-    AlgebraError,
-    AlgebraParseError,
-    AlgebraPresentation,
-    Arrow,
-    AxiomReport,
-    load_algebra,
-    parse_algebra,
-    validate_axioms,
-    vertex_arrow_count,
-)
-from .words import (
-    BandPool,
-    BandRecord,
-    Letter,
-    Occurrence,
-    Walk,
-    WalkError,
-    all_occurrences,
-    band_equivalent,
-    band_pool,
-    canonical_rotation,
-    canonical_string,
-    enumerate_bands,
-    enumerate_strings,
-    is_band,
-    is_directed,
-    is_minimal_band,
-    is_string,
-    make_walk,
-    maximal_w_substrings,
-    parse_walk,
-    substring_occurrences,
-    supported_on,
-)
-from .modules import (
-    BandModuleRep,
-    BrickInfo,
-    ModuleError,
-    StringModuleRep,
-    band_module,
-    band_top_socle,
-    enumerate_bricks,
-    hom_dim,
-    is_brick,
-    string_module,
-    top_socle,
-)
-from .oracle import (
-    ExplicitRep,
-    OracleError,
-    end_dim,
-    exists_full_rank_hom,
-    hom_dim_linalg,
-    hom_solution_basis,
-    to_explicit,
-)
+The names below are re-exported from their modules on first access
+(PEP 562), so ``import mgslab.algebra`` does not load the Hom machinery.
+"""
 
+_EXPORTS = {
+    "algebra": """AlgebraError AlgebraParseError AlgebraPresentation Arrow AxiomReport
+        load_algebra parse_algebra validate_axioms vertex_arrow_count""",
+    "words": """BandPool BandRecord Letter Occurrence Walk WalkError all_occurrences
+        band_equivalent band_pool canonical_rotation canonical_string
+        enumerate_bands enumerate_strings is_band is_directed is_minimal_band
+        is_string make_walk maximal_w_substrings parse_walk
+        substring_occurrences supported_on""",
+    "modules": """BandModuleRep BrickInfo ModuleError StringModuleRep band_module
+        band_top_socle enumerate_bricks hom_dim is_brick string_module top_socle""",
+    "oracle": """ExplicitRep OracleError end_dim exists_full_rank_hom hom_dim_linalg
+        hom_solution_basis to_explicit""",
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+
+__all__ = sorted(_MODULE_OF)
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(__import__(f"{__name__}.{module}", fromlist=[name]), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_MODULE_OF))

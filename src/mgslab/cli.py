@@ -6,6 +6,9 @@ naming pool bounds where one applies.  All numbers are exact (integers, or
 rationals as strings).  Exit codes: 0 success (and, for ``mgs check``, a
 complete-relative verdict); 2 usage error; 3 algebra or input error;
 4 budget exhausted (partial payload still printed).
+
+A handler imports the modules it uses when it runs, so ``validate`` loads
+the presentation and its axioms only, not the Hom machinery.
 """
 
 from __future__ import annotations
@@ -13,39 +16,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .algebra import AlgebraError, load_algebra, validate_axioms, vertex_arrow_count
-from .mgs import (
-    BudgetExhausted,
-    HomTable,
-    OracleDisagreement,
-    TheoremCounterexample,
-    build_brick_pools,
-    complete_from_prefix,
-    domestic_gentle_order,
-    enumerate_mgs,
-    is_complete_relative,
-    is_weakly_fho,
-    simple_order_socle_first,
-)
-from .modules import (
-    ModuleError,
-    band_module,
-    enumerate_bricks,
-    hom_dim,
-    string_module,
-    top_socle,
-)
-from .oracle import hom_dim_linalg, to_explicit
-from .words import (
-    Walk,
-    WalkError,
-    band_pool,
-    enumerate_bands,
-    enumerate_strings,
-    parse_walk,
-)
 
 EXIT_OK = 0
 EXIT_VERDICT = 1
@@ -106,16 +78,38 @@ def _emit(args_echo, alg, payload, certificate=None) -> None:
     })
 
 
-def _fraction(text: str) -> Fraction:
+# options whose value is a number or a list of numbers, which may be negative
+_NUMBER_OPTIONS = ("--lam", "--band1", "--band2", "--lambda")
+
+
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """Write ``--lam -1/2`` as ``--lam=-1/2``: argparse reads a value that
+    starts with '-' as an option unless it is a plain negative decimal."""
+    out = []
+    for tok in argv:
+        if tok[:1] == "-" and tok[1:2].isdigit() and out and out[-1] in _NUMBER_OPTIONS:
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
+def _fraction(text: str):
+    from fractions import Fraction
+
+    from .words import WalkError
+
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise WalkError(f"bad number {text!r}: {exc}")
 
 
-def _parse_lambdas(text: str) -> tuple[Fraction, ...]:
+def _parse_lambdas(text: str) -> tuple:
     vals = tuple(_fraction(tok) for tok in text.split(","))
     if any(v == 0 for v in vals) or not vals:
+        from .words import WalkError
+
         raise WalkError("lambda samples must be nonzero")
     return vals
 
@@ -129,7 +123,9 @@ def _require_string_algebra(alg):
     return report
 
 
-def _read_sequence(alg, path) -> tuple[Walk, ...]:
+def _read_sequence(alg, path) -> tuple:
+    from .words import parse_walk
+
     entries = []
     with open(path, encoding="utf-8") as fh:
         for raw in fh:
@@ -247,12 +243,16 @@ def _cmd_validate(alg, args):
 
 
 def _cmd_strings(alg, args):
+    from .words import enumerate_strings
+
     _require_string_algebra(alg)
     return {"max_len": args.max_len,
             "strings": _walks(enumerate_strings(alg, args.max_len))}, None
 
 
 def _cmd_bands(alg, args):
+    from .words import enumerate_bands
+
     _require_string_algebra(alg)
     records = enumerate_bands(alg, args.max_len)
     return {
@@ -262,6 +262,10 @@ def _cmd_bands(alg, args):
 
 
 def _cmd_module(alg, args):
+    from .modules import band_module, string_module, top_socle
+    from .oracle import to_explicit
+    from .words import parse_walk
+
     _require_string_algebra(alg)
     if args.module_cmd == "show":
         from . import diagram
@@ -285,6 +289,10 @@ def _cmd_module(alg, args):
 
 
 def _cmd_hom(alg, args):
+    from .modules import hom_dim, string_module
+    from .oracle import hom_dim_linalg, to_explicit
+    from .words import parse_walk
+
     _require_string_algebra(alg)
     w1, w2 = parse_walk(alg, args.source), parse_walk(alg, args.target)
     combinatorial = hom_dim(alg, w1, w2)
@@ -300,6 +308,8 @@ def _cmd_hom(alg, args):
 
 
 def _cmd_bricks(alg, args):
+    from .modules import enumerate_bricks
+
     _require_string_algebra(alg)
     infos = enumerate_bricks(alg, args.max_len)
     return {
@@ -313,6 +323,10 @@ def _cmd_bricks(alg, args):
 
 
 def _cmd_oracle(alg, args):
+    from .modules import band_module, string_module
+    from .oracle import hom_dim_linalg, to_explicit
+    from .words import parse_walk
+
     _require_string_algebra(alg)
 
     def rep(text, band_lam):
@@ -328,6 +342,8 @@ def _cmd_oracle(alg, args):
 
 
 def _pools_for(alg, args):
+    from .mgs import build_brick_pools
+
     return build_brick_pools(
         alg, args.max_string_len,
         lambdas=_parse_lambdas(args.lambdas),
@@ -336,6 +352,17 @@ def _pools_for(alg, args):
 
 
 def _cmd_mgs(alg, args):
+    from .mgs import (
+        HomTable,
+        complete_from_prefix,
+        domestic_gentle_order,
+        enumerate_mgs,
+        is_complete_relative,
+        is_weakly_fho,
+        simple_order_socle_first,
+    )
+    from .words import band_pool
+
     _require_string_algebra(alg)
     if args.mgs_cmd == "enumerate":
         pools = _pools_for(alg, args)
@@ -411,11 +438,23 @@ def _cmd_lemmas(alg, args):
     return payload, {"max_len": args.max_len, "band_bound": args.band_len}
 
 
+def _loaded(*names: str) -> tuple:
+    """The exception classes ``module.Class`` named whose module is loaded:
+    a module that is not loaded has raised none of its own."""
+    out = []
+    for name in names:
+        module, cls = name.split(".")
+        mod = sys.modules.get(f"{__package__}.{module}")
+        if mod is not None:
+            out.append(getattr(mod, cls))
+    return tuple(out)
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_negative_values(argv))
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
 
@@ -438,7 +477,8 @@ def main(argv=None) -> int:
             payload, certificate, code = out
         else:
             payload, certificate = out
-    except BudgetExhausted as exc:
+    # an except clause is evaluated only when an exception reaches it
+    except _loaded("mgs.BudgetExhausted") as exc:
         payload = {
             "error": str(exc),
             "budget_exhausted": True,
@@ -447,11 +487,12 @@ def main(argv=None) -> int:
         }
         certificate = None
         code = EXIT_BUDGET
-    except (AlgebraError, WalkError, ModuleError, ValueError, OSError) as exc:
+    except (AlgebraError, ValueError, OSError,
+            *_loaded("words.WalkError", "modules.ModuleError")) as exc:
         # input errors; an OracleError means a bug and stays a crash
         _write({"command": argv, "error": str(exc)})
         return EXIT_INPUT
-    except (TheoremCounterexample, OracleDisagreement) as exc:
+    except _loaded("mgs.TheoremCounterexample", "mgs.OracleDisagreement") as exc:
         _write({"command": argv, "error": str(exc), "kind": type(exc).__name__})
         return EXIT_VERDICT
 

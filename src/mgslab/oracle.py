@@ -2,16 +2,38 @@
 
 Independent of the substring calculus: representations are plain matrices
 over exact rationals and Hom dimensions come from solving the intertwiner
-equations f_t phi_a(A) = phi_a(B) f_s by sparse Gaussian elimination.
+equations f_t phi_a(A) = phi_a(B) f_s in exact arithmetic.  Each equation
+is scaled by the LCM of the denominators in its arrow's two matrices, so
+its coefficients are Python ints.
 
-The elimination is exact and fraction free: each equation is scaled by the
-LCM of the denominators in its arrow's two matrices into a dict of Python
-ints, and reducing a row against a pivot replaces it by b * row - a * pivot
-(a, b the two leading coefficients over their gcd), divided by its content
-gcd.  Nonzero scalings keep the row space, hence the rank and the pivot
-columns, and a null-space vector is fixed by its free coordinates, so back
-substitution over the integer pivots returns the same rational basis as
-rational elimination.
+``hom_dim_linalg`` counts the solutions in two stages.
+
+1. Union-find.  An equation with at most one nonzero in its column of A_a
+   and at most one in its row of B_a reads ``u x_p = w x_q`` or ``u x_p =
+   0``; every equation of a string module, and of a band module M(w, lambda,
+   1), has this form.  A weighted union-find keeps, per unknown p, its
+   class root and a rational rho_p != 0 with x_p = rho_p x_root.  A
+   one-term equation forces its class to zero; a two-term one merges the
+   two classes with the ratio it fixes, or, if they are already one class
+   whose ratios disagree (a loop arrow, or a band against itself at another
+   lambda), forces that class to zero.  A zero class stays zero through
+   later merges, since every ratio is nonzero.  So the solutions of these
+   equations are exactly the vectors with one free parameter x_root per
+   class not forced to zero: each such class contributes one dimension.
+2. Elimination.  The other equations (a Jordan block of size k >= 2 puts
+   two nonzeros in a column) are rewritten, after every union, over the
+   class roots, x_p = rho_p x_root, with the zero classes dropped; they only
+   constrain the free roots.  They are scaled to ints and eliminated, and
+   dim Hom is the number of free classes minus their rank.
+
+The elimination, also behind ``matrix_rank`` and ``hom_solution_basis``
+(which work on the full system), is fraction free: reducing a row against
+a pivot replaces it by b * row - a * pivot (a, b the two leading
+coefficients over their gcd), divided by its content gcd.  Nonzero
+scalings keep the row space, hence the rank and the pivot columns, and a
+null-space vector is fixed by its free coordinates, so back substitution
+over the integer pivots returns the same rational basis as rational
+elimination.
 
 Injectivity/surjectivity of some intertwiner is decided by maximizing
 matrix ranks at pseudo-random rational points of the solution space, or
@@ -233,15 +255,9 @@ def _check_relations(rep: ExplicitRep) -> None:
             raise OracleError(f"relation {' '.join(r)} acts nonzero")
 
 
-def _hom_system(A: ExplicitRep, B: ExplicitRep):
-    """Sparse integer rows of the system for {f_v} with f_t A_a = B_a f_s
-    per arrow a, one per nonempty equation, the equations of an arrow
-    scaled by the LCM of the denominators in A_a and B_a.
-
-    Unknown (v, r, c) is entry f_v[r][c] of the (B-dim x A-dim) matrix at v.
-    Equation (r, c) of arrow a reads column c of A_a and row r of B_a, so
-    only the pairs where one of the two holds a nonzero are visited.
-    """
+def _layout(A: ExplicitRep, B: ExplicitRep):
+    """Offsets of the unknowns: (v, r, c) is entry f_v[r][c] of the
+    (B-dim x A-dim) matrix at v, and has index offsets[v] + r * adim + c."""
     if (A.vertices, A.arrows, A.relations) != (B.vertices, B.arrows, B.relations):
         raise OracleError("representations live over different algebras")
     adims, bdims = dict(A.dims), dict(B.dims)
@@ -252,8 +268,16 @@ def _hom_system(A: ExplicitRep, B: ExplicitRep):
     for v in A.vertices:
         offsets[v] = total
         total += bdims[v] * adims[v]
+    return offsets, total, adims, bdims
 
-    rows = []
+
+def _equations(A: ExplicitRep, B: ExplicitRep, adims, bdims, offsets):
+    """Per nonempty equation of f_t A_a = B_a f_s: the index of f_t[r][0]
+    with the nonzeros of column c of A_a (times fa), and the index of
+    f_s[0][c] with the nonzeros of row r of B_a (times fb), the equations of
+    an arrow scaled by the LCM fa * aden = fb * bden of the denominators in
+    A_a and B_a.  Only the pairs (r, c) where one side holds a nonzero are
+    visited."""
     for arr in A.arrows:
         s, t = arr.source, arr.target
         aden, acols, _ = A.sparse[arr.name]
@@ -265,25 +289,80 @@ def _hom_system(A: ExplicitRep, B: ExplicitRep):
             bnz = brows.get(r, ())
             base_t = offsets[t] + r * adims[t]
             for c in range(ns) if bnz else acols:
-                row = {base_t + m: fa * v for m, v in acols.get(c, ())}
-                for m, v in bnz:
-                    key = base_s + m * ns + c
-                    nv = row.get(key, 0) - fb * v
-                    if nv:
-                        row[key] = nv
-                    else:  # a loop: f_v[r][c] on both sides cancels
-                        del row[key]
-                if row:
-                    rows.append(row)
+                yield base_t, fa, acols.get(c, ()), base_s + c, ns, fb, bnz
+
+
+def _hom_system(A: ExplicitRep, B: ExplicitRep):
+    """Sparse integer rows of the system for {f_v} with f_t A_a = B_a f_s
+    per arrow a, one per nonempty equation."""
+    offsets, total, adims, bdims = _layout(A, B)
+    rows = []
+    for base_t, fa, anz, base_s, ns, fb, bnz in _equations(A, B, adims, bdims, offsets):
+        row = {base_t + m: fa * v for m, v in anz}
+        for m, v in bnz:
+            key = base_s + m * ns
+            nv = row.get(key, 0) - fb * v
+            if nv:
+                row[key] = nv
+            else:  # a loop: f_v[r][c] on both sides cancels
+                del row[key]
+        if row:
+            rows.append(row)
     return rows, total, offsets, adims, bdims
 
 
 def hom_dim_linalg(A: ExplicitRep, B: ExplicitRep) -> int:
-    """Dimension of Hom(A, B): unknowns minus the rank of the intertwiner
-    system, by exact elimination."""
-    rows, total, *_ = _hom_system(A, B)
+    """Dimension of Hom(A, B): the free stage-1 classes minus the rank of
+    the stage-2 rows (see the module docstring)."""
+    offsets, total, adims, bdims = _layout(A, B)
+    up = {}  # p -> (its parent, x_p / x_parent), for p not a root
+    zeros = set()  # the roots of the classes forced to zero
+    later = []
+
+    def find(p):
+        """The root of p and x_p / x_root, compressing the path."""
+        if p not in up:
+            return p, 1
+        path = []
+        while p in up:
+            path.append(p)
+            p = up[p][0]
+        f = 1
+        for q in reversed(path):
+            f *= up[q][1]
+            up[q] = p, f
+        return p, f
+
+    for base_t, fa, anz, base_s, ns, fb, bnz in _equations(A, B, adims, bdims, offsets):
+        if len(anz) > 1 or len(bnz) > 1:
+            later.append([(base_t + m, fa * v) for m, v in anz]
+                         + [(base_s + m * ns, -fb * v) for m, v in bnz])
+        elif not bnz:
+            zeros.add(find(base_t + anz[0][0])[0])
+        elif not anz:
+            zeros.add(find(base_s + bnz[0][0] * ns)[0])
+        else:
+            rp, fp = find(base_t + anz[0][0])
+            rq, fq = find(base_s + bnz[0][0] * ns)
+            lhs, rhs = fa * anz[0][1] * fp, fb * bnz[0][1] * fq
+            if rp != rq:
+                up[rp] = rq, (1 if lhs == rhs else Fraction(rhs, lhs))
+                if rp in zeros:
+                    zeros.remove(rp)
+                    zeros.add(rq)
+            elif lhs != rhs:
+                zeros.add(rp)
+    classes = total - len(up) - len(zeros)
     pivots: dict[int, tuple[int, dict[int, int]]] = {}
-    return total - sum(_echelon_insert(pivots, row) for row in rows)
+    for terms in later:
+        row: dict = {}
+        for p, v in terms:
+            root, f = find(p)
+            if root not in zeros:
+                row[root] = row.get(root, 0) + v * f
+        den = lcm(*(v.denominator for v in row.values()))
+        classes -= _echelon_insert(pivots, {p: int(v * den) for p, v in row.items() if v})
+    return classes
 
 
 def hom_solution_basis(A: ExplicitRep, B: ExplicitRep):

@@ -249,6 +249,12 @@ DETERMINISM_COMMANDS = (
     ("bricks", "--algebra", str(DATA / "a12tilde.alg"), "--max-len", "8"),
     ("oracle", "hom", "--algebra", str(DATA / "gentle5.alg"),
      "b2 a2- g2", "b2 a2- g2", "--band1", "2", "--band2", "2"),
+    ("oracle", "hom", "--algebra", str(DATA / "gentle5.alg"),
+     "b2 a2- g2", "b2 a2- g2", "--band1=1/3", "--band2=1/3"),
+    ("oracle", "hom", "--algebra", str(DATA / "gentle5.alg"),
+     "b2 a2- g2", "b2 a2- g2", "--band1=-1/2", "--band2=1/3"),
+    ("oracle", "hom", "--algebra", str(DATA / "gentle5.alg"), "b2 a2- g2", "g2", "--band1=2"),
+    ("oracle", "hom", "--algebra", str(DATA / "gentle5.alg"), "b2", "b2 a2- g2", "--band2=2"),
     ("mgs", "enumerate", "--algebra", str(DATA / "a12tilde.alg"),
      "--max-string-len", "8"),
     ("mgs", "check", "--algebra", str(DATA / "mgs5.alg"),

@@ -291,3 +291,38 @@ def test_mgs_check_does_not_load_the_lemma_suite():
         "assert code == 0, code")
     assert "mgslab.mgs" in loaded
     assert "mgslab.lemmas" not in loaded
+
+
+HOM_MACHINERY = ("mgslab.mgs", "mgslab.modules", "mgslab.oracle", "mgslab.words")
+
+
+def test_validate_does_not_load_the_hom_machinery():
+    # `import mgslab.cli` and a command that needs only the presentation and
+    # its axioms compile none of the Hom machinery
+    assert not set(HOM_MACHINERY) & _modules_after("import mgslab.cli")
+    loaded = _modules_after(
+        "import mgslab.cli\n"
+        f"code = mgslab.cli.main(['validate', '--algebra', {str(DATA / 'gentle5.alg')!r}])\n"
+        "assert code == 0, code")
+    assert "mgslab.algebra" in loaded
+    assert not set(HOM_MACHINERY) & loaded
+
+
+G5 = str(DATA / "gentle5.alg")
+
+
+@pytest.mark.parametrize("argv, option, value", [
+    (("module", "band", "--algebra", G5, "b2 a2- g2"), "--lam", "-1/2"),
+    (("oracle", "hom", "--algebra", G5, "b2 a2- g2", "g2"), "--band1", "-1/2"),
+    (("oracle", "hom", "--algebra", G5, "b2", "b2 a2- g2"), "--band2", "-1/2"),
+    (("mgs", "enumerate", "--algebra", A12, "--max-string-len", "6"), "--lambda", "-1/2,2"),
+], ids=["module-band-lam", "oracle-band1", "oracle-band2", "mgs-lambda"])
+def test_spaced_negative_rational_band_parameter(capsys, argv, option, value):
+    # argparse alone reads `-1/2` as an option and exits 2
+    spaced = [*argv, option, value]
+    code, doc = run_cli(capsys, *spaced)
+    assert code == 0
+    assert doc["command"] == spaced
+    code, joined = run_cli(capsys, *argv, f"{option}={value}")
+    assert code == 0
+    assert (doc["payload"], doc["certificate"]) == (joined["payload"], joined["certificate"])

@@ -1,6 +1,7 @@
-"""The integer fraction-free oracle against the rational elimination it
-replaced, kept here as a slow reference: equal Hom dimensions, ranks and
-null-space bases (the same Fraction vectors)."""
+"""The integer oracle against the rational elimination it replaced, kept
+here as a slow reference: equal Hom dimensions (union-find, then fraction
+free elimination), ranks and null-space bases (the same Fraction
+vectors)."""
 
 from fractions import Fraction
 from itertools import product
@@ -17,10 +18,11 @@ from mgslab import (
     string_module,
     to_explicit,
 )
+from mgslab import oracle
 from mgslab.oracle import ExplicitRep, matrix_rank
 
 ALGEBRAS = ("a12tilde", "a2", "double_arrows", "gentle5", "kronecker", "mgs5", "two_loops")
-LAMBDAS = (Fraction(1), Fraction(2), Fraction(1, 2), Fraction(-3))
+LAMBDAS = (Fraction(1), Fraction(2), Fraction(1, 2), Fraction(-3), Fraction(-1), Fraction(1, 3))
 
 _ZERO = Fraction(0)
 
@@ -111,9 +113,11 @@ def ref_hom_solution_basis(A, B):
 
 
 def _assert_same(A, B):
-    assert hom_dim_linalg(A, B) == ref_hom_dim(A, B)
+    dim = hom_dim_linalg(A, B)
+    assert dim == ref_hom_dim(A, B)
     basis, ref = hom_solution_basis(A, B), ref_hom_solution_basis(A, B)
     assert basis == ref
+    assert len(basis) == dim
     for got, want in zip(basis, ref):
         for v in got:
             assert all(type(x) is Fraction for row in got[v] for x in row)
@@ -131,10 +135,10 @@ def test_string_pairs_match_reference(name, data_dir):
 
 
 @pytest.mark.parametrize("name", [n for n in ALGEBRAS if n != "a2"])  # a2 has no bands
-def test_band_modules_match_reference(name, data_dir):
+def test_band_modules_match_reference(name, data_dir, monkeypatch):
     alg = load_algebra(data_dir / f"{name}.alg")
     bands = [to_explicit(band_module(alg, rec.canonical, lam, k))
-             for rec in enumerate_bands(alg, 4) for lam in LAMBDAS for k in (1, 2)]
+             for rec in enumerate_bands(alg, 4) for lam in LAMBDAS for k in (1, 2, 3)]
     strings = [to_explicit(string_module(alg, w)) for w in enumerate_strings(alg, 2)]
     assert bands
     for B in bands:
@@ -143,6 +147,17 @@ def test_band_modules_match_reference(name, data_dir):
             _assert_same(S, B)
         for other in bands:
             _assert_same(B, other)
+    # the rows left to elimination (a Jordan block with k >= 2 puts two
+    # nonzeros in a column) occur among these inputs, so the comparison
+    # above covered that stage of hom_dim_linalg too
+    stage2 = []
+    echelon_insert = oracle._echelon_insert
+    monkeypatch.setattr(oracle, "_echelon_insert",
+                        lambda pivots, row: stage2.append(row) or echelon_insert(pivots, row))
+    for B in bands:
+        for other in bands:
+            hom_dim_linalg(B, other)
+    assert stage2
 
 
 def _F(rows):
