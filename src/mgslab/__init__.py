@@ -12,8 +12,9 @@ _EXPORTS = {
         enumerate_bands enumerate_strings is_band is_directed is_minimal_band
         is_string make_walk maximal_w_substrings parse_walk
         substring_occurrences supported_on""",
-    "modules": """BandModuleRep BrickInfo ModuleError StringModuleRep band_module
-        band_top_socle enumerate_bricks hom_dim is_brick string_module top_socle""",
+    "modules": """BandModuleRep BrickInfo ModuleError StringModuleRep band_end_dim
+        band_module band_top_socle enumerate_bricks hom_dim hom_dim_band_string
+        hom_dim_string_band is_brick string_module top_socle""",
     "oracle": """ExplicitRep OracleError end_dim exists_full_rank_hom hom_dim_linalg
         hom_solution_basis to_explicit""",
 }

@@ -38,9 +38,9 @@ class AlgebraPresentation:
     built: its memos, and every memo keyed on it, would silently go stale.
 
     Vertices and arrows keep their file order.  The presentation owns all
-    that is derived from it: its lookup tables, the substring calculus memo
-    (:attr:`walk_memo`) and the enumerations, explicit representations and
-    oracle Homs (:attr:`memo`).  None of these take part in equality or
+    that is derived from it: its lookup tables, the substring calculus memos
+    (:attr:`walk_memo` for strings, :attr:`band_memo` for bands) and the
+    enumerations (:attr:`memo`).  None of these take part in equality or
     hashing, none refers back to the presentation, and all are freed with it.
     """
 
@@ -180,11 +180,17 @@ class AlgebraPresentation:
         return {}
 
     @cached_property
+    def band_memo(self) -> dict:
+        """Per-band occurrence class counts in the periodic word of the band
+        (:mod:`mgslab.modules`), keyed by band walk: (length bound,
+        quotient counts, submodule counts)."""
+        return {}
+
+    @cached_property
     def memo(self) -> dict:
         """Results derived from this presentation, keyed by a tag and the
-        arguments: the string, band and brick enumerations per length bound,
-        and the oracle's explicit representations and band-module Homs
-        (:mod:`mgslab.mgs`)."""
+        arguments: the string, band and brick enumerations per length
+        bound."""
         return {}
 
     @cached_property

@@ -5,7 +5,8 @@ fingerprint of the normalized algebra, the payload, and a certificate block
 naming pool bounds where one applies.  All numbers are exact (integers, or
 rationals as strings).  Exit codes: 0 success (and, for ``mgs check``, a
 complete-relative verdict); 2 usage error; 3 algebra or input error;
-4 budget exhausted (partial payload still printed).
+4 budget exhausted (partial payload still printed); 141 the reader closed
+standard output early (128 + SIGPIPE), with nothing on standard error.
 
 A handler imports the modules it uses when it runs, so ``validate`` loads
 the presentation and its axioms only, not the Hom machinery.
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .algebra import AlgebraError, load_algebra, validate_axioms, vertex_arrow_count
@@ -24,6 +26,7 @@ EXIT_VERDICT = 1
 EXIT_USAGE = 2
 EXIT_INPUT = 3
 EXIT_BUDGET = 4
+EXIT_PIPE = 141
 
 
 def _walks(ws) -> list[str]:
@@ -65,8 +68,15 @@ def _verdict_payload(v) -> dict:
 
 def _write(doc: dict) -> None:
     # streamed, so a large payload is never held as one string
-    json.dump(doc, sys.stdout, sort_keys=True, indent=2)
-    sys.stdout.write("\n")
+    try:
+        json.dump(doc, sys.stdout, sort_keys=True, indent=2)
+        sys.stdout.write("\n")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: send what is still buffered to devnull, so
+        # that the interpreter's final flush is silent, and exit as SIGPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise SystemExit(EXIT_PIPE)
 
 
 def _emit(args_echo, alg, payload, certificate=None) -> None:
@@ -78,8 +88,8 @@ def _emit(args_echo, alg, payload, certificate=None) -> None:
     })
 
 
-# options whose value is a number or a list of numbers, which may be negative
-_NUMBER_OPTIONS = ("--lam", "--band1", "--band2", "--lambda")
+# options whose value is a number, which may be negative
+_NUMBER_OPTIONS = ("--lam", "--band1", "--band2")
 
 
 def _attach_negative_values(argv: list[str]) -> list[str]:
@@ -103,15 +113,6 @@ def _fraction(text: str):
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise WalkError(f"bad number {text!r}: {exc}")
-
-
-def _parse_lambdas(text: str) -> tuple:
-    vals = tuple(_fraction(tok) for tok in text.split(","))
-    if any(v == 0 for v in vals) or not vals:
-        from .words import WalkError
-
-        raise WalkError("lambda samples must be nonzero")
-    return vals
 
 
 def _require_string_algebra(alg):
@@ -199,7 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
     def pool_args(spp):
         spp.add_argument("--max-string-len", type=_count, required=True)
         spp.add_argument("--band-len", type=_count, default=None)
-        spp.add_argument("--lambda", dest="lambdas", default="1,2")
 
     ge = gsub.add_parser("enumerate", help="enumerate complete sequences")
     alg_arg(ge)
@@ -217,7 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
     gx.add_argument("--method", choices=("simples", "gentle"), required=True)
     gx.add_argument("--max-string-len", type=_count, default=8)
     gx.add_argument("--band-len", type=_count, default=None)
-    gx.add_argument("--lambda", dest="lambdas", default="1,2")
     gx.add_argument("--budget", type=_count, default=None)
 
     sp = sub.add_parser("lemmas", help="lemma property suite")
@@ -344,11 +343,7 @@ def _cmd_oracle(alg, args):
 def _pools_for(alg, args):
     from .mgs import build_brick_pools
 
-    return build_brick_pools(
-        alg, args.max_string_len,
-        lambdas=_parse_lambdas(args.lambdas),
-        band_bound=args.band_len,
-    )
+    return build_brick_pools(alg, args.max_string_len, band_bound=args.band_len)
 
 
 def _cmd_mgs(alg, args):
@@ -492,7 +487,7 @@ def main(argv=None) -> int:
         # input errors; an OracleError means a bug and stays a crash
         _write({"command": argv, "error": str(exc)})
         return EXIT_INPUT
-    except _loaded("mgs.TheoremCounterexample", "mgs.OracleDisagreement") as exc:
+    except _loaded("mgs.TheoremCounterexample") as exc:
         _write({"command": argv, "error": str(exc), "kind": type(exc).__name__})
         return EXIT_VERDICT
 

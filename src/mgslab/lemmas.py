@@ -12,6 +12,7 @@ in the same order, so its tallies do not depend on the sweeps it shares.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from types import SimpleNamespace
 
 from .algebra import AlgebraPresentation
@@ -49,6 +50,9 @@ class CheckResult(SimpleNamespace):
             out["mode"] = self.mode
         return out
 
+
+# the band parameters at which the embedding check builds M(w, lambda, N + 1)
+_LAMBDAS = (Fraction(1), Fraction(2))
 
 # (report attribute, payload key) of each check, in payload order
 _CHECKS = (
@@ -111,7 +115,7 @@ def run_lemma_suite(alg: AlgebraPresentation, max_string_len: int,
     bands = [r.canonical for r in band_records]
 
     report = LemmaSuiteReport({"max_string_len": max_string_len, "band_bound": band_bound,
-                               "lambdas": [str(l) for l in pools.lambdas]})
+                               "lambdas": [str(l) for l in _LAMBDAS]})
 
     if not bands:
         report.notes.append("no bands within bounds; band lemmas are vacuous")
@@ -158,7 +162,7 @@ def run_lemma_suite(alg: AlgebraPresentation, max_string_len: int,
                 chk.satisfied += 1
                 N = -(-gamma.length // w.length)
                 gamma_rep = to_explicit(string_module(alg, gamma))
-                for lam in pools.lambdas:
+                for lam in _LAMBDAS:
                     B = to_explicit(band_module(alg, u, lam, N + 1))
                     seed = probe_seed(alg, "band-embedding", str(gamma), str(u), str(lam))
                     embeds = exists_full_rank_hom(gamma_rep, B, "inj", seed)

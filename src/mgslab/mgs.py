@@ -5,8 +5,10 @@ at the right end, and certifies leaves complete *relative to the pool
 bounds*: band modules never enter (they cannot lie on a maximal green
 sequence) and string bricks supported on the square of a band are kept out
 of the member pool (they cannot either), but both remain available as
-refinement witnesses in the insertion pool, alongside band bricks
-M(w, lambda, 1) probed at sampled lambda values.
+refinement witnesses in the insertion pool, alongside the band bricks
+M(w, lambda, 1).  A band brick is one candidate, not one per lambda: its
+brickhood and its Homs against string modules come from the substring
+calculus and do not depend on lambda.
 
 Dead-prefix pruning.  A candidate c of the insertion pool is insertable
 into a prefix when some gap has every entry before it with Hom(e, c) = 0
@@ -20,38 +22,31 @@ itself out of R, as Hom(c, c) != 0), c stays insertable in every
 extension: every leaf below fails certification and the subtree is cut.
 R does not depend on a required subsequence, which only narrows the
 appends further, so the search emits exactly the sequences of the
-unpruned search, in the same depth-first order.  A band brick takes part
-only while no band's Hom masks differ across the sampled lambdas;
-otherwise band bricks never prune, and a disagreement surfaces at a leaf
-as before.
+unpruned search, in the same depth-first order.
 
 Certification reads the same masks, built on the entries e_1..e_n of the
 sequence.  Candidate c is insertable exactly at the gaps j <= p < f, where
 j is the last entry with Hom(c, e_j) != 0 (0 if none) and f the first with
 Hom(e_f, c) != 0 (n + 1 if none); c is live iff j < f, and its first gap is
 j.  An entry is never insertable again: Hom(c, c) contains the identity, so
-c = e_k gives f <= k <= j.  A band brick has one interval per sampled
-lambda; its first gap open at some lambda must be open at all of them, or
-the lambdas disagree.
+c = e_k gives f <= k <= j.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import NamedTuple
 
 from .algebra import AlgebraPresentation
-from .concurrency import pmap
 from .modules import (
-    band_module,
+    band_end_dim,
     band_peaks_valleys,
     band_top_socle,
     enumerate_bricks,
     hom_dim,
+    hom_dim_band_string,
+    hom_dim_string_band,
     is_brick,
-    string_module,
 )
-from .oracle import hom_dim_linalg, to_explicit
 from .words import (
     BandPool,
     Walk,
@@ -71,60 +66,27 @@ class BudgetExhausted(Exception):
         self.diagnostics = diagnostics
 
 
-class OracleDisagreement(Exception):
-    """Band-brick Hom probes disagreed across lambda samples."""
-
-
 class TheoremCounterexample(Exception):
     """A constructive step the theory guarantees failed on this input."""
-
-
-class BandBrick(NamedTuple):
-    walk: Walk  # canonical band rotation
-    lambdas: tuple[Fraction, ...]
 
 
 class BrickPools(NamedTuple):
     member: tuple[Walk, ...]
     insertion_strings: tuple[Walk, ...]
-    insertion_bands: tuple[BandBrick, ...]
+    insertion_bands: tuple[Walk, ...]  # band bricks M(w, lambda, 1), canonical w
     excluded: tuple[tuple[Walk, Walk], ...]  # (brick, witnessing band)
     max_string_len: int
     band_bound: int
-    lambdas: tuple[Fraction, ...]
 
     def descriptor(self) -> dict:
-        return {
-            "max_string_len": self.max_string_len,
-            "band_bound": self.band_bound,
-            "lambdas": [str(l) for l in self.lambdas],
-        }
-
-
-def _explicit(alg: AlgebraPresentation, w: Walk, lam: Fraction | None):
-    """The oracle's representation of M(w), or of M(w, lam, 1) for a band,
-    built once per presentation."""
-    key = ("rep", w, lam)
-    if key not in alg.memo:
-        module = string_module(alg, w) if lam is None else band_module(alg, w, lam, 1)
-        alg.memo[key] = to_explicit(module)
-    return alg.memo[key]
-
-
-def _oracle_hom(alg: AlgebraPresentation, a: Walk, lam_a, b: Walk, lam_b) -> int:
-    """dim Hom between two modules of ``_explicit``, by the oracle, memoised
-    on the presentation."""
-    key = ("hom", a, lam_a, b, lam_b)
-    if key not in alg.memo:
-        alg.memo[key] = hom_dim_linalg(_explicit(alg, a, lam_a), _explicit(alg, b, lam_b))
-    return alg.memo[key]
+        return {"max_string_len": self.max_string_len, "band_bound": self.band_bound}
 
 
 class HomTable:
-    """Hom dimensions for certification and search.  String Homs go to the
-    calculus, band-module Homs (per lambda) to the oracle; the memos behind
-    both live on the presentation, so a table holds only ``alg``.  Tests
-    subclass it to substitute Homs; such a fake must not write the memos."""
+    """Hom dimensions for certification and search, all by the substring
+    calculus.  Its memos live on the presentation, so a table holds only
+    ``alg``.  Tests subclass it to substitute Homs; such a fake must not
+    write the memos."""
 
     def __init__(self, alg: AlgebraPresentation):
         self.alg = alg
@@ -132,11 +94,11 @@ class HomTable:
     def hom(self, a: Walk, b: Walk) -> int:
         return hom_dim(self.alg, a, b)
 
-    def hom_string_band(self, a: Walk, band: Walk, lam: Fraction) -> int:
-        return _oracle_hom(self.alg, a, None, band, lam)
+    def hom_string_band(self, a: Walk, band: Walk) -> int:
+        return hom_dim_string_band(self.alg, a, band)
 
-    def hom_band_string(self, band: Walk, lam: Fraction, b: Walk) -> int:
-        return _oracle_hom(self.alg, band, lam, b, None)
+    def hom_band_string(self, band: Walk, b: Walk) -> int:
+        return hom_dim_band_string(self.alg, band, b)
 
 
 def is_weakly_fho(alg: AlgebraPresentation, entries, table: HomTable | None = None) -> bool:
@@ -157,18 +119,15 @@ def insertable(alg: AlgebraPresentation, entries, p: int, brick: Walk,
                table: HomTable | None = None) -> bool:
     """Whether inserting the brick after the first p entries keeps the
     sequence weakly FHO; an existing entry is never insertable again."""
-    blocks, needs, _, _, _ = _candidate_masks(entries, (brick,), (),
-                                              table or HomTable(alg))
+    blocks, needs = _candidate_masks(entries, (brick,), (), table or HomTable(alg))
     j, f = _gap_interval(blocks, needs, 1)
     return j <= p < f
 
 
 def _candidate_masks(walks, strings, bands, table: HomTable):
-    """One bit per insertion candidate, the string bricks first, then each
-    band brick once per lambda.  blocks[i] / needs[i] hold the candidates c
-    with Hom(w_i, c) != 0, resp. Hom(c, w_i) != 0.  Also returns the mask of
-    the string bits, each band brick's walk with its per-lambda bits, and
-    whether no band's masks depend on lambda."""
+    """One bit per insertion candidate, the string bricks first, then the
+    band bricks.  blocks[i] / needs[i] hold the candidates c with
+    Hom(w_i, c) != 0, resp. Hom(c, w_i) != 0."""
     blocks = [0] * len(walks)
     needs = [0] * len(walks)
     bit = 1
@@ -179,26 +138,14 @@ def _candidate_masks(walks, strings, bands, table: HomTable):
             if table.hom(c, w) != 0:
                 needs[i] |= bit
         bit <<= 1
-    string_bits = bit - 1
-    band_bits = []
-    lambda_free = True
-    for bb in bands:
-        bits, per_lambda = [], set()
-        for lam in bb.lambdas:
-            fmask = tmask = 0
-            for i, w in enumerate(walks):
-                if table.hom_string_band(w, bb.walk, lam) != 0:
-                    blocks[i] |= bit
-                    fmask |= 1 << i
-                if table.hom_band_string(bb.walk, lam, w) != 0:
-                    needs[i] |= bit
-                    tmask |= 1 << i
-            bits.append(bit)
-            per_lambda.add((fmask, tmask))
-            bit <<= 1
-        lambda_free = lambda_free and len(per_lambda) == 1
-        band_bits.append((bb.walk, tuple(bits)))
-    return blocks, needs, string_bits, band_bits, lambda_free
+    for band in bands:
+        for i, w in enumerate(walks):
+            if table.hom_string_band(w, band) != 0:
+                blocks[i] |= bit
+            if table.hom_band_string(band, w) != 0:
+                needs[i] |= bit
+        bit <<= 1
+    return blocks, needs
 
 
 def _gap_interval(blocks, needs, bit: int) -> tuple[int, int]:
@@ -210,23 +157,15 @@ def _gap_interval(blocks, needs, bit: int) -> tuple[int, int]:
     return j, f
 
 
-def _band_brick_lambdas(alg, w: Walk, lambdas) -> bool:
-    """M(w, lambda, 1) is a brick; sampled lambdas must agree."""
-    dims = [_oracle_hom(alg, w, lam, w, lam) for lam in lambdas]
-    if len(set(dims)) > 1:
-        raise OracleDisagreement(
-            f"End M({w}, lambda, 1) differs across lambda samples: {dims}"
-        )
-    return dims[0] == 1
-
-
 def build_brick_pools(alg: AlgebraPresentation, max_string_len: int,
-                      lambdas=(Fraction(1), Fraction(2)),
-                      band_bound: int | None = None) -> BrickPools:
+                      lambdas=None, band_bound: int | None = None) -> BrickPools:
     """Member pool: string bricks minus everything supported on the square
     of a band.  Insertion pool: all string bricks plus the band bricks
-    M(w, lambda, 1) over the enumerated bands."""
-    lambdas = tuple(Fraction(l) for l in lambdas)
+    M(w, lambda, 1) over the enumerated bands.
+
+    ``lambdas`` is accepted and ignored: no band parameter is sampled, as
+    the calculus gives every lambda at once.  The benchmark's verifier
+    (``perfbench/check.py``) still passes it."""
     if band_bound is None:
         band_bound = max_string_len // 2
     infos = enumerate_bricks(alg, max_string_len)
@@ -236,23 +175,15 @@ def build_brick_pools(alg: AlgebraPresentation, max_string_len: int,
             excluded.append((info.walk, info.band_square_supports[0]))
         else:
             member.append(info.walk)
-    records = enumerate_bands(alg, band_bound)
-    brickhood = pmap(
-        lambda rec: _band_brick_lambdas(alg, rec.canonical, lambdas), records
-    )
-    bands = [
-        BandBrick(rec.canonical, lambdas)
-        for rec, ok in zip(records, brickhood)
-        if ok
-    ]
+    bands = tuple(rec.canonical for rec in enumerate_bands(alg, band_bound)
+                  if band_end_dim(alg, rec.canonical) == 1)
     return BrickPools(
         member=tuple(member),
         insertion_strings=tuple(info.walk for info in infos),
-        insertion_bands=tuple(bands),
+        insertion_bands=bands,
         excluded=tuple(excluded),
         max_string_len=max_string_len,
         band_bound=band_bound,
-        lambdas=lambdas,
     )
 
 
@@ -288,39 +219,28 @@ def is_complete_relative(alg: AlgebraPresentation, entries, pools: BrickPools,
         (e, excluded_map[k]) for e in entries
         if (k := canonical_string(e)) in excluded_map
     )
-    blocks, needs, string_bits, band_bits, _ = _candidate_masks(
-        entries, pools.insertion_strings, pools.insertion_bands, table)
+    strings, bands = pools.insertion_strings, pools.insertion_bands
+    blocks, needs = _candidate_masks(entries, strings, bands, table)
     blocked = dead = 0
     for block, need in zip(blocks, needs):
         blocked |= block
         dead |= need & blocked
 
     # excluded bricks are insertion strings, so they own string bits too
-    string_bit = {w: 1 << k for k, w in enumerate(pools.insertion_strings)}
+    string_bit = {w: 1 << k for k, w in enumerate(strings)}
     blockers = tuple(
         (w, band, _gap_interval(blocks, needs, string_bit[w])[0])
         for w, band in pools.excluded if string_bit[w] & ~dead
     )
 
+    # the first live candidate: a string brick if any, else a band brick
     witness = None
-    live = string_bits & ~dead
+    live = ((1 << (len(strings) + len(bands))) - 1) & ~dead
     if live:
         low = live & -live
-        witness = (pools.insertion_strings[low.bit_length() - 1], False,
+        k = low.bit_length() - 1
+        witness = ((strings + bands)[k], k >= len(strings),
                    _gap_interval(blocks, needs, low)[0])
-    else:
-        for walk, bits in band_bits:
-            # the first gap open at some lambda must be open at every lambda
-            gaps = [_gap_interval(blocks, needs, b) for b in bits]
-            starts = [j for j, f in gaps if j < f]
-            if starts:
-                p = min(starts)
-                if not all(j <= p < f for j, f in gaps):
-                    raise OracleDisagreement(
-                        f"insertability of band brick {walk} at {p} differs across lambdas"
-                    )
-                witness = (walk, True, p)
-                break
 
     present = {e.source for e in entries if e.length == 0}
     missing = tuple(v for v in alg.vertices if v not in present)
@@ -364,6 +284,9 @@ class _Searcher:
     steps, ``blocked |= blocks[i]`` and ``dead |= needs[i] & blocked``.
     """
 
+    # the dead-prefix rule; the tests' unpruned reference switches it off
+    prune = True
+
     def __init__(self, alg, pools: BrickPools, table: HomTable):
         member = list(pools.member)
         self.member = member
@@ -372,14 +295,11 @@ class _Searcher:
         self.simples_mask = sum(1 << i for i, w in enumerate(member) if w.length == 0)
         # members first, so that candidate bit i is member i
         candidates = member + [s for s in pools.insertion_strings if s not in self.index]
-        (self.blocks, self.needs, self.string_bits, self.band_bits,
-         lambda_free) = _candidate_masks(member, candidates, pools.insertion_bands, table)
-        all_cands = self.string_bits + sum(sum(bits) for _, bits in self.band_bits)
+        bands = pools.insertion_bands
+        self.blocks, self.needs = _candidate_masks(member, candidates, bands, table)
+        self.all_cands = (1 << (len(candidates) + len(bands))) - 1
         # spares[i]: the candidates with a zero Hom to w_i
-        self.spares = [all_cands & ~n for n in self.needs]
-        # band bricks prune only if no band's masks depend on lambda, so
-        # that a disagreement still surfaces at a leaf
-        self.prunable = all_cands if lambda_free else self.string_bits
+        self.spares = [self.all_cands & ~n for n in self.needs]
 
     def run(self, *, budget=None, require_subsequence=None,
             stop_at_first=False) -> MgsSearchResult:
@@ -403,36 +323,14 @@ class _Searcher:
         blocks = self.blocks
         needs = self.needs
         spares = self.spares
-        prunable = self.prunable
-        string_bits = self.string_bits
-        band_bits = self.band_bits
+        prune = self.prune
+        all_cands = self.all_cands
         nodes = pruned = 0
         budget_cap = budget if budget is not None else float("inf")
         seq: list[int] = []
 
         class _Done(Exception):
             pass
-
-        def leaf_complete(dead: int) -> bool:
-            if string_bits & ~dead:
-                return False
-            for walk, bits in band_bits:
-                live = [dead & b == 0 for b in bits]
-                if len(set(live)) > 1:
-                    raise OracleDisagreement(
-                        "band-brick insertability differs across lambdas"
-                    )
-                if live[0]:
-                    # no string brick refines this leaf but a band brick does;
-                    # worth surfacing, the theory does not settle the case
-                    diagnostics.append(
-                        "band brick "
-                        + str(walk)
-                        + " is the sole refinement witness for "
-                        + str([str(self.member[i]) for i in seq])
-                    )
-                    return False
-            return True
 
         def rec(used: int, need: int, blocked: int, dead: int):
             nonlocal nodes, pruned
@@ -444,7 +342,7 @@ class _Searcher:
             open_ids = all_mask & ~blocked
             # dead prefix: a live candidate has a zero Hom to every brick
             # that could still be appended
-            closed = prunable & ~dead
+            closed = all_cands & ~dead if prune else 0
             rest = open_ids
             while closed and rest:
                 low = rest & -rest
@@ -473,7 +371,9 @@ class _Searcher:
                 if need < n_required:
                     return
                 if (simples_mask & ~used) == 0:
-                    if leaf_complete(dead):
+                    # complete iff no candidate is live; with the dead-prefix
+                    # rule on, a leaf with a live candidate was cut already
+                    if not all_cands & ~dead:
                         found.append(tuple(seq))
                         if stop_at_first:
                             raise _Done

@@ -3,8 +3,12 @@
 The Hom dimension between two string modules is counted combinatorially:
 located substring occurrences that are quotient-shaped in the source and
 submodule-shaped in the target, matched up to inversion of the common word.
-This count is validated wholesale against the linear-algebra oracle; any
-discrepancy is a build failure, not a tolerance.
+A band module M(b, lambda, 1) enters the same count through the periodic
+word b^infinity, with one start position per period (Krause, *Maps between
+tree and band modules*, 1991): Homs between it and a string module, and its
+endomorphisms, have a basis of such pairs, so their dimensions do not
+depend on lambda.  These counts are validated wholesale against the
+linear-algebra oracle; any discrepancy is a build failure, not a tolerance.
 """
 
 from __future__ import annotations
@@ -168,6 +172,40 @@ def _class_counts(alg: AlgebraPresentation, w: Walk) -> tuple[dict, dict]:
     return counts
 
 
+def _band_counts(alg: AlgebraPresentation, band: Walk, max_len: int) -> tuple[dict, dict]:
+    """(quotient, submodule) occurrence counts, keyed as in ``_class_counts``,
+    of the words of length <= max_len in band^infinity, one start position
+    per period.  Every occurrence has both boundary letters.  Memoised on
+    the algebra, and counted again only for a larger bound."""
+    memo = alg.band_memo
+    hit = memo.get(band)
+    if hit is not None and hit[0] >= max_len:
+        return hit[1], hit[2]
+    if hit is None and not is_band(alg, band):
+        raise ModuleError(f"walk {band} is not a band")
+    n = band.length
+    # a period of starts, the longest word and the letter on either side
+    copies = max_len // n + 3
+    total = n * copies
+    letters, inverse = band.key()[1] * copies, band.inverse().key()[1] * copies
+    quotient: dict = {}
+    submodule: dict = {}
+    for start in range(n, 2 * n):
+        for length in range(max_len + 1):
+            end = start + length
+            left, right = letters[start - 1][1], letters[end][1]  # 0 direct, 1 inverse
+            if left == right:
+                continue
+            if length:
+                key = (length, min(letters[start:end], inverse[total - end : total - start]))
+            else:
+                key = (0, (band.vertices[start - n],))
+            counts = quotient if left else submodule
+            counts[key] = counts.get(key, 0) + 1
+    memo[band] = (max_len, quotient, submodule)
+    return quotient, submodule
+
+
 def hom_dim(alg: AlgebraPresentation, w: Walk, other: Walk) -> int:
     """dim Hom(M(w), M(other)) by the substring calculus.
 
@@ -180,6 +218,29 @@ def hom_dim(alg: AlgebraPresentation, w: Walk, other: Walk) -> int:
     if len(s) < len(q):
         return sum(q.get(key, 0) * n for key, n in s.items())
     return sum(n * s.get(key, 0) for key, n in q.items())
+
+
+def hom_dim_string_band(alg: AlgebraPresentation, w: Walk, band: Walk) -> int:
+    """dim Hom(M(w), M(band, lambda, 1)), the same for every lambda: quotient
+    occurrences in w against submodule occurrences in band^infinity."""
+    s = _band_counts(alg, band, w.length)[1]
+    return sum(n * s.get(key, 0) for key, n in _class_counts(alg, w)[0].items())
+
+
+def hom_dim_band_string(alg: AlgebraPresentation, band: Walk, w: Walk) -> int:
+    """dim Hom(M(band, lambda, 1), M(w)), the same for every lambda."""
+    q = _band_counts(alg, band, w.length)[0]
+    return sum(q.get(key, 0) * n for key, n in _class_counts(alg, w)[1].items())
+
+
+def band_end_dim(alg: AlgebraPresentation, band: Walk) -> int:
+    """dim End M(band, lambda, 1), the same for every lambda: the identity
+    plus the pairs over words shorter than the band.  A band is primitive
+    and no rotation of its inverse, so no longer word is both quotient- and
+    submodule-shaped in band^infinity."""
+    n = band.length
+    q, s = _band_counts(alg, band, n - 1)
+    return 1 + sum(m * s.get(key, 0) for key, m in q.items() if key[0] < n)
 
 
 def is_brick(alg: AlgebraPresentation, w: Walk) -> bool:

@@ -1,7 +1,6 @@
 """Certification on the candidate masks against the walk-level gap scan it
-replaced, kept here as a slow reference: equal Verdicts, equal
-`insertable` at every gap, and OracleDisagreement raised at the same band
-brick and gap when a band's Homs depend on lambda."""
+replaced, kept here as a slow reference: equal Verdicts and equal
+`insertable` at every gap."""
 
 from fractions import Fraction
 
@@ -10,7 +9,6 @@ import pytest
 from mgslab import band_module, hom_dim_linalg, parse_walk, string_module, to_explicit
 from mgslab.mgs import (
     HomTable,
-    OracleDisagreement,
     Verdict,
     build_brick_pools,
     enumerate_mgs,
@@ -40,27 +38,11 @@ def _ref_insertable(entries, p, brick, table):
     return canonical_string(brick).key() not in keys and _ref_gap_open(entries, p, brick, table)
 
 
-def _ref_band_insertable(entries, p, bb, table):
-    """Positional insertability of a band brick, demanding agreement of the
-    decision across every sampled lambda."""
-    decisions = []
-    for lam in bb.lambdas:
-        ok = True
-        for i, e in enumerate(entries, start=1):
-            if i <= p:
-                if table.hom_string_band(e, bb.walk, lam) != 0:
-                    ok = False
-                    break
-            else:
-                if table.hom_band_string(bb.walk, lam, e) != 0:
-                    ok = False
-                    break
-        decisions.append(ok)
-    if len(set(decisions)) > 1:
-        raise OracleDisagreement(
-            f"insertability of band brick {bb.walk} at {p} differs across lambdas"
-        )
-    return decisions[0]
+def _ref_band_insertable(entries, p, band, table):
+    """Hom(e, M(band, lambda, 1)) = 0 for the first p entries and
+    Hom(M(band, lambda, 1), e) = 0 after: one decision for every lambda."""
+    return (all(table.hom_string_band(e, band) == 0 for e in entries[:p])
+            and all(table.hom_band_string(band, e) == 0 for e in entries[p:]))
 
 
 def _ref_is_complete_relative(alg, entries, pools, table):
@@ -84,9 +66,9 @@ def _ref_is_complete_relative(alg, entries, pools, table):
             witness = (w, False, p)
             break
     if witness is None:
-        witness = next(((bb.walk, True, p) for bb in pools.insertion_bands
+        witness = next(((band, True, p) for band in pools.insertion_bands
                         for p in range(len(entries) + 1)
-                        if _ref_band_insertable(entries, p, bb, table)), None)
+                        if _ref_band_insertable(entries, p, band, table)), None)
 
     present = {e.source for e in entries if e.length == 0}
     missing = tuple(v for v in alg.vertices if v not in present)
@@ -115,27 +97,20 @@ class _StringMemo:
             self.string[key] = (a, b, self.table.hom(a, b))
         return self.string[key][2]
 
-    def hom_string_band(self, a, band, lam):
-        return self.table.hom_string_band(a, band, lam)
+    def hom_string_band(self, a, band):
+        return self.table.hom_string_band(a, band)
 
-    def hom_band_string(self, band, lam, b):
-        return self.table.hom_band_string(band, lam, b)
-
-
-def _outcome(certify, *args):
-    try:
-        return certify(*args)
-    except OracleDisagreement as exc:
-        return ("OracleDisagreement", str(exc))
+    def hom_band_string(self, band, b):
+        return self.table.hom_band_string(band, b)
 
 
 def assert_same_certification(alg, sequences, pools, table, bricks=None):
-    """Equal Verdicts (or equal OracleDisagreement messages) on every
-    sequence; equal `insertable` at every gap for each brick in `bricks`."""
+    """Equal Verdicts on every sequence; equal `insertable` at every gap
+    for each brick in `bricks`."""
     ref_table = _StringMemo(table)
     for seq in sequences:
-        got = _outcome(is_complete_relative, alg, seq, pools, table)
-        want = _outcome(_ref_is_complete_relative, alg, seq, pools, ref_table)
+        got = is_complete_relative(alg, seq, pools, table)
+        want = _ref_is_complete_relative(alg, seq, pools, ref_table)
         assert got == want, [str(w) for w in seq]
         for brick in bricks or ():
             for p in range(len(seq) + 1):
@@ -223,49 +198,26 @@ def test_emitted_sequences(request, name, max_len, count):
     assert_same_certification(alg, sequences, pools, table, bricks=pools.insertion_strings)
 
 
-class _LambdaDependent(HomTable):
-    """Band-to-string Homs that vanish at lambda 2 wherever `vanish` says so,
-    so that a band brick's gaps differ between the sampled lambdas."""
+class _NoBandToString(HomTable):
+    """A fake that substitutes Homs: every band brick maps to no string."""
 
-    def __init__(self, alg, vanish):
-        super().__init__(alg)
-        self.vanish = vanish
-
-    def hom_band_string(self, band, lam, b):
-        if lam == Fraction(2) and self.vanish(b):
-            return 0
-        return super().hom_band_string(band, lam, b)
-
-
-@pytest.mark.parametrize("vanish", [
-    lambda b: True,
-    lambda b: b.length == 0,
-    lambda b: b.length > 0,
-], ids=["all", "simples", "non-simples"])
-def test_lambda_dependent_band_homs(kronecker, vanish):
-    pools = build_brick_pools(kronecker, 4)
-    table = _LambdaDependent(kronecker, vanish)
-    sequences = weakly_fho_sequences(pools, HomTable(kronecker))
-    outcomes = [_outcome(is_complete_relative, kronecker, s, pools, table)
-                for s in sequences]
-    # a Verdict is a named tuple, so tell the disagreements apart by type
-    assert any(not isinstance(o, Verdict) for o in outcomes)
-    assert_same_certification(kronecker, sequences, pools, table)
+    def hom_band_string(self, band, b):
+        return 0
 
 
 def test_fake_homs_leave_the_presentation_memos_clean(kronecker):
-    """The band-Hom memo is shared by every table on the presentation, so a
+    """The band-count memo is shared by every table on the presentation, so a
     fake table that substitutes Homs must not write it."""
     pools = build_brick_pools(kronecker, 4)
-    fake = _LambdaDependent(kronecker, lambda b: True)
-    sequences = weakly_fho_sequences(pools, HomTable(kronecker))
-    for seq in sequences:
-        _outcome(is_complete_relative, kronecker, seq, pools, fake)
-    table = HomTable(kronecker)
-    for bb in pools.insertion_bands:
-        for lam in bb.lambdas:
-            band = to_explicit(band_module(kronecker, bb.walk, lam, 1))
+    table, fake = HomTable(kronecker), _NoBandToString(kronecker)
+    sequences = weakly_fho_sequences(pools, table)
+    faked = [is_complete_relative(kronecker, seq, pools, fake) for seq in sequences]
+    assert faked != [is_complete_relative(kronecker, seq, pools, table) for seq in sequences]
+    assert pools.insertion_bands
+    for band in pools.insertion_bands:
+        for lam in (Fraction(1), Fraction(2)):
+            rep_band = to_explicit(band_module(kronecker, band, lam, 1))
             for w in pools.insertion_strings:
                 rep = to_explicit(string_module(kronecker, w))
-                assert table.hom_band_string(bb.walk, lam, w) == hom_dim_linalg(band, rep)
-                assert table.hom_string_band(w, bb.walk, lam) == hom_dim_linalg(rep, band)
+                assert table.hom_band_string(band, w) == hom_dim_linalg(rep_band, rep)
+                assert table.hom_string_band(w, band) == hom_dim_linalg(rep, rep_band)

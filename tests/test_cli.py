@@ -229,9 +229,14 @@ A12 = str(DATA / "a12tilde.alg")
     ("lemmas", "run", "--algebra", A12, "--max-len", "-1"),
     ("mgs", "exists", "--algebra", A12, "--method", "simples", "--band-len", "-2"),
     ("mgs", "enumerate", "--algebra", A12, "--max-string-len", "6", "--budget", "-1"),
+    # no band parameter is sampled: the mgs commands take no --lambda
+    ("mgs", "enumerate", "--algebra", A12, "--max-string-len", "6", "--lambda", "1,2"),
+    ("mgs", "check", "--algebra", A12, "--max-string-len", "6", "--sequence",
+     str(DATA / "mgs5_sequence.txt"), "--lambda", "-1/2,2"),
+    ("mgs", "exists", "--algebra", A12, "--method", "simples", "--lambda", "2"),
 ], ids=["missing-subcommand", "enumerate-negative-string-len", "strings-negative-len",
         "bands-negative-len", "lemmas-negative-len", "exists-negative-band-len",
-        "enumerate-negative-budget"])
+        "enumerate-negative-budget", "enumerate-lambda", "check-lambda", "exists-lambda"])
 def test_usage_error_exit_two(capsys, argv):
     assert main(list(argv)) == 2
     assert capsys.readouterr().out == ""
@@ -256,16 +261,22 @@ def test_no_environment_setting():
     assert readers == []
 
 
-def _modules_after(code: str) -> set[str]:
-    """Modules loaded in a fresh interpreter after running code, which
-    prints nothing to stderr; mgslab is importable as in this process."""
+def _child_env() -> dict:
+    """The environment of a fresh interpreter that imports mgslab as this
+    process does."""
     import mgslab
 
     src = os.path.dirname(os.path.dirname(mgslab.__file__))
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+
+
+def _modules_after(code: str) -> set[str]:
+    """Modules loaded in a fresh interpreter after running code, which
+    prints nothing to stderr."""
     probe = code + "\nimport sys\nsys.stderr.write(' '.join(sys.modules))\n"
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=path), check=True)
+                          env=_child_env(), check=True)
     return set(proc.stderr.split())
 
 
@@ -308,6 +319,40 @@ def test_validate_does_not_load_the_hom_machinery():
     assert not set(HOM_MACHINERY) & loaded
 
 
+KRONECKER = str(DATA / "kronecker.alg")
+
+
+@pytest.mark.parametrize("argv", [
+    ["mgs", "enumerate", "--algebra", KRONECKER, "--max-string-len", "8"],
+    ["mgs", "check", "--algebra", KRONECKER, "--max-string-len", "4",
+     "--sequence", str(DATA / "kronecker_band_witness.txt")],
+    ["mgs", "exists", "--algebra", KRONECKER, "--method", "gentle", "--max-string-len", "6"],
+], ids=["enumerate", "check", "exists"])
+def test_mgs_does_not_load_the_oracle(argv):
+    # the kronecker band a b- is a band brick: its Homs and its brickhood
+    # come from the substring calculus, not from the linear-algebra oracle
+    loaded = _modules_after(
+        "import mgslab.cli\n"
+        f"code = mgslab.cli.main({argv!r})\n"
+        "assert code in (0, 1), code")
+    assert "mgslab.mgs" in loaded
+    assert "mgslab.oracle" not in loaded
+
+
+def test_closed_stdout_exits_141_quietly():
+    # the reader takes a few bytes of a large document and goes away
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "mgslab.cli", "mgs", "enumerate", "--algebra",
+         str(DATA / "mgs5.alg"), "--max-string-len", "8"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env())
+    assert proc.stdout.read(100)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 141
+    assert err == b""
+
+
 G5 = str(DATA / "gentle5.alg")
 
 
@@ -315,8 +360,7 @@ G5 = str(DATA / "gentle5.alg")
     (("module", "band", "--algebra", G5, "b2 a2- g2"), "--lam", "-1/2"),
     (("oracle", "hom", "--algebra", G5, "b2 a2- g2", "g2"), "--band1", "-1/2"),
     (("oracle", "hom", "--algebra", G5, "b2", "b2 a2- g2"), "--band2", "-1/2"),
-    (("mgs", "enumerate", "--algebra", A12, "--max-string-len", "6"), "--lambda", "-1/2,2"),
-], ids=["module-band-lam", "oracle-band1", "oracle-band2", "mgs-lambda"])
+], ids=["module-band-lam", "oracle-band1", "oracle-band2"])
 def test_spaced_negative_rational_band_parameter(capsys, argv, option, value):
     # argparse alone reads `-1/2` as an option and exits 2
     spaced = [*argv, option, value]

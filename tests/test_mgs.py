@@ -103,12 +103,12 @@ def test_build_brick_pools_a12(a12tilde):
     assert "a b2- b1- a b2- b1-" not in member
     insertion = {str(w) for w in pools.insertion_strings}
     assert "a b2- b1- a b2- b1-" in insertion
-    assert [str(b.walk) for b in pools.insertion_bands] == ["a b2- b1-"]
+    assert [str(b) for b in pools.insertion_bands] == ["a b2- b1-"]
 
 
 def test_build_brick_pools_gentle5_band_bricks(gentle5):
     pools = build_brick_pools(gentle5, 9, band_bound=4)
-    names = [str(b.walk) for b in pools.insertion_bands]
+    names = [str(b) for b in pools.insertion_bands]
     assert "a1 g1- b1-" in names and "a2 b2- g2-" in names
 
 
@@ -347,9 +347,7 @@ class _Unpruned(_Searcher):
     """Reference search: the same DFS with the dead-prefix rule switched
     off, so every prefix runs to a leaf and is certified there."""
 
-    def __init__(self, *args):
-        super().__init__(*args)
-        self.prunable = 0
+    prune = False
 
 
 def pruned_and_reference(alg, pools, **kwargs):
@@ -371,6 +369,19 @@ def test_pruning_keeps_emitted_sequences(request, name, max_len, nodes, referenc
     assert pruned.diagnostics == reference.diagnostics == ()
     assert (pruned.nodes, reference.nodes) == (nodes, reference_nodes)
     assert pruned.pruned > 0 and reference.pruned == 0
+
+
+def test_band_brick_refines_and_prunes(a12tilde):
+    # strings up to length 4 leave 48 chains that only the band brick
+    # M(a b2- b1-, lambda, 1) refines: one candidate, for every lambda
+    pools = build_brick_pools(a12tilde, 4, band_bound=3)
+    assert [str(b) for b in pools.insertion_bands] == ["a b2- b1-"]
+    pruned, reference = pruned_and_reference(a12tilde, pools)
+    assert pruned.sequences == reference.sequences
+    assert (pruned.nodes, pruned.pruned) == (114, 56)
+    assert pruned.sequences == enumerate_mgs(a12tilde, build_brick_pools(a12tilde, 12)).sequences
+    without = enumerate_mgs(a12tilde, pools._replace(insertion_bands=()))
+    assert len(without.sequences) == 53
 
 
 @pytest.mark.parametrize("name, max_len, method", [
@@ -450,7 +461,7 @@ def test_dropped_presentation_is_freed_without_the_cycle_collector(data_dir):
         pools = build_brick_pools(alg, 6)
         assert enumerate_mgs(alg, pools).sequences
         assert run_lemma_suite(alg, 6, mgs_budget=50_000).total_counterexamples == 0
-        assert any(key[0] == "rep" for key in alg.memo)
+        assert alg.memo and alg.walk_memo and alg.band_memo
         ref = weakref.ref(alg)
         del alg
         assert ref() is None

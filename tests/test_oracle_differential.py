@@ -1,7 +1,8 @@
 """The integer oracle against the rational elimination it replaced, kept
 here as a slow reference: equal Hom dimensions (union-find, then fraction
 free elimination), ranks and null-space bases (the same Fraction
-vectors)."""
+vectors).  And the substring calculus for band modules against the oracle
+at sampled band parameters."""
 
 from fractions import Fraction
 from itertools import product
@@ -9,10 +10,13 @@ from itertools import product
 import pytest
 
 from mgslab import (
+    band_end_dim,
     band_module,
     enumerate_bands,
     enumerate_strings,
+    hom_dim_band_string,
     hom_dim_linalg,
+    hom_dim_string_band,
     hom_solution_basis,
     load_algebra,
     string_module,
@@ -158,6 +162,24 @@ def test_band_modules_match_reference(name, data_dir, monkeypatch):
         for other in bands:
             hom_dim_linalg(B, other)
     assert stage2
+
+
+@pytest.mark.parametrize("name", [n for n in ALGEBRAS if n != "a2"])
+def test_band_calculus_matches_the_oracle_at_every_sampled_lambda(name, data_dir):
+    # Homs between string modules and M(b, lambda, 1), and End M(b, lambda, 1),
+    # do not depend on lambda: the calculus reads no lambda and must equal
+    # the oracle at each sampled value, brick or not
+    alg = load_algebra(data_dir / f"{name}.alg")
+    bands = [rec.canonical for rec in enumerate_bands(alg, 8)]
+    strings = [(w, to_explicit(string_module(alg, w))) for w in enumerate_strings(alg, 8)]
+    assert bands
+    for b in bands:
+        for lam in (Fraction(1), Fraction(2), Fraction(-1, 2)):
+            B = to_explicit(band_module(alg, b, lam, 1))
+            assert band_end_dim(alg, b) == hom_dim_linalg(B, B), (str(b), lam)
+            for w, S in strings:
+                assert hom_dim_string_band(alg, w, b) == hom_dim_linalg(S, B), (str(w), str(b), lam)
+                assert hom_dim_band_string(alg, b, w) == hom_dim_linalg(B, S), (str(b), str(w), lam)
 
 
 def _F(rows):

@@ -7,11 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mgslab import (
+    band_end_dim,
+    band_module,
     canonical_string,
     enumerate_bands,
     enumerate_strings,
     hom_dim,
+    hom_dim_band_string,
     hom_dim_linalg,
+    hom_dim_string_band,
     is_directed,
     is_string,
     load_algebra,
@@ -48,6 +52,7 @@ def random_string(alg, seed: int, max_len: int = 8) -> Walk:
 
 algebra_names = st.sampled_from(sorted(ALGEBRAS))
 seeds = st.integers(min_value=0, max_value=10**9)
+nonzero_lambdas = st.fractions(min_value=-7, max_value=7, max_denominator=9).filter(bool)
 
 
 @given(algebra_names, seeds)
@@ -110,6 +115,22 @@ def test_hom_dim_invariant_under_inversion(name, s1, s2):
     base = hom_dim(alg, a, b)
     assert hom_dim(alg, a.inverse(), b) == base
     assert hom_dim(alg, a, b.inverse()) == base
+
+
+@given(algebra_names, seeds, seeds, nonzero_lambdas)
+@settings(max_examples=80, deadline=None)
+def test_band_calculus_matches_oracle_at_random_lambda(name, s1, s2, lam):
+    # the calculus reads no lambda; the oracle builds M(b, lambda, 1) at a
+    # random nonzero rational, for a band in a random rotation and direction
+    alg = ALGEBRAS[name]
+    rng = random.Random(s2)
+    band = rng.choice(rng.choice(enumerate_bands(alg, 6)).canonical.rotations)
+    w = random_string(alg, s1, 6)
+    B = to_explicit(band_module(alg, band, lam, 1))
+    S = to_explicit(string_module(alg, w))
+    assert hom_dim_string_band(alg, w, band) == hom_dim_linalg(S, B)
+    assert hom_dim_band_string(alg, band, w) == hom_dim_linalg(B, S)
+    assert band_end_dim(alg, band) == hom_dim_linalg(B, B)
 
 
 def test_square_strings_are_band_powers():

@@ -33,7 +33,6 @@ A_B2 = _walk("Letter(arrow='a', sign=1), Letter(arrow='b2', sign=-1)", "('1', '2
 A_B1 = _walk("Letter(arrow='a', sign=-1), Letter(arrow='b1', sign=1)", "('2', '1', '3')")
 B1_B2 = _walk("Letter(arrow='b1', sign=1), Letter(arrow='b2', sign=1)", "('1', '3', '2')")
 STRINGS = f"({E1}, {E2}, {E3}, {A}, {B1}, {B2}, {A_B2}, {A_B1}, {B1_B2})"
-LAMBDAS = "(Fraction(1, 1), Fraction(2, 1))"
 BAND = ("Walk(letters=(Letter(arrow='a', sign=1), Letter(arrow='b2', sign=-1),"
         " Letter(arrow='b1', sign=-1)), vertices=('1', '2', '3', '1'))")
 
@@ -46,8 +45,7 @@ def test_reprs(a12tilde):
     pools = build_brick_pools(a12tilde, 2, band_bound=3)
     assert repr(pools) == (
         f"BrickPools(member={STRINGS}, insertion_strings={STRINGS},"
-        f" insertion_bands=(BandBrick(walk={BAND}, lambdas={LAMBDAS}),), excluded=(),"
-        f" max_string_len=2, band_bound=3, lambdas={LAMBDAS})")
+        f" insertion_bands=({BAND},), excluded=(), max_string_len=2, band_bound=3)")
     verdict = is_complete_relative(
         a12tilde, (parse_walk(a12tilde, "e:1"), parse_walk(a12tilde, "b1")),
         build_brick_pools(a12tilde, 3))
@@ -55,7 +53,7 @@ def test_reprs(a12tilde):
         f"Verdict(kind='refinable', witness_brick={E2}, witness_is_band=False,"
         " witness_position=0, missing_simples=('2', '3'), banned_entries=(),"
         " band_square_blockers=(), pool_descriptor={'max_string_len': 3,"
-        " 'band_bound': 1, 'lambdas': ['1', '2']})")
+        " 'band_bound': 1})")
 
 
 def test_equal_presentations_stay_equal_after_memos_fill():
