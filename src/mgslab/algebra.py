@@ -101,13 +101,6 @@ class AlgebraPresentation:
         return max((len(r) for r in self.minimal_relations), default=2)
 
     @cached_property
-    def _relations_by_length(self) -> dict[int, frozenset[tuple[str, ...]]]:
-        table: dict[int, set[tuple[str, ...]]] = {}
-        for r in self.relations:
-            table.setdefault(len(r), set()).add(r)
-        return {k: frozenset(v) for k, v in table.items()}
-
-    @cached_property
     def outgoing(self) -> dict[str, tuple[Arrow, ...]]:
         table: dict[str, list[Arrow]] = {v: [] for v in self.vertices}
         for a in self.arrows:
@@ -126,26 +119,40 @@ class AlgebraPresentation:
 
         For a monomial ideal this is exactly membership of the path in I.
         """
-        n = len(path)
-        for length, rels in self._relations_by_length.items():
-            if length > n:
-                continue
-            for i in range(n - length + 1):
-                if tuple(path[i : i + length]) in rels:
-                    return True
-        return False
+        return self.contains_forbidden(tuple((a, 0) for a in path))
 
-    def path_suffix_hits_relation(self, path: Sequence[str]) -> bool:
-        """True iff some relation occurs as a suffix of the path.
+    @cached_property
+    def forbidden_factors(self) -> frozenset[tuple[tuple[str, int], ...]]:
+        """The factors that no string contains, in walk-key letters
+        (arrow, 0 direct | 1 inverse): each backtrack, each minimal relation
+        in direct letters, and each minimal relation read backwards in
+        inverse letters.  A longer relation contains a minimal one, so the
+        longest factor has length :attr:`max_relation_length`."""
+        out = set()
+        for a in self.arrows:
+            out.add(((a.name, 0), (a.name, 1)))
+            out.add(((a.name, 1), (a.name, 0)))
+        for r in self.minimal_relations:
+            out.add(tuple((a, 0) for a in r))
+            out.add(tuple((a, 1) for a in reversed(r)))
+        return frozenset(out)
 
-        Used during incremental extension: growing a relation-free path by one
-        arrow can only create a violation ending at the new arrow.
-        """
-        n = len(path)
-        for length, rels in self._relations_by_length.items():
-            if length <= n and tuple(path[n - length :]) in rels:
-                return True
-        return False
+    def ends_in_forbidden(self, keys: tuple[tuple[str, int], ...]) -> bool:
+        """True iff a forbidden factor is a suffix of the walk-key letters.
+
+        Growing a walk by one letter can only create a forbidden factor
+        that ends at the new letter."""
+        n, forbidden = len(keys), self.forbidden_factors
+        return any(keys[n - k:] in forbidden
+                   for k in range(2, min(n, self.max_relation_length) + 1))
+
+    def contains_forbidden(self, keys: tuple[tuple[str, int], ...]) -> bool:
+        """True iff a forbidden factor occurs anywhere in the walk-key
+        letters; linear in their number."""
+        n, forbidden = len(keys), self.forbidden_factors
+        return any(keys[i:i + k] in forbidden
+                   for k in range(2, self.max_relation_length + 1)
+                   for i in range(n - k + 1))
 
     @cached_property
     def minimal_relations(self) -> tuple[tuple[str, ...], ...]:
@@ -281,34 +288,19 @@ def _unbounded_path_witness(alg: AlgebraPresentation) -> str | None:
     cycle.
     """
     window = max(alg.max_relation_length - 1, 1)
-
-    states: list[tuple[str, ...]] = []
-
-    def grow(path: list[str]):
-        if len(path) == window:
-            states.append(tuple(path))
-            return
-        tail = alg.arrow_map[path[-1]].target if path else None
-        for a in alg.arrows:
-            if tail is not None and a.source != tail:
-                continue
-            path.append(a.name)
-            if not alg.path_suffix_hits_relation(path):
-                grow(path)
-            path.pop()
-
-    grow([])
-    state_set = set(states)
-    succ: dict[tuple[str, ...], list[tuple[str, ...]]] = {s: [] for s in states}
+    # paths as direct walk-key letters, grown level by level in arrow order
+    states = [((a.name, 0),) for a in alg.arrows]
+    for _ in range(window - 1):
+        states = [s + ((b.name, 0),) for s in states
+                  for b in alg.outgoing[alg.arrow_map[s[-1][0]].target]
+                  if not alg.ends_in_forbidden(s + ((b.name, 0),))]
+    # a state followed by a letter is relation-free, so its tail is a state
+    succ: dict[tuple, list[tuple]] = {s: [] for s in states}
     for s in states:
-        end = alg.arrow_map[s[-1]].target
-        for a in alg.outgoing[end]:
-            extended = s + (a.name,)
-            if alg.path_suffix_hits_relation(extended):
-                continue
-            nxt = extended[1:]
-            if nxt in state_set:
-                succ[s].append(nxt)
+        for a in alg.outgoing[alg.arrow_map[s[-1][0]].target]:
+            extended = s + ((a.name, 0),)
+            if not alg.ends_in_forbidden(extended):
+                succ[s].append(extended[1:])
 
     WHITE, GRAY, BLACK = 0, 1, 2
     color = {s: WHITE for s in states}
@@ -322,7 +314,7 @@ def _unbounded_path_witness(alg: AlgebraPresentation) -> str | None:
             advanced = False
             for nxt in it:
                 if color[nxt] == GRAY:
-                    return " ".join(nxt)
+                    return " ".join(arrow for arrow, _ in nxt)
                 if color[nxt] == WHITE:
                     color[nxt] = GRAY
                     stack.append((nxt, iter(succ[nxt])))

@@ -375,7 +375,7 @@ def _cmd_mgs(alg, args):
             "excluded": [
                 {"brick": str(b), "band": str(w)} for b, w in pools.excluded
             ],
-            "notes": sorted(set(result.diagnostics)),
+            "notes": [],
         }
         if contains is not None:
             payload["contains"] = _walks(contains)
@@ -395,8 +395,8 @@ def _cmd_mgs(alg, args):
             code = EXIT_VERDICT
         return payload, pools.descriptor(), code
     # exists
-    bound = args.band_len if args.band_len is not None else args.max_string_len // 2
-    pool = band_pool(alg, bound)
+    pools = _pools_for(alg, args)
+    pool = band_pool(alg, pools.band_bound)
     if args.method == "simples":
         res = simple_order_socle_first(alg, pool)
         payload = {
@@ -416,7 +416,6 @@ def _cmd_mgs(alg, args):
             "order": list(res.order),
         }
         order = res.order
-    pools = _pools_for(alg, args)
     completed = complete_from_prefix(alg, pools, order, budget=args.budget)
     payload["completed"] = None if completed is None else _walks(completed)
     return payload, pools.descriptor()

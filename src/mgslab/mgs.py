@@ -58,12 +58,11 @@ from .words import (
 class BudgetExhausted(Exception):
     """Search ran out of node budget; carries whatever was found."""
 
-    def __init__(self, partial, nodes, pruned=0, diagnostics=()):
+    def __init__(self, partial, nodes, pruned=0):
         super().__init__(f"node budget exhausted after {nodes} nodes")
         self.partial = partial
         self.nodes = nodes
         self.pruned = pruned
-        self.diagnostics = diagnostics
 
 
 class TheoremCounterexample(Exception):
@@ -264,7 +263,6 @@ def is_complete_relative(alg: AlgebraPresentation, entries, pools: BrickPools,
 class MgsSearchResult(NamedTuple):
     sequences: tuple[tuple[Walk, ...], ...]
     nodes: int
-    diagnostics: tuple[str, ...] = ()
     pruned: int = 0
 
 
@@ -315,11 +313,9 @@ class _Searcher:
             required_mask |= 1 << self.index[c]
         n_required = len(required)
         found: list[tuple[int, ...]] = []
-        diagnostics: list[str] = []
         all_mask = (1 << self.m) - 1
-        simples_mask = self.simples_mask
         # a still-owed simple or required entry must stay appendable
-        owed_mask = simples_mask | required_mask
+        owed_mask = self.simples_mask | required_mask
         blocks = self.blocks
         needs = self.needs
         spares = self.spares
@@ -370,19 +366,14 @@ class _Searcher:
             if not appended and seq:
                 if need < n_required:
                     return
-                if (simples_mask & ~used) == 0:
-                    # complete iff no candidate is live; with the dead-prefix
-                    # rule on, a leaf with a live candidate was cut already
-                    if not all_cands & ~dead:
-                        found.append(tuple(seq))
-                        if stop_at_first:
-                            raise _Done
-                elif not required:
-                    # cannot happen: an unblocked missing simple is appendable
-                    diagnostics.append(
-                        "leaf missing simples despite no appendable brick: "
-                        + str([str(self.member[i]) for i in seq])
-                    )
+                # every simple is used: an unused one is blocked, and cut
+                # above, or open, and appended.  So the leaf is complete iff
+                # no candidate is live; with the dead-prefix rule on, a leaf
+                # with a live candidate was cut already
+                if not all_cands & ~dead:
+                    found.append(tuple(seq))
+                    if stop_at_first:
+                        raise _Done
 
         old_limit = sys.getrecursionlimit()
         sys.setrecursionlimit(max(old_limit, self.m * 50 + 1000))
@@ -401,8 +392,8 @@ class _Searcher:
         found.sort(key=lambda ids: [rank[i] for i in ids])
         sequences = tuple(tuple(self.member[i] for i in ids) for ids in found)
         if budget_hit:
-            raise BudgetExhausted(sequences, nodes, pruned, tuple(diagnostics))
-        return MgsSearchResult(sequences, nodes, tuple(diagnostics), pruned)
+            raise BudgetExhausted(sequences, nodes, pruned)
+        return MgsSearchResult(sequences, nodes, pruned)
 
 
 def enumerate_mgs(alg: AlgebraPresentation, pools: BrickPools, *,

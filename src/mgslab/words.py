@@ -2,7 +2,12 @@
 
 A walk is a composable word in arrows and inverse arrows.  A string is a
 walk with no immediate backtracking such that neither the walk nor its
-inverse contains a relation as a directed subpath.  Bands are primitive
+inverse contains a relation as a directed subpath.  In the walk's key
+letters (arrow, 0 direct | 1 inverse) that is one rule: no forbidden factor
+occurs, a factor being a backtrack, a minimal relation in direct letters, or
+a minimal relation read backwards in inverse letters
+(``AlgebraPresentation.forbidden_factors``).  Growing a string by a letter
+need only test the factors that end in it.  Bands are primitive
 cyclic strings all of whose powers are strings; they are identified up to
 rotation and inversion.  Nothing reassigns a walk; walks compare, hash and
 sort by their key (``Walk.key``), and enumerations are memoised on ``alg.memo``.
@@ -176,36 +181,14 @@ def parse_walk(alg: AlgebraPresentation, text: str) -> Walk:
     return make_walk(alg, letters)
 
 
-def _directed_runs(w: Walk) -> Iterator[tuple[int, list[str]]]:
-    """Maximal same-sign runs as (sign, arrow path in arrow direction)."""
-    i = 0
-    while i < w.length:
-        sign = w.letters[i].sign
-        j = i
-        while j + 1 < w.length and w.letters[j + 1].sign == sign:
-            j += 1
-        arrows = [l.arrow for l in w.letters[i : j + 1]]
-        if sign < 0:
-            arrows.reverse()
-        yield sign, arrows
-        i = j + 1
-
-
 def is_string(alg: AlgebraPresentation, w: Walk) -> bool:
-    """Conditions (1) and (2): no backtracking and no relation subpath in
-    the walk or its inverse.  Length-0 walks are always strings."""
+    """Conditions (1) and (2): no forbidden factor (backtrack, or relation
+    in a direct or inverse run) in the walk's key letters.  Walks of length
+    0 and 1 have no factor long enough and are always strings."""
     for l in w.letters:
         if l.arrow not in alg.arrow_map:
             raise WalkError(f"unknown arrow {l.arrow!r}")
-    if w.length == 0:
-        return True
-    for a, b in zip(w.letters, w.letters[1:]):
-        if b == a.inverse():
-            return False
-    for _sign, arrows in _directed_runs(w):
-        if alg.path_contains_relation(arrows):
-            return False
-    return True
+    return w.length < 2 or not alg.contains_forbidden(w.key()[1])
 
 
 def canonical_string(w: Walk) -> Walk:
@@ -215,37 +198,17 @@ def canonical_string(w: Walk) -> Walk:
 
 
 def _extensions(alg: AlgebraPresentation, w: Walk) -> Iterator[Letter]:
-    """Letters that extend a string on the right to a longer string."""
-    end = w.target
-    last = w.letters[-1] if w.letters else None
-    for a in alg.outgoing[end]:
-        cand = Letter(a.name, +1)
-        if last is not None and cand == last.inverse():
-            continue
-        yield cand
-    for a in alg.incoming[end]:
-        cand = Letter(a.name, -1)
-        if last is not None and cand == last.inverse():
-            continue
-        yield cand
+    """Letters that compose with w on the right, the backtrack included."""
+    for a in alg.outgoing[w.target]:
+        yield Letter(a.name, +1)
+    for a in alg.incoming[w.target]:
+        yield Letter(a.name, -1)
 
 
 def _extended_is_string(alg: AlgebraPresentation, w: Walk, letter: Letter) -> Walk | None:
-    """Append one letter, checking only the suffix runs for new relations."""
+    """Append one letter to a string; only factors ending in it are new."""
     new = Walk(w.letters + (letter,), w.vertices + (letter_endpoints(alg, letter)[1],))
-    sign = letter.sign
-    i = new.length - 1
-    while i - 1 >= 0 and new.letters[i - 1].sign == sign:
-        i -= 1
-    arrows = [l.arrow for l in new.letters[i:]]
-    if sign < 0:
-        arrows.reverse()
-        if alg.path_contains_relation(arrows):
-            return None
-    else:
-        if alg.path_suffix_hits_relation(arrows):
-            return None
-    return new
+    return None if alg.ends_in_forbidden(new.key()[1]) else new
 
 
 def _all_string_walks(alg: AlgebraPresentation, max_len: int) -> tuple[Walk, ...]:
@@ -342,28 +305,18 @@ def _occurs_in(haystack: tuple[Letter, ...], needle: tuple[Letter, ...]) -> bool
 def is_minimal_band(alg: AlgebraPresentation, w: Walk, pool: BandPool) -> bool:
     """No rotation/inversion of w contains v^k, k >= 2, for a shorter band v.
 
-    The pool must cover all bands of length <= floor(len(w)/2); any power
-    occurring in a rotation of w shows up in the doubled word w w.
+    The pool must cover all bands of length <= floor(len(w)/2).  A power
+    v^k with k >= 2 contains v^2, and any factor of a rotation of w shows
+    up in the doubled word w w.
     """
     needed = w.length // 2
     if pool.max_length < needed:
         raise ValueError(
             f"band pool bound {pool.max_length} is too small, need {needed}"
         )
-    doubled = w.power(2).letters
-    for v in pool.bands:
-        lv = v.length
-        if lv == 0 or lv > needed:
-            continue
-        if band_equivalent(v, w):
-            continue
-        for u in v.rotations:
-            k = 2
-            while k * lv <= w.length:
-                if _occurs_in(doubled, u.power(k).letters):
-                    return False
-                k += 1
-    return True
+    doubled = w.power(2)
+    return not any(supported_on(doubled, v, 2)
+                   for v in pool.bands if v.length <= needed)
 
 
 def enumerate_bands(alg: AlgebraPresentation, max_len: int) -> tuple[BandRecord, ...]:

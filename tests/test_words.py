@@ -1,6 +1,12 @@
+import random
+from itertools import groupby
+
 import pytest
 
 from mgslab import (
+    AlgebraPresentation,
+    Arrow,
+    Letter,
     WalkError,
     band_equivalent,
     band_pool,
@@ -13,6 +19,7 @@ from mgslab import (
     is_minimal_band,
     is_string,
     load_algebra,
+    make_walk,
     maximal_w_substrings,
     parse_walk,
     substring_occurrences,
@@ -244,3 +251,90 @@ def test_walk_identity_and_order_are_the_key(data_dir, name):
             assert (w < x) is (w.key() < x.key())
             if same:
                 assert hash(w) == hash(x)
+
+
+def _random_presentation(seed: int) -> AlgebraPresentation:
+    """1-3 vertices, 1-3 arrows, up to three relations of length 2-4."""
+    rng = random.Random(seed)
+    vertices = tuple(str(i) for i in range(1, rng.randint(1, 3) + 1))
+    arrows = tuple(Arrow(f"a{i}", rng.choice(vertices), rng.choice(vertices))
+                   for i in range(rng.randint(1, 3)))
+    relations = set()
+    for _ in range(rng.randint(1, 3)):
+        path = [rng.choice(arrows)]
+        for _ in range(rng.randint(2, 4) - 1):
+            nxt = [a for a in arrows if a.source == path[-1].target]
+            if not nxt:
+                break
+            path.append(rng.choice(nxt))
+        if len(path) >= 2:
+            relations.add(tuple(a.name for a in path))
+    return AlgebraPresentation(vertices, arrows, tuple(sorted(relations)))
+
+
+def _composable_walks(alg, max_len: int) -> list:
+    level = [make_walk(alg, (), base_vertex=v) for v in alg.vertices]
+    out = list(level)
+    for _ in range(max_len):
+        level = [make_walk(alg, w.letters + (letter,)) for w in level
+                 for letter in ([Letter(a.name, +1) for a in alg.outgoing[w.target]]
+                                + [Letter(a.name, -1) for a in alg.incoming[w.target]])]
+        out += level
+    return out
+
+
+def _ref_is_string(alg, w) -> bool:
+    """No backtrack, and no relation in a direct run or in an inverse run
+    read backwards."""
+    if any(b == a.inverse() for a, b in zip(w.letters, w.letters[1:])):
+        return False
+    for sign, run in groupby(w.letters, key=lambda l: l.sign):
+        path = [l.arrow for l in run][::sign]
+        for r in alg.relations:
+            if any(tuple(path[i:i + len(r)]) == r for i in range(len(path) - len(r) + 1)):
+                return False
+    return True
+
+
+def _ref_is_band(alg, w) -> bool:
+    if not w.is_cyclic:
+        return False
+    n = w.length
+    primitive = all(w.letters != w.letters[:p] * (n // p) for p in range(1, n) if n % p == 0)
+    # six copies hold every window of length <= 4 across a copy boundary
+    return primitive and _ref_is_string(alg, w.power(6))
+
+
+def _ref_is_minimal(w, shorter) -> bool:
+    doubled = w.power(2).letters
+    for v in shorter:
+        for u in v.rotations:
+            for k in range(2, w.length // v.length + 1):
+                power = u.power(k).letters
+                if any(doubled[i:i + len(power)] == power for i in range(len(doubled))):
+                    return False
+    return True
+
+
+def test_strings_and_bands_match_run_scan_reference_on_random_presentations():
+    """The forbidden-factor test against a per-run relation scan, on
+    presentations with relations of length 2-4 (the bundled algebras have
+    only length-2 relations)."""
+    longest, walks_checked = set(), 0
+    for seed in range(150):
+        alg = _random_presentation(seed)
+        longest.add(alg.max_relation_length)
+        walks = _composable_walks(alg, 4)
+        walks_checked += len(walks)
+        strings = [w for w in walks if _ref_is_string(alg, w)]
+        assert [w for w in walks if is_string(alg, w)] == strings, alg.normalized_text
+        assert enumerate_strings(alg, 4) == tuple(sorted({canonical_string(w) for w in strings}))
+        classes = {}  # each rotation of a band to its class's canonical form
+        for w in strings:
+            if w not in classes and _ref_is_band(alg, w):
+                classes.update(dict.fromkeys(w.rotations, canonical_rotation(w)))
+        bands = sorted(set(classes.values()))
+        expected = [(w, _ref_is_minimal(w, [v for v in bands if 2 * v.length <= w.length]))
+                    for w in bands]
+        assert [tuple(r) for r in enumerate_bands(alg, 4)] == expected, alg.normalized_text
+    assert {2, 3, 4} <= longest and walks_checked > 10_000
