@@ -24,6 +24,14 @@ R does not depend on a required subsequence, which only narrows the
 appends further, so the search emits exactly the sequences of the
 unpruned search, in the same depth-first order.
 
+The masks are built from Hom support, not Hom dimensions.  Occurrence
+counts are positive, so Hom(a, b) != 0 iff a quotient class of a is a
+submodule class of b (see :mod:`mgslab.modules`).  Each class maps to the
+bitset of candidates that have it as a submodule class, and to the bitset
+of those that have it as a quotient class; the mask of a walk is the OR of
+these over its own quotient, resp. submodule, classes.  No pairwise Hom
+dimension is computed.
+
 Certification reads the same masks, built on the entries e_1..e_n of the
 sequence.  Candidate c is insertable exactly at the gaps j <= p < f, where
 j is the last entry with Hom(c, e_j) != 0 (0 if none) and f the first with
@@ -38,6 +46,8 @@ from typing import NamedTuple
 
 from .algebra import AlgebraPresentation
 from .modules import (
+    _band_counts,
+    _class_counts,
     band_end_dim,
     band_peaks_valleys,
     band_top_socle,
@@ -82,13 +92,29 @@ class BrickPools(NamedTuple):
 
 
 class HomTable:
-    """Hom dimensions for certification and search, all by the substring
-    calculus.  Its memos live on the presentation, so a table holds only
-    ``alg``.  Tests subclass it to substitute Homs; such a fake must not
-    write the memos."""
+    """Hom support and Hom dimensions for certification and search, all by
+    the substring calculus.  Its memos live on the presentation, so a table
+    holds only ``alg``.
+
+    The masks of the search and of certification read only ``classes``:
+    as occurrence counts are positive, Hom(a, b) != 0 iff a quotient class
+    of a is a submodule class of b.  ``hom``, ``hom_string_band`` and
+    ``hom_band_string`` give the dimensions themselves.  Tests subclass the
+    table to substitute classes; such a fake must not write the memos."""
 
     def __init__(self, alg: AlgebraPresentation):
         self.alg = alg
+
+    def classes(self, w: Walk, band_bound: int | None = None):
+        """(quotient, submodule) class keys of the string module M(w), or
+        with ``band_bound`` those of words of length <= band_bound in the
+        periodic word of the band w, which serve M(w, lambda, 1) against
+        strings of that length or shorter."""
+        if band_bound is None:
+            q, s = _class_counts(self.alg, w)
+        else:
+            q, s = _band_counts(self.alg, w, band_bound)
+        return q.keys(), s.keys()
 
     def hom(self, a: Walk, b: Walk) -> int:
         return hom_dim(self.alg, a, b)
@@ -102,16 +128,11 @@ class HomTable:
 
 def is_weakly_fho(alg: AlgebraPresentation, entries, table: HomTable | None = None) -> bool:
     """Hom(M_i, M_j) = 0 for all i < j; raises on a non-brick entry."""
-    table = table or HomTable(alg)
     for w in entries:
         if not is_brick(alg, w):
             raise ValueError(f"entry {w} is not a brick")
-    n = len(entries)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if table.hom(entries[i], entries[j]) != 0:
-                return False
-    return True
+    blocks, _ = _candidate_masks(entries, entries, (), table or HomTable(alg))
+    return not any(mask >> i for i, mask in enumerate(blocks, start=1))
 
 
 def insertable(alg: AlgebraPresentation, entries, p: int, brick: Walk,
@@ -126,25 +147,34 @@ def insertable(alg: AlgebraPresentation, entries, p: int, brick: Walk,
 def _candidate_masks(walks, strings, bands, table: HomTable):
     """One bit per insertion candidate, the string bricks first, then the
     band bricks.  blocks[i] / needs[i] hold the candidates c with
-    Hom(w_i, c) != 0, resp. Hom(c, w_i) != 0."""
-    blocks = [0] * len(walks)
-    needs = [0] * len(walks)
+    Hom(w_i, c) != 0, resp. Hom(c, w_i) != 0: the OR of the candidates that
+    have a quotient class of w_i as a submodule class, resp. a submodule
+    class of w_i as a quotient class.  Band classes are read up to the
+    longest walk's length; a longer word is no class of any w_i."""
+    bound = max((w.length for w in walks), default=0)
+    into: dict = {}  # class -> the candidates with it as a submodule class
+    onto: dict = {}  # class -> the candidates with it as a quotient class
     bit = 1
-    for c in strings:
-        for i, w in enumerate(walks):
-            if table.hom(w, c) != 0:
-                blocks[i] |= bit
-            if table.hom(c, w) != 0:
-                needs[i] |= bit
+    for c, band_bound in [(c, None) for c in strings] + [(b, bound) for b in bands]:
+        quotient, submodule = table.classes(c, band_bound)
+        for key in submodule:
+            into[key] = into.get(key, 0) | bit
+        for key in quotient:
+            onto[key] = onto.get(key, 0) | bit
         bit <<= 1
-    for band in bands:
-        for i, w in enumerate(walks):
-            if table.hom_string_band(w, band) != 0:
-                blocks[i] |= bit
-            if table.hom_band_string(band, w) != 0:
-                needs[i] |= bit
-        bit <<= 1
+    blocks, needs = [], []
+    for w in walks:
+        quotient, submodule = table.classes(w)
+        blocks.append(_union(into, quotient))
+        needs.append(_union(onto, submodule))
     return blocks, needs
+
+
+def _union(bits: dict, keys) -> int:
+    mask = 0
+    for key in keys:
+        mask |= bits.get(key, 0)
+    return mask
 
 
 def _gap_interval(blocks, needs, bit: int) -> tuple[int, int]:
@@ -309,8 +339,11 @@ class _Searcher:
             c = canonical_string(w)
             if c not in self.index:
                 raise ValueError(f"required entry {w} is not in the member pool")
+            bit = 1 << self.index[c]
+            if required_mask & bit:
+                raise ValueError(f"required entry {w} is listed twice")
             required.append(self.index[c])
-            required_mask |= 1 << self.index[c]
+            required_mask |= bit
         n_required = len(required)
         found: list[tuple[int, ...]] = []
         all_mask = (1 << self.m) - 1
@@ -405,7 +438,8 @@ def enumerate_mgs(alg: AlgebraPresentation, pools: BrickPools, *,
     Limits: a node budget (exceeding it raises BudgetExhausted carrying the
     partial output), and optionally a required subsequence, restricting the
     search to complete sequences containing the given entries in the given
-    relative order.
+    relative order.  An entry outside the member pool, or listed twice,
+    raises ValueError.
     """
     table = table or HomTable(alg)
     result = _Searcher(alg, pools, table).run(
@@ -426,9 +460,9 @@ def complete_from_prefix(alg: AlgebraPresentation, pools: BrickPools,
     S(v) of the listed vertices in the given relative order; unlisted
     simples are unconstrained.  Returns None when the search finishes
     without one, and raises BudgetExhausted when the budget runs out first,
-    or ValueError for an unknown vertex.  The search's leaf check certifies
-    the sequence on the masks of ``is_complete_relative``, so it is complete
-    relative to the pools."""
+    or ValueError for an unknown or repeated vertex.  The search's leaf
+    check certifies the sequence on the masks of ``is_complete_relative``,
+    so it is complete relative to the pools."""
     simples = tuple(Walk((), (v,)) for v in simple_order)
     result = _Searcher(alg, pools, table or HomTable(alg)).run(
         budget=budget, require_subsequence=simples, stop_at_first=True)

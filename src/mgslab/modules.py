@@ -9,6 +9,11 @@ tree and band modules*, 1991): Homs between it and a string module, and its
 endomorphisms, have a basis of such pairs, so their dimensions do not
 depend on lambda.  These counts are validated wholesale against the
 linear-algebra oracle; any discrepancy is a build failure, not a tolerance.
+
+Every count is positive, so Hom support is a set intersection: Hom(a, b)
+is nonzero iff some quotient class of a is a submodule class of b.  The
+search and certification masks of :mod:`mgslab.mgs` are built that way,
+from the class dicts of ``_class_counts`` and ``_band_counts`` alone.
 """
 
 from __future__ import annotations
@@ -19,7 +24,6 @@ from typing import NamedTuple
 from .algebra import AlgebraPresentation
 from .words import (
     Walk,
-    all_occurrences,
     band_pool,
     canonical_string,
     enumerate_strings,
@@ -141,28 +145,42 @@ def _class_counts(alg: AlgebraPresentation, w: Walk) -> tuple[dict, dict]:
     """(quotient, submodule) occurrence counts of w per word class up to
     inversion, memoised on the algebra.  Both orientations of w share the
     counts of the canonical one: inverting the host swaps the boundary
-    letters and their signs.  A class key is read from the host's key and
-    its inverse's: host letters i..j, inverted, are letters d-j+1..d-i+1."""
+    letters and their signs.  A class key is read from the host's key
+    letters and their inverse: host letters i..j-1 (0-based), inverted,
+    are letters d-j..d-i-1.
+
+    An occurrence is quotient-shaped when its left boundary letter is
+    inverse and its right one direct, submodule-shaped for the opposite
+    signs; a missing boundary fits both.  The scan reads those signs from
+    the key, one bit per letter, with 2 standing for a missing letter."""
     memo = alg.walk_memo
     counts = memo.get(w)
     if counts is None:
         if not is_string(alg, w):
             raise ModuleError("hom_dim requires strings")
-        c = canonical_string(w)
+        d = w.length
+        letters = w.key()[1] if d else ()  # (arrow, 0 direct / 1 inverse)
+        inverse = tuple((arrow, 1 - bit) for arrow, bit in reversed(letters))
+        c = w.inverse() if inverse < letters else w  # canonical_string(w)
         counts = memo.get(c)
         if counts is None:
+            if c is not w:
+                letters, inverse = inverse, letters
             quotient: dict = {}
             submodule: dict = {}
-            d = c.length
-            letters, inverse = c.key()[1], c.inverse().key()[1]
-            for occ in all_occurrences(c):
-                is_q, is_s = occ.is_quotient_occurrence, occ.is_submodule_occurrence
+            sides = (2, *(bit for _, bit in letters), 2)
+            # the length-0 occurrences, then letters i..j-1, in position order
+            spans = [(p, p) for p in range(d + 1)]
+            spans += [(i, j) for i in range(d) for j in range(i + 1, d + 1)]
+            for i, j in spans:
+                left, right = sides[i], sides[j + 1]
+                is_q = left != 0 and right != 1
+                is_s = left != 1 and right != 0
                 if is_q or is_s:
-                    i, j = occ.start, occ.end
-                    if j < i:
-                        key = (0, (c.vertices[i - 1],))
+                    if i == j:
+                        key = (0, (c.vertices[i],))
                     else:
-                        key = (j - i + 1, min(letters[i - 1 : j], inverse[d - j : d - i + 1]))
+                        key = (j - i, min(letters[i:j], inverse[d - j : d - i]))
                     if is_q:
                         quotient[key] = quotient.get(key, 0) + 1
                     if is_s:

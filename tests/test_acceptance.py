@@ -267,6 +267,12 @@ DETERMINISM_COMMANDS = (
      "--method", "simples", "--max-string-len", "8"),
     ("mgs", "exists", "--algebra", str(DATA / "a12tilde.alg"),
      "--method", "gentle", "--max-string-len", "8"),
+    ("mgs", "exists", "--algebra", str(DATA / "gentle5.alg"),
+     "--method", "gentle", "--max-string-len", "10"),
+    ("mgs", "exists", "--algebra", str(DATA / "mgs5.alg"),
+     "--method", "simples", "--max-string-len", "10"),
+    ("mgs", "enumerate", "--algebra", str(DATA / "mgs5.alg"),
+     "--max-string-len", "12", "--contains", str(DATA / "mgs5_sequence.txt")),
     ("lemmas", "run", "--algebra", str(DATA / "a12tilde.alg"),
      "--max-len", "6", "--budget", "50000"),
     ("lemmas", "run", "--algebra", str(DATA / "a12tilde.alg"), "--max-len", "10"),

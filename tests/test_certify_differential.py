@@ -1,21 +1,38 @@
 """Certification on the candidate masks against the walk-level gap scan it
 replaced, kept here as a slow reference: equal Verdicts and equal
-`insertable` at every gap."""
+`insertable` at every gap.  The masks themselves, read from class sets,
+against one Hom dimension per pair."""
 
 from fractions import Fraction
 
 import pytest
 
-from mgslab import band_module, hom_dim_linalg, parse_walk, string_module, to_explicit
+from mgslab import (
+    band_module,
+    enumerate_bands,
+    enumerate_strings,
+    hom_dim,
+    hom_dim_band_string,
+    hom_dim_linalg,
+    hom_dim_string_band,
+    load_algebra,
+    parse_walk,
+    string_module,
+    to_explicit,
+)
 from mgslab.mgs import (
     HomTable,
     Verdict,
+    _candidate_masks,
     build_brick_pools,
     enumerate_mgs,
     insertable,
     is_complete_relative,
 )
 from mgslab.words import canonical_string
+
+from conftest import ALGEBRAS, DATA
+from test_words import _random_presentation
 
 
 def _ref_gap_open(entries, p, brick, table):
@@ -199,10 +216,12 @@ def test_emitted_sequences(request, name, max_len, count):
 
 
 class _NoBandToString(HomTable):
-    """A fake that substitutes Homs: every band brick maps to no string."""
+    """A fake that substitutes Homs: every band brick maps to no string, as
+    it has no quotient classes."""
 
-    def hom_band_string(self, band, b):
-        return 0
+    def classes(self, w, band_bound=None):
+        quotient, submodule = super().classes(w, band_bound)
+        return (quotient if band_bound is None else ()), submodule
 
 
 def test_fake_homs_leave_the_presentation_memos_clean(kronecker):
@@ -221,3 +240,52 @@ def test_fake_homs_leave_the_presentation_memos_clean(kronecker):
                 rep = to_explicit(string_module(kronecker, w))
                 assert table.hom_band_string(band, w) == hom_dim_linalg(rep_band, rep)
                 assert table.hom_string_band(w, band) == hom_dim_linalg(rep, rep_band)
+
+
+def _pairwise_masks(alg, walks, strings, bands):
+    """The candidate masks from one Hom dimension per (walk, candidate) pair
+    and direction: the candidates are the strings, then the bands."""
+    blocks, needs = [], []
+    for w in walks:
+        into = ([hom_dim(alg, w, c) for c in strings]
+                + [hom_dim_string_band(alg, w, b) for b in bands])
+        onto = ([hom_dim(alg, c, w) for c in strings]
+                + [hom_dim_band_string(alg, b, w) for b in bands])
+        blocks.append(sum(1 << k for k, dim in enumerate(into) if dim))
+        needs.append(sum(1 << k for k, dim in enumerate(onto) if dim))
+    return blocks, needs
+
+
+@pytest.mark.parametrize("name", ALGEBRAS)
+def test_class_masks_match_pairwise_homs_on_bundled_algebras(name):
+    """Every string of length <= 8 in both orientations against every string
+    and every band of length <= 4, a superset of the insertion bands at
+    string length 8.  Each side reads its own presentation, so neither
+    warms the other's memos."""
+    alg = load_algebra(DATA / f"{name}.alg")
+    strings = enumerate_strings(alg, 8)
+    bands = tuple(rec.canonical for rec in enumerate_bands(alg, 4))
+    assert set(build_brick_pools(alg, 8).insertion_bands) <= set(bands)
+    walks = list(strings) + [w.inverse() for w in strings if w.length]
+    got = _candidate_masks(walks, strings, bands, HomTable(alg))
+    assert got == _pairwise_masks(load_algebra(DATA / f"{name}.alg"), walks, strings, bands)
+
+
+def test_class_masks_match_pairwise_homs_on_random_presentations():
+    """The presentations of the string-ness reference test, with relations
+    of length 2-4: strings of length <= 4 against themselves and the bands
+    of length <= 4.  Presentations with more than 150 such strings are
+    skipped to keep the quadratic reference short."""
+    longest, compared = set(), 0
+    for seed in range(150):
+        alg = _random_presentation(seed)
+        strings = enumerate_strings(alg, 4)
+        if len(strings) > 150:
+            continue
+        bands = tuple(rec.canonical for rec in enumerate_bands(alg, 4))
+        got = _candidate_masks(strings, strings, bands, HomTable(alg))
+        want = _pairwise_masks(_random_presentation(seed), strings, strings, bands)
+        assert got == want, alg.normalized_text
+        longest.add(alg.max_relation_length)
+        compared += 1
+    assert {2, 3, 4} <= longest and compared > 100

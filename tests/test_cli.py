@@ -128,6 +128,17 @@ def test_mgs_enumerate_contains(capsys):
     assert paper in seqs
 
 
+def test_mgs_enumerate_contains_repeated_entry(capsys, tmp_path):
+    seq = tmp_path / "twice.txt"
+    seq.write_text("e:1\ne:1\n")
+    code, doc = run_cli(capsys, "mgs", "enumerate", "--algebra",
+                        str(DATA / "mgs5.alg"), "--max-string-len", "8",
+                        "--contains", str(seq))
+    assert code == 3
+    assert "payload" not in doc
+    assert doc["error"] == "required entry e:1 is listed twice"
+
+
 def test_mgs_exists_simples(capsys):
     code, doc = run_cli(capsys, "mgs", "exists", "--algebra",
                         str(DATA / "a12tilde.alg"), "--method", "simples",

@@ -330,6 +330,17 @@ def test_complete_from_prefix_unknown_vertex(mgs5):
         complete_from_prefix(mgs5, build_brick_pools(mgs5, 3), ("4", "9"))
 
 
+def test_repeated_required_entry_is_refused(mgs5, data_dir):
+    """A required entry listed twice can never be met, as no sequence repeats
+    an entry; it is refused before the search instead of yielding nothing."""
+    pools = build_brick_pools(mgs5, 8)
+    with pytest.raises(ValueError, match="listed twice"):
+        complete_from_prefix(mgs5, pools, ["1", "1"])
+    seq = bundled_sequence(mgs5, data_dir)
+    with pytest.raises(ValueError, match="listed twice"):
+        enumerate_mgs(mgs5, pools, require_subsequence=seq + (seq[3].inverse(),))
+
+
 def test_complete_from_prefix_budget(mgs5):
     with pytest.raises(BudgetExhausted):
         complete_from_prefix(mgs5, build_brick_pools(mgs5, 8), ("4", "5"), budget=3)
