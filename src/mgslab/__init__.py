@@ -13,7 +13,7 @@ _EXPORTS = {
         is_string make_walk maximal_w_substrings parse_walk
         substring_occurrences supported_on""",
     "modules": """BandModuleRep BrickInfo ModuleError StringModuleRep band_end_dim
-        band_module band_top_socle enumerate_bricks hom_dim hom_dim_band_string
+        band_module band_top_socle enumerate_bricks hom_classes hom_dim hom_dim_band_string
         hom_dim_string_band is_brick string_module top_socle""",
     "oracle": """ExplicitRep OracleError end_dim exists_full_rank_hom hom_dim_linalg
         hom_solution_basis to_explicit""",

@@ -24,13 +24,9 @@ R does not depend on a required subsequence, which only narrows the
 appends further, so the search emits exactly the sequences of the
 unpruned search, in the same depth-first order.
 
-The masks are built from Hom support, not Hom dimensions.  Occurrence
-counts are positive, so Hom(a, b) != 0 iff a quotient class of a is a
-submodule class of b (see :mod:`mgslab.modules`).  Each class maps to the
-bitset of candidates that have it as a submodule class, and to the bitset
-of those that have it as a quotient class; the mask of a walk is the OR of
-these over its own quotient, resp. submodule, classes.  No pairwise Hom
-dimension is computed.
+The masks are built from Hom support, read off class sets (see
+:mod:`mgslab.modules`), not from Hom dimensions: no pairwise Hom is
+computed.
 
 Certification reads the same masks, built on the entries e_1..e_n of the
 sequence.  Candidate c is insertable exactly at the gaps j <= p < f, where
@@ -46,12 +42,11 @@ from typing import NamedTuple
 
 from .algebra import AlgebraPresentation
 from .modules import (
-    _band_counts,
-    _class_counts,
     band_end_dim,
     band_peaks_valleys,
     band_top_socle,
     enumerate_bricks,
+    hom_classes,
     hom_dim,
     hom_dim_band_string,
     hom_dim_string_band,
@@ -94,27 +89,16 @@ class BrickPools(NamedTuple):
 class HomTable:
     """Hom support and Hom dimensions for certification and search, all by
     the substring calculus.  Its memos live on the presentation, so a table
-    holds only ``alg``.
-
-    The masks of the search and of certification read only ``classes``:
-    as occurrence counts are positive, Hom(a, b) != 0 iff a quotient class
-    of a is a submodule class of b.  ``hom``, ``hom_string_band`` and
-    ``hom_band_string`` give the dimensions themselves.  Tests subclass the
-    table to substitute classes; such a fake must not write the memos."""
+    holds only ``alg``.  The masks read only ``classes`` (Hom support, see
+    :mod:`mgslab.modules`); ``hom``, ``hom_string_band`` and
+    ``hom_band_string`` give dimensions.  Tests subclass the table to
+    substitute classes; such a fake must not write the memos."""
 
     def __init__(self, alg: AlgebraPresentation):
         self.alg = alg
 
     def classes(self, w: Walk, band_bound: int | None = None):
-        """(quotient, submodule) class keys of the string module M(w), or
-        with ``band_bound`` those of words of length <= band_bound in the
-        periodic word of the band w, which serve M(w, lambda, 1) against
-        strings of that length or shorter."""
-        if band_bound is None:
-            q, s = _class_counts(self.alg, w)
-        else:
-            q, s = _band_counts(self.alg, w, band_bound)
-        return q.keys(), s.keys()
+        return hom_classes(self.alg, w, band_bound)
 
     def hom(self, a: Walk, b: Walk) -> int:
         return hom_dim(self.alg, a, b)
@@ -147,10 +131,10 @@ def insertable(alg: AlgebraPresentation, entries, p: int, brick: Walk,
 def _candidate_masks(walks, strings, bands, table: HomTable):
     """One bit per insertion candidate, the string bricks first, then the
     band bricks.  blocks[i] / needs[i] hold the candidates c with
-    Hom(w_i, c) != 0, resp. Hom(c, w_i) != 0: the OR of the candidates that
-    have a quotient class of w_i as a submodule class, resp. a submodule
-    class of w_i as a quotient class.  Band classes are read up to the
-    longest walk's length; a longer word is no class of any w_i."""
+    Hom(w_i, c) != 0, resp. Hom(c, w_i) != 0: the OR over the quotient,
+    resp. submodule, classes of w_i of the candidates with that class on
+    the other side.  Band classes are read up to the longest walk's
+    length; a longer word is no class of any w_i."""
     bound = max((w.length for w in walks), default=0)
     into: dict = {}  # class -> the candidates with it as a submodule class
     onto: dict = {}  # class -> the candidates with it as a quotient class

@@ -13,7 +13,7 @@ linear-algebra oracle; any discrepancy is a build failure, not a tolerance.
 Every count is positive, so Hom support is a set intersection: Hom(a, b)
 is nonzero iff some quotient class of a is a submodule class of b.  The
 search and certification masks of :mod:`mgslab.mgs` are built that way,
-from the class dicts of ``_class_counts`` and ``_band_counts`` alone.
+from the class keys of ``hom_classes`` alone.
 """
 
 from __future__ import annotations
@@ -158,14 +158,12 @@ def _class_counts(alg: AlgebraPresentation, w: Walk) -> tuple[dict, dict]:
     if counts is None:
         if not is_string(alg, w):
             raise ModuleError("hom_dim requires strings")
-        d = w.length
-        letters = w.key()[1] if d else ()  # (arrow, 0 direct / 1 inverse)
-        inverse = tuple((arrow, 1 - bit) for arrow, bit in reversed(letters))
-        c = w.inverse() if inverse < letters else w  # canonical_string(w)
+        c = canonical_string(w)
         counts = memo.get(c)
         if counts is None:
-            if c is not w:
-                letters, inverse = inverse, letters
+            d = c.length
+            letters = c.key()[1] if d else ()  # (arrow, 0 direct / 1 inverse)
+            inverse = tuple((arrow, 1 - bit) for arrow, bit in reversed(letters))
             quotient: dict = {}
             submodule: dict = {}
             sides = (2, *(bit for _, bit in letters), 2)
@@ -222,6 +220,18 @@ def _band_counts(alg: AlgebraPresentation, band: Walk, max_len: int) -> tuple[di
             counts[key] = counts.get(key, 0) + 1
     memo[band] = (max_len, quotient, submodule)
     return quotient, submodule
+
+
+def hom_classes(alg: AlgebraPresentation, w: Walk, band_bound: int | None = None):
+    """(quotient, submodule) class keys of the string module M(w), or with
+    ``band_bound`` those of the words of length <= band_bound in the
+    periodic word of the band w, which serve M(w, lambda, 1) against
+    strings of that length or shorter."""
+    if band_bound is None:
+        q, s = _class_counts(alg, w)
+    else:
+        q, s = _band_counts(alg, w, band_bound)
+    return q.keys(), s.keys()
 
 
 def hom_dim(alg: AlgebraPresentation, w: Walk, other: Walk) -> int:

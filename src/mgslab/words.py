@@ -192,9 +192,14 @@ def is_string(alg: AlgebraPresentation, w: Walk) -> bool:
 
 
 def canonical_string(w: Walk) -> Walk:
-    """Representative of the class {w, w^-1}: the smaller in walk order."""
-    inv = w.inverse()
-    return inv if inv < w else w
+    """Representative of the class {w, w^-1}: the smaller in walk order.
+    Both have the same length, so the key letters decide, and w^-1 is
+    built only when it is the representative."""
+    if not w.letters:
+        return w
+    letters = w.key()[1]
+    inverse = tuple((arrow, 1 - bit) for arrow, bit in reversed(letters))
+    return w.inverse() if inverse < letters else w
 
 
 def _extensions(alg: AlgebraPresentation, w: Walk) -> Iterator[Letter]:

@@ -1,11 +1,31 @@
+import random
 from pathlib import Path
 
 import pytest
 
-from mgslab import load_algebra
+from mgslab import AlgebraPresentation, Arrow, load_algebra
 
 DATA = Path(__file__).parent / "data"
 ALGEBRAS = tuple(sorted(p.stem for p in DATA.glob("*.alg")))  # the seven bundled
+
+
+def random_presentation(seed: int) -> AlgebraPresentation:
+    """1-3 vertices, 1-3 arrows, up to three relations of length 2-4."""
+    rng = random.Random(seed)
+    vertices = tuple(str(i) for i in range(1, rng.randint(1, 3) + 1))
+    arrows = tuple(Arrow(f"a{i}", rng.choice(vertices), rng.choice(vertices))
+                   for i in range(rng.randint(1, 3)))
+    relations = set()
+    for _ in range(rng.randint(1, 3)):
+        path = [rng.choice(arrows)]
+        for _ in range(rng.randint(2, 4) - 1):
+            nxt = [a for a in arrows if a.source == path[-1].target]
+            if not nxt:
+                break
+            path.append(rng.choice(nxt))
+        if len(path) >= 2:
+            relations.add(tuple(a.name for a in path))
+    return AlgebraPresentation(vertices, arrows, tuple(sorted(relations)))
 
 
 @pytest.fixture(scope="session")

@@ -31,8 +31,7 @@ from mgslab.mgs import (
 )
 from mgslab.words import canonical_string
 
-from conftest import ALGEBRAS, DATA
-from test_words import _random_presentation
+from conftest import ALGEBRAS, DATA, random_presentation
 
 
 def _ref_gap_open(entries, p, brick, table):
@@ -278,13 +277,13 @@ def test_class_masks_match_pairwise_homs_on_random_presentations():
     skipped to keep the quadratic reference short."""
     longest, compared = set(), 0
     for seed in range(150):
-        alg = _random_presentation(seed)
+        alg = random_presentation(seed)
         strings = enumerate_strings(alg, 4)
         if len(strings) > 150:
             continue
         bands = tuple(rec.canonical for rec in enumerate_bands(alg, 4))
         got = _candidate_masks(strings, strings, bands, HomTable(alg))
-        want = _pairwise_masks(_random_presentation(seed), strings, strings, bands)
+        want = _pairwise_masks(random_presentation(seed), strings, strings, bands)
         assert got == want, alg.normalized_text
         longest.add(alg.max_relation_length)
         compared += 1

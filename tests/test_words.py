@@ -1,11 +1,8 @@
-import random
 from itertools import groupby
 
 import pytest
 
 from mgslab import (
-    AlgebraPresentation,
-    Arrow,
     Letter,
     WalkError,
     band_equivalent,
@@ -27,7 +24,7 @@ from mgslab import (
 )
 from mgslab.words import BandPool, _all_string_walks
 
-from conftest import ALGEBRAS
+from conftest import ALGEBRAS, random_presentation
 
 
 def test_parse_walk_roundtrip(gentle5):
@@ -242,7 +239,7 @@ def test_walk_identity_and_order_are_the_key(data_dir, name):
     copies = [parse_walk(alg, str(w)) for w in walks]
     for w, copy in zip(walks, copies):
         assert copy is not w and copy == w and hash(copy) == hash(w)
-        assert canonical_string(w) == canonical_string(w.inverse())
+        assert canonical_string(w) == canonical_string(w.inverse()) == min(w, w.inverse())
     for w in walks:
         for x in copies:
             same = w.key() == x.key()
@@ -251,25 +248,6 @@ def test_walk_identity_and_order_are_the_key(data_dir, name):
             assert (w < x) is (w.key() < x.key())
             if same:
                 assert hash(w) == hash(x)
-
-
-def _random_presentation(seed: int) -> AlgebraPresentation:
-    """1-3 vertices, 1-3 arrows, up to three relations of length 2-4."""
-    rng = random.Random(seed)
-    vertices = tuple(str(i) for i in range(1, rng.randint(1, 3) + 1))
-    arrows = tuple(Arrow(f"a{i}", rng.choice(vertices), rng.choice(vertices))
-                   for i in range(rng.randint(1, 3)))
-    relations = set()
-    for _ in range(rng.randint(1, 3)):
-        path = [rng.choice(arrows)]
-        for _ in range(rng.randint(2, 4) - 1):
-            nxt = [a for a in arrows if a.source == path[-1].target]
-            if not nxt:
-                break
-            path.append(rng.choice(nxt))
-        if len(path) >= 2:
-            relations.add(tuple(a.name for a in path))
-    return AlgebraPresentation(vertices, arrows, tuple(sorted(relations)))
 
 
 def _composable_walks(alg, max_len: int) -> list:
@@ -322,7 +300,7 @@ def test_strings_and_bands_match_run_scan_reference_on_random_presentations():
     only length-2 relations)."""
     longest, walks_checked = set(), 0
     for seed in range(150):
-        alg = _random_presentation(seed)
+        alg = random_presentation(seed)
         longest.add(alg.max_relation_length)
         walks = _composable_walks(alg, 4)
         walks_checked += len(walks)
