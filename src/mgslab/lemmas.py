@@ -165,9 +165,8 @@ def run_lemma_suite(alg: AlgebraPresentation, max_string_len: int,
                 for lam in _LAMBDAS:
                     B = to_explicit(band_module(alg, u, lam, N + 1))
                     seed = probe_seed(alg, "band-embedding", str(gamma), str(u), str(lam))
-                    embeds = exists_full_rank_hom(gamma_rep, B, "inj", seed)
-                    surjects = exists_full_rank_hom(B, gamma_rep, "surj", seed + 1)
-                    if not (embeds or surjects):
+                    if not (exists_full_rank_hom(gamma_rep, B, "inj", seed)
+                            or exists_full_rank_hom(B, gamma_rep, "surj", seed + 1)):
                         chk.counterexamples.append(
                             f"brick {gamma} neither embeds in nor is a quotient of"
                             f" M({u}, {lam}, {N + 1})"

@@ -18,7 +18,6 @@ from the class keys of ``hom_classes`` alone.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import NamedTuple
 
 from .algebra import AlgebraPresentation
@@ -91,6 +90,8 @@ def string_module(alg: AlgebraPresentation, w: Walk) -> StringModuleRep:
 
 
 def band_module(alg: AlgebraPresentation, w: Walk, lam: Fraction, k: int) -> BandModuleRep:
+    from fractions import Fraction
+
     lam = Fraction(lam)
     if lam == 0:
         raise ModuleError("band module parameter lambda must be nonzero")

@@ -4,22 +4,25 @@ Independent of the substring calculus: representations are plain matrices
 over exact rationals and Hom dimensions come from solving the intertwiner
 equations f_t phi_a(A) = phi_a(B) f_s in exact arithmetic.  Each equation
 is scaled by the LCM of the denominators in its arrow's two matrices, so
-its coefficients are Python ints.
+its coefficients are Python ints; each rep caches its scaled matrices as
+per-arrow index lists (``ExplicitRep.view``).
 
 ``hom_dim_linalg`` counts the solutions in two stages.
 
 1. Union-find.  An equation with at most one nonzero in its column of A_a
    and at most one in its row of B_a reads ``u x_p = w x_q`` or ``u x_p =
    0``; every equation of a string module, and of a band module M(w, lambda,
-   1), has this form.  A weighted union-find keeps, per unknown p, its
-   class root and a rational rho_p != 0 with x_p = rho_p x_root.  A
-   one-term equation forces its class to zero; a two-term one merges the
-   two classes with the ratio it fixes, or, if they are already one class
-   whose ratios disagree (a loop arrow, or a band against itself at another
-   lambda), forces that class to zero.  A zero class stays zero through
-   later merges, since every ratio is nonzero.  So the solutions of these
-   equations are exactly the vectors with one free parameter x_root per
-   class not forced to zero: each such class contributes one dimension.
+   1), has this form.  Walking each arrow's index lists, a weighted
+   union-find keeps, in lists indexed by unknown p, its parent, a rational
+   rho_p != 0 with x_p = rho_p x_parent, and whether its class (read at
+   the root) is forced to zero.  A one-term equation forces its class to
+   zero; a two-term one merges the two classes with the ratio it fixes, or,
+   if they are already one class whose ratios disagree (a loop arrow, or a
+   band against itself at another lambda), forces that class to zero.  A
+   zero class stays zero through later merges, since every ratio is
+   nonzero.  So the solutions of these equations are exactly the vectors
+   with one free parameter x_root per class not forced to zero: each such
+   class contributes one dimension.
 2. Elimination.  The other equations (a Jordan block of size k >= 2 puts
    two nonzeros in a column) are rewritten, after every union, over the
    class roots, x_p = rho_p x_root, with the zero classes dropped; they only
@@ -32,12 +35,14 @@ a pivot replaces it by b * row - a * pivot (a, b the two leading
 coefficients over their gcd), divided by its content gcd.  Nonzero
 scalings keep the row space, hence the rank and the pivot columns, and a
 null-space vector is fixed by its free coordinates, so back substitution
-over the integer pivots returns the same rational basis as rational
-elimination.
+over the integer pivots gives each basis vector x_k of rational
+elimination as an int vector m_k x_k, m_k > 0.
 
 Injectivity/surjectivity of some intertwiner is decided by maximizing
-matrix ranks at pseudo-random rational points of the solution space, or
-exactly at a symbolic generic point in certified mode.
+matrix ranks at pseudo-random points of the solution space, or exactly at
+a symbolic generic point in certified mode.  A sampled point sum c_k (L /
+m_k) (m_k x_k), L the LCM of the m_k, is L times the rational point sum
+c_k x_k: in ints, with the ranks and verdicts of rational sampling.
 """
 
 from __future__ import annotations
@@ -50,6 +55,7 @@ from .algebra import AlgebraPresentation
 from .modules import BandModuleRep, StringModuleRep
 
 Matrix = tuple[tuple[Fraction, ...], ...]
+Pivots = dict[int, tuple[int, dict[int, int]]]  # see _echelon_insert
 
 _ZERO = Fraction(0)
 
@@ -81,21 +87,46 @@ class ExplicitRep:
         return f"ExplicitRep(alg={alg!r}, dims={self.dims!r}, mats={self.mats!r})"
 
     @cached_property
-    def sparse(self) -> dict[str, tuple[int, dict, dict]]:
-        """Per arrow: the LCM of its matrix's denominators, and the matrix
-        times that LCM by column and by row, as index -> ((position, int
-        value), ...) over the columns and rows holding a nonzero."""
-        out = {}
-        for name, m in self.mats:
-            den, flat = _scaled(x for row in m for x in row)
-            ncols = len(m[0]) if m else 0
+    def view(self):
+        """The dims in vertex order and, per arrow in ``arrows`` order, its
+        source and target index, the LCM of its matrix's denominators and
+        that matrix times the LCM by column and by row (see ``_by_index``)."""
+        dims = dict(self.dims)
+        if set(dims) != set(self.vertices):
+            raise OracleError("vertex sets differ")
+        mats, out = dict(self.mats), []
+        for a in self.arrows:
+            ncols, nrows = dims[a.source], dims[a.target]
+            den, flat = _scaled(x for row in mats[a.name] for x in row)
             cols, rows = {}, {}
             for j, v in flat.items():
                 r, c = divmod(j, ncols)
-                rows[r] = rows.get(r, ()) + ((c, v),)
-                cols[c] = cols.get(c, ()) + ((r, v),)
-            out[name] = (den, dict(sorted(cols.items())), rows)
-        return out
+                rows.setdefault(r, []).append((c, v))
+                cols.setdefault(c, []).append((r, v))
+            out.append((self.vertices.index(a.source), self.vertices.index(a.target), den,
+                        _by_index(cols, ncols), _by_index(rows, nrows)))
+        return tuple(dims[v] for v in self.vertices), tuple(out)
+
+
+def _by_index(entries: dict, n: int):
+    """Columns (or rows) 0..n-1 as (pos, val, multi): pos[i] is the
+    position of the only nonzero of line i (-1 if none, -2 if several) and
+    val[i] its value; multi[i] holds the ((position, value), ...) of a line
+    with several."""
+    pos, val, multi = [-1] * n, [0] * n, {}
+    for i, e in entries.items():
+        if len(e) == 1:
+            pos[i], val[i] = e[0]
+        else:
+            pos[i], multi[i] = -2, tuple(e)
+    return pos, val, multi
+
+
+def _entries(side, i: int):
+    """The ((position, value), ...) nonzeros of column or row i of a view."""
+    pos, val, multi = side
+    p = pos[i]
+    return () if p == -1 else ((p, val[i]),) if p >= 0 else multi[i]
 
 
 def _zero_matrix(rows: int, cols: int) -> list[list[Fraction]]:
@@ -107,15 +138,13 @@ def _freeze(m: list[list[Fraction]]) -> Matrix:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
-    out = _zero_matrix(rows, cols)
-    for i in range(rows):
-        for kk in range(inner):
-            if a[i][kk]:
-                aik = a[i][kk]
-                for j in range(cols):
-                    if b[kk][j]:
-                        out[i][j] += aik * b[kk][j]
+    out = _zero_matrix(len(a), len(b[0]) if b else 0)
+    for i, row in enumerate(a):
+        for k, x in enumerate(row):
+            if x:
+                for j, y in enumerate(b[k]):
+                    if y:
+                        out[i][j] += x * y
     return _freeze(out)
 
 
@@ -128,11 +157,11 @@ def _scaled(values) -> tuple[int, dict[int, int]]:
 
 
 def matrix_rank(mat) -> int:
-    pivots: dict[int, tuple[int, dict[int, int]]] = {}
+    pivots: Pivots = {}
     return sum(_echelon_insert(pivots, _scaled(raw)[1]) for raw in mat)
 
 
-def _echelon_insert(pivots: dict[int, tuple[int, dict[int, int]]], row: dict[int, int]) -> bool:
+def _echelon_insert(pivots: Pivots, row: dict[int, int]) -> bool:
     """Reduce an integer sparse row (consumed) against the echelon pivots,
     fraction free; install what survives as a new pivot, stored as its
     leading coefficient (positive) and the rest of the row, with content 1.
@@ -163,20 +192,25 @@ def _echelon_insert(pivots: dict[int, tuple[int, dict[int, int]]], row: dict[int
     return False
 
 
-def _basis_from_pivots(pivots: dict[int, tuple[int, dict[int, int]]], ncols: int) -> list[dict[int, Fraction]]:
-    """Sparse nullspace basis, one vector per free column, by back
-    substitution in exact rationals."""
-    pivot_cols = sorted(pivots)
-    free_cols = [c for c in range(ncols) if c not in pivots]
+def _integer_basis(pivots: Pivots, ncols: int) -> list:
+    """Null-space basis, one vector per free column f, by back substitution
+    over the integer pivots: pairs (m, X) of an int m > 0 and a sparse int
+    vector X = m x, where x is the rational null vector with x_f = 1 and
+    x = 0 at the other free columns."""
+    order = sorted(pivots, reverse=True)
     basis = []
-    for f in free_cols:
-        x: dict[int, Fraction] = {f: Fraction(1)}
-        for p in reversed(pivot_cols):
+    for f in (c for c in range(ncols) if c not in pivots):
+        m, x = 1, {f: 1}
+        for p in order:
             lead, tail = pivots[p]
             acc = sum(v * x[c] for c, v in tail.items() if c in x)
             if acc:
-                x[p] = -acc / lead
-        basis.append(x)
+                g = gcd(acc, lead)
+                if g != lead:
+                    m *= lead // g
+                    x = {c: lead // g * v for c, v in x.items()}
+                x[p] = -acc // g
+        basis.append((m, x))
     return basis
 
 
@@ -256,126 +290,125 @@ def _check_relations(rep: ExplicitRep) -> None:
 
 
 def _layout(A: ExplicitRep, B: ExplicitRep):
-    """Offsets of the unknowns: (v, r, c) is entry f_v[r][c] of the
-    (B-dim x A-dim) matrix at v, and has index offsets[v] + r * adim + c."""
+    """The dims and arrow views of A and B, and per vertex index v the
+    offset of the unknowns: entry f_v[r][c] of the (B-dim x A-dim) matrix
+    at v has index offs[v] + r * adims[v] + c, of ``total``."""
     if (A.vertices, A.arrows, A.relations) != (B.vertices, B.arrows, B.relations):
         raise OracleError("representations live over different algebras")
-    adims, bdims = dict(A.dims), dict(B.dims)
-    if set(adims) != set(bdims):
-        raise OracleError("vertex sets differ")
-    offsets: dict[str, int] = {}
-    total = 0
-    for v in A.vertices:
-        offsets[v] = total
-        total += bdims[v] * adims[v]
-    return offsets, total, adims, bdims
-
-
-def _equations(A: ExplicitRep, B: ExplicitRep, adims, bdims, offsets):
-    """Per nonempty equation of f_t A_a = B_a f_s: the index of f_t[r][0]
-    with the nonzeros of column c of A_a (times fa), and the index of
-    f_s[0][c] with the nonzeros of row r of B_a (times fb), the equations of
-    an arrow scaled by the LCM fa * aden = fb * bden of the denominators in
-    A_a and B_a.  Only the pairs (r, c) where one side holds a nonzero are
-    visited."""
-    for arr in A.arrows:
-        s, t = arr.source, arr.target
-        aden, acols, _ = A.sparse[arr.name]
-        bden, _, brows = B.sparse[arr.name]
-        den = lcm(aden, bden)
-        fa, fb = den // aden, den // bden
-        ns, base_s = adims[s], offsets[s]
-        for r in range(bdims[t]):
-            bnz = brows.get(r, ())
-            base_t = offsets[t] + r * adims[t]
-            for c in range(ns) if bnz else acols:
-                yield base_t, fa, acols.get(c, ()), base_s + c, ns, fb, bnz
+    (adims, aview), (bdims, bview) = A.view, B.view
+    offs, total = [], 0
+    for da, db in zip(adims, bdims):
+        offs.append(total)
+        total += da * db
+    return adims, bdims, aview, bview, offs, total
 
 
 def _hom_system(A: ExplicitRep, B: ExplicitRep):
-    """Sparse integer rows of the system for {f_v} with f_t A_a = B_a f_s
-    per arrow a, one per nonempty equation."""
-    offsets, total, adims, bdims = _layout(A, B)
-    rows = []
-    for base_t, fa, anz, base_s, ns, fb, bnz in _equations(A, B, adims, bdims, offsets):
-        row = {base_t + m: fa * v for m, v in anz}
-        for m, v in bnz:
-            key = base_s + m * ns
-            nv = row.get(key, 0) - fb * v
-            if nv:
-                row[key] = nv
-            else:  # a loop: f_v[r][c] on both sides cancels
-                del row[key]
-        if row:
-            rows.append(row)
-    return rows, total, offsets, adims, bdims
+    """Echelon pivots of the integer system for {f_v} with f_t A_a = B_a f_s
+    per arrow a: the equation (r, c) of an arrow joins the index of
+    f_t[r][0] with the nonzeros of column c of A_a (times fa) and the index
+    of f_s[0][c] with those of row r of B_a (times fb), scaled by the LCM
+    fa * aden = fb * bden of the denominators in A_a and B_a."""
+    adims, bdims, aview, bview, offs, total = _layout(A, B)
+    pivots: Pivots = {}
+    for (s, t, aden, acols, _), (_, _, bden, _, brows) in zip(aview, bview):
+        den = lcm(aden, bden)
+        fa, fb = den // aden, den // bden
+        ns, nt = adims[s], adims[t]
+        for r in range(bdims[t]):
+            for c in range(ns):
+                row = {offs[t] + r * nt + m: fa * v for m, v in _entries(acols, c)}
+                for m, v in _entries(brows, r):
+                    key = offs[s] + m * ns + c
+                    nv = row.get(key, 0) - fb * v
+                    if nv:
+                        row[key] = nv
+                    else:  # a loop: f_v[r][c] on both sides cancels
+                        del row[key]
+                if row:
+                    _echelon_insert(pivots, row)
+    return pivots, adims, bdims, offs, total
 
 
 def hom_dim_linalg(A: ExplicitRep, B: ExplicitRep) -> int:
     """Dimension of Hom(A, B): the free stage-1 classes minus the rank of
     the stage-2 rows (see the module docstring)."""
-    offsets, total, adims, bdims = _layout(A, B)
-    up = {}  # p -> (its parent, x_p / x_parent), for p not a root
-    zeros = set()  # the roots of the classes forced to zero
+    adims, bdims, aview, bview, offs, total = _layout(A, B)
+    parent = list(range(total))
+    ratio = [1] * total  # x_p / x_parent[p]
+    zero = [False] * total  # per root: its class is forced to zero
+    free = total  # the classes not forced to zero
     later = []
 
     def find(p):
         """The root of p and x_p / x_root, compressing the path."""
-        if p not in up:
-            return p, 1
         path = []
-        while p in up:
+        while parent[p] != p:
             path.append(p)
-            p = up[p][0]
+            p = parent[p]
         f = 1
         for q in reversed(path):
-            f *= up[q][1]
-            up[q] = p, f
+            f *= ratio[q]
+            parent[q], ratio[q] = p, f
         return p, f
 
-    for base_t, fa, anz, base_s, ns, fb, bnz in _equations(A, B, adims, bdims, offsets):
-        if len(anz) > 1 or len(bnz) > 1:
-            later.append([(base_t + m, fa * v) for m, v in anz]
-                         + [(base_s + m * ns, -fb * v) for m, v in bnz])
-        elif not bnz:
-            zeros.add(find(base_t + anz[0][0])[0])
-        elif not anz:
-            zeros.add(find(base_s + bnz[0][0] * ns)[0])
-        else:
-            rp, fp = find(base_t + anz[0][0])
-            rq, fq = find(base_s + bnz[0][0] * ns)
-            lhs, rhs = fa * anz[0][1] * fp, fb * bnz[0][1] * fq
-            if rp != rq:
-                up[rp] = rq, (1 if lhs == rhs else Fraction(rhs, lhs))
-                if rp in zeros:
-                    zeros.remove(rp)
-                    zeros.add(rq)
-            elif lhs != rhs:
-                zeros.add(rp)
-    classes = total - len(up) - len(zeros)
-    pivots: dict[int, tuple[int, dict[int, int]]] = {}
+    for (s, t, aden, acols, _), (_, _, bden, _, brows) in zip(aview, bview):
+        # fa * aden = fb * bden = lcm(aden, bden)
+        fa, fb = (1, 1) if aden == bden else (bden // gcd(aden, bden), aden // gcd(aden, bden))
+        ns, nt = adims[s], adims[t]
+        (apos, aval, _), (bpos, bval, _) = acols, brows
+        base_t = offs[t]
+        for r in range(bdims[t]):
+            q0 = bpos[r]
+            base_s = offs[s] + q0 * ns
+            rhs0 = fb * bval[r]
+            for c in range(ns):
+                p0 = apos[c]
+                if p0 >= 0 and q0 >= 0:
+                    p, q = base_t + p0, base_s + c
+                    rp, fp = (p, 1) if parent[p] == p else find(p)
+                    rq, fq = (q, 1) if parent[q] == q else find(q)
+                    lhs, rhs = fa * aval[c] * fp, rhs0 * fq
+                    if rp != rq:
+                        parent[rp], ratio[rp] = rq, (1 if lhs == rhs else Fraction(rhs, lhs))
+                        if not (zero[rp] and zero[rq]):
+                            free -= 1
+                        zero[rq] = zero[rq] or zero[rp]
+                    elif lhs != rhs and not zero[rp]:
+                        zero[rp] = True
+                        free -= 1
+                elif p0 == -1 == q0:
+                    continue
+                elif p0 == -2 or q0 == -2:
+                    later.append([(base_t + m, fa * v) for m, v in _entries(acols, c)]
+                                 + [(offs[s] + m * ns + c, -fb * v) for m, v in _entries(brows, r)])
+                else:  # one term: its class is zero
+                    p = base_t + p0 if q0 == -1 else base_s + c
+                    rp = p if parent[p] == p else find(p)[0]
+                    if not zero[rp]:
+                        zero[rp] = True
+                        free -= 1
+            base_t += nt
+    pivots: Pivots = {}
     for terms in later:
-        row: dict = {}
+        row = {}
         for p, v in terms:
             root, f = find(p)
-            if root not in zeros:
+            if not zero[root]:
                 row[root] = row.get(root, 0) + v * f
         den = lcm(*(v.denominator for v in row.values()))
-        classes -= _echelon_insert(pivots, {p: int(v * den) for p, v in row.items() if v})
-    return classes
+        free -= _echelon_insert(pivots, {p: int(v * den) for p, v in row.items() if v})
+    return free
 
 
 def hom_solution_basis(A: ExplicitRep, B: ExplicitRep):
     """Basis of the intertwiner space as per-vertex matrices."""
-    rows, total, offsets, adims, bdims = _hom_system(A, B)
-    pivots: dict[int, tuple[int, dict[int, int]]] = {}
-    for row in rows:
-        _echelon_insert(pivots, row)
+    pivots, adims, bdims, offs, total = _hom_system(A, B)
     return [
-        {v: tuple(tuple(vec.get(offsets[v] + r * adims[v] + c, _ZERO)
-                        for c in range(adims[v])) for r in range(bdims[v]))
-         for v in A.vertices}
-        for vec in _basis_from_pivots(pivots, total)
+        {v: tuple(tuple(Fraction(x.get(o + r * da + c, 0), m) for c in range(da))
+                  for r in range(db))
+         for v, da, db, o in zip(A.vertices, adims, bdims, offs)}
+        for m, x in _integer_basis(pivots, total)
     ]
 
 
@@ -388,28 +421,6 @@ def probe_seed(alg: AlgebraPresentation, *context: str) -> int:
     return int.from_bytes(h.digest()[:8], "big")
 
 
-def _combine(basis, coeffs, vertices):
-    out = {}
-    for v in vertices:
-        rows = len(basis[0][v])
-        cols = len(basis[0][v][0]) if rows else 0
-        m = _zero_matrix(rows, cols)
-        for coeff, vec in zip(coeffs, basis):
-            if not coeff:
-                continue
-            mv = vec[v]
-            for r in range(rows):
-                for c in range(cols):
-                    if mv[r][c]:
-                        m[r][c] += coeff * mv[r][c]
-        out[v] = _freeze(m)
-    return out
-
-
-def _rank_goal_met(fmap, goals) -> bool:
-    return all(matrix_rank(fmap[v]) >= g for v, g in goals.items() if g)
-
-
 def exists_full_rank_hom(
     A: ExplicitRep,
     B: ExplicitRep,
@@ -420,53 +431,50 @@ def exists_full_rank_hom(
     """Whether some intertwiner is injective (kind='inj') or surjective
     (kind='surj') at every vertex.
 
-    Sampled mode evaluates ranks at 8 pseudo-random rational points; max
-    rank is generic, so repetition bounds false negatives.  Certified mode checks
-    the rank at a symbolic generic point instead.
+    Sampled mode evaluates ranks at 8 pseudo-random points of the solution
+    space (see the module docstring); max rank is generic, so repetition
+    bounds false negatives.  Certified mode checks the rank at a symbolic
+    generic point instead.
     """
-    adims, bdims = dict(A.dims), dict(B.dims)
-    goals = adims if kind == "inj" else bdims
     if kind not in ("inj", "surj"):
         raise ValueError("kind must be 'inj' or 'surj'")
-    if kind == "inj" and any(adims[v] > bdims[v] for v in adims):
+    adims, bdims = A.view[0], B.view[0]
+    goals, bigger = (adims, bdims) if kind == "inj" else (bdims, adims)
+    if any(g > d for g, d in zip(goals, bigger)):
         return False
-    if kind == "surj" and any(bdims[v] > adims[v] for v in bdims):
-        return False
-    basis = hom_solution_basis(A, B)
+    pivots, adims, bdims, offs, total = _hom_system(A, B)
+    basis = _integer_basis(pivots, total)
     if not basis:
-        return all(g == 0 for g in goals.values())
+        return not any(goals)
+    blocks = [(o, da, db, g) for o, da, db, g in zip(offs, adims, bdims, goals) if g]
     if certified:
-        return _generic_full_rank(basis, goals, A.vertices)
+        import sympy
+
+        coeffs = [c / m for c, (m, _) in zip(sympy.symbols(f"c0:{len(basis)}"), basis)]
+        return _meets(_point(coeffs, basis), blocks, lambda mat: sympy.Matrix(mat).rank())
     import random
 
     rng = random.Random(seed)
-    for _ in range(8):
-        coeffs = [Fraction(rng.randint(-999, 999)) for _ in basis]
-        fmap = _combine(basis, coeffs, A.vertices)
-        if _rank_goal_met(fmap, goals):
-            return True
-    return False
+    scale = lcm(*(m for m, _ in basis))
+    return any(_meets(_point([rng.randint(-999, 999) * (scale // m) for m, _ in basis], basis),
+                      blocks, matrix_rank) for _ in range(8))
 
 
-def _generic_full_rank(basis, goals, vertices) -> bool:
-    import sympy
+def _point(coeffs, basis) -> dict:
+    """The point sum c_k X_k of the solution space, for an integer basis of
+    pairs (m_k, X_k)."""
+    point = {}
+    for coeff, (_, x) in zip(coeffs, basis):
+        for i, v in x.items():
+            point[i] = point.get(i, 0) + coeff * v
+    return point
 
-    syms = sympy.symbols(f"c0:{len(basis)}")
-    for v in vertices:
-        goal = goals.get(v, 0)
-        if not goal:
-            continue
-        rows = len(basis[0][v])
-        cols = len(basis[0][v][0]) if rows else 0
-        m = sympy.zeros(rows, cols)
-        for s, vec in zip(syms, basis):
-            for r in range(rows):
-                for c in range(cols):
-                    if vec[v][r][c]:
-                        m[r, c] += s * sympy.Rational(vec[v][r][c])
-        if m.rank() < goal:
-            return False
-    return True
+
+def _meets(point, blocks, rank) -> bool:
+    """Whether the point's matrix at each block (o, da, db, g) of unknowns,
+    entry [r][c] at index o + r * da + c, has rank >= g."""
+    return all(rank([[point.get(o + r * da + c, 0) for c in range(da)] for r in range(db)]) >= g
+               for o, da, db, g in blocks)
 
 
 def end_dim(M: ExplicitRep) -> int:

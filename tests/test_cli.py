@@ -313,6 +313,9 @@ def test_mgs_check_does_not_load_the_lemma_suite():
         "assert code == 0, code")
     assert "mgslab.mgs" in loaded
     assert "mgslab.lemmas" not in loaded
+    # nor the oracle, nor `fractions` (with `decimal` and `numbers` about
+    # 4.5 ms of every cold op): only band modules take a rational lambda
+    assert not {"fractions", "mgslab.oracle"} & loaded
 
 
 HOM_MACHINERY = ("mgslab.mgs", "mgslab.modules", "mgslab.oracle", "mgslab.words")

@@ -1,9 +1,11 @@
 """The integer oracle against the rational elimination it replaced, kept
 here as a slow reference: equal Hom dimensions (union-find, then fraction
-free elimination), ranks and null-space bases (the same Fraction
-vectors).  And the substring calculus for band modules against the oracle
-at sampled band parameters."""
+free elimination), ranks, null-space bases (the same Fraction vectors, and
+integer back substitution giving positive multiples of them) and sampled
+full-rank verdicts.  And the substring calculus for band modules against
+the oracle at sampled band parameters."""
 
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -14,6 +16,7 @@ from mgslab import (
     band_module,
     enumerate_bands,
     enumerate_strings,
+    exists_full_rank_hom,
     hom_dim_band_string,
     hom_dim_linalg,
     hom_dim_string_band,
@@ -22,8 +25,8 @@ from mgslab import (
     string_module,
     to_explicit,
 )
-from mgslab import oracle
-from mgslab.oracle import ExplicitRep, matrix_rank
+from mgslab import lemmas, oracle
+from mgslab.oracle import ExplicitRep, matrix_rank, probe_seed
 
 ALGEBRAS = ("a12tilde", "a2", "double_arrows", "gentle5", "kronecker", "mgs5", "two_loops")
 LAMBDAS = (Fraction(1), Fraction(2), Fraction(1, 2), Fraction(-3), Fraction(-1), Fraction(1, 3))
@@ -116,12 +119,43 @@ def ref_hom_solution_basis(A, B):
     return out
 
 
+def ref_exists_full_rank_hom(A, B, kind, seed):
+    """Sampled mode over the rationals: the points sum c_k x_k of the
+    reference basis, with the same draws, ranked in Fractions."""
+    adims, bdims = dict(A.dims), dict(B.dims)
+    goals, bigger = (adims, bdims) if kind == "inj" else (bdims, adims)
+    if any(goals[v] > bigger[v] for v in goals):
+        return False
+    basis = ref_hom_solution_basis(A, B)
+    if not basis:
+        return all(g == 0 for g in goals.values())
+    rng = random.Random(seed)
+    for _ in range(8):
+        coeffs = [Fraction(rng.randint(-999, 999)) for _ in basis]
+        if all(ref_matrix_rank([[sum(k * vec[v][r][c] for k, vec in zip(coeffs, basis))
+                                 for c in range(adims[v])] for r in range(bdims[v])]) >= g
+               for v, g in goals.items() if g):
+            return True
+    return False
+
+
 def _assert_same(A, B):
     dim = hom_dim_linalg(A, B)
     assert dim == ref_hom_dim(A, B)
     basis, ref = hom_solution_basis(A, B), ref_hom_solution_basis(A, B)
     assert basis == ref
     assert len(basis) == dim
+    # integer back substitution: m x for each reference vector x, m > 0
+    pivots, adims, bdims, offs, total = oracle._hom_system(A, B)
+    scaled = oracle._integer_basis(pivots, total)
+    assert len(scaled) == len(ref)
+    for (m, x), want in zip(scaled, ref):
+        assert type(m) is int and m > 0
+        assert all(type(e) is int and e for e in x.values())
+        assert x == {
+            o + r * da + c: m * want[v][r][c]
+            for v, da, db, o in zip(A.vertices, adims, bdims, offs)
+            for r in range(db) for c in range(da) if want[v][r][c]}
     for got, want in zip(basis, ref):
         for v in got:
             assert all(type(x) is Fraction for row in got[v] for x in row)
@@ -221,3 +255,39 @@ def test_hand_built_loops_cancel(two_loops):
     ]
     for A, B in product(reps, repeat=2):
         _assert_same(A, B)
+
+
+@pytest.mark.parametrize("name", ["a12tilde", "two_loops", "kronecker"])
+def test_sampled_full_rank_matches_rational_sampling_on_lemma_probes(name, data_dir, monkeypatch):
+    # every probe the lemma suite makes at length 10 (the `crosscheck` lemma ops)
+    alg = load_algebra(data_dir / f"{name}.alg")
+    probes = []
+
+    def probe(A, B, kind, seed):
+        got = exists_full_rank_hom(A, B, kind, seed)
+        probes.append((got, ref_exists_full_rank_hom(A, B, kind, seed)))
+        return got
+
+    monkeypatch.setattr(lemmas, "exists_full_rank_hom", probe)
+    lemmas.run_lemma_suite(alg, 10)
+    assert probes
+    assert all(got == want for got, want in probes)
+
+
+@pytest.mark.parametrize("name", [n for n in ALGEBRAS if n != "a2"])
+def test_sampled_full_rank_matches_rational_sampling_on_string_band_pairs(name, data_dir):
+    alg = load_algebra(data_dir / f"{name}.alg")
+    strings = [(w, to_explicit(string_module(alg, w))) for w in enumerate_strings(alg, 3)]
+    verdicts = set()
+    for rec in enumerate_bands(alg, 4):
+        for lam, k in product((Fraction(2), Fraction(-1, 3)), (1, 2, 3)):
+            B = to_explicit(band_module(alg, rec.canonical, lam, k))
+            for w, S in strings:
+                for X, Y in ((S, B), (B, S)):
+                    for kind in ("inj", "surj"):
+                        seed = probe_seed(alg, str(w), str(rec.canonical), str(lam), str(k), kind)
+                        got = exists_full_rank_hom(X, Y, kind, seed)
+                        assert got == ref_exists_full_rank_hom(X, Y, kind, seed), (
+                            str(w), str(rec.canonical), lam, k, kind)
+                        verdicts.add((kind, got))
+    assert verdicts == {(kind, v) for kind in ("inj", "surj") for v in (True, False)}
