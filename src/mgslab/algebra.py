@@ -33,6 +33,12 @@ class Arrow(NamedTuple):
     target: str
 
 
+def _unspellable(name: str) -> bool:
+    """Walk literals read a trailing ``-`` as an inverse letter and a
+    leading ``e:`` as a trivial walk, so no arrow name may have either."""
+    return name.endswith("-") or name.startswith("e:")
+
+
 class AlgebraPresentation:
     """Quiver with monomial relations.  Nothing may reassign its fields once
     built: its memos, and every memo keyed on it, would silently go stale.
@@ -56,6 +62,8 @@ class AlgebraPresentation:
         for a in self.arrows:
             if a.name in names:
                 raise AlgebraError(f"duplicate arrow name {a.name!r}")
+            if _unspellable(a.name):
+                raise AlgebraError(f"arrow name {a.name!r} ends in '-' or starts with 'e:'")
             names.add(a.name)
             for v in (a.source, a.target):
                 if v not in seen:
@@ -238,6 +246,9 @@ def parse_algebra(text: str) -> AlgebraPresentation:
             name, src, dst = args
             if name in anames:
                 raise AlgebraParseError(f"duplicate arrow name {name!r}", lineno)
+            if _unspellable(name):
+                raise AlgebraParseError(
+                    f"arrow name {name!r} ends in '-' or starts with 'e:'", lineno)
             if src not in vset:
                 raise AlgebraParseError(f"unknown vertex {src!r}", lineno)
             if dst not in vset:

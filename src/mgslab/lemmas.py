@@ -8,6 +8,8 @@ family share one sweep over it: one over the (band, brick supported on it)
 pairs, with the brick's maximal substrings over the band, and one over the
 strings u^k v of each minimal band.  Each check still visits its instances
 in the same order, so its tallies do not depend on the sweeps it shares.
+Whether a word sits as a quotient or a submodule of another brick is read
+from that brick's class sets (``hom_classes``).
 """
 
 from __future__ import annotations
@@ -17,10 +19,11 @@ from types import SimpleNamespace
 
 from .algebra import AlgebraPresentation
 from .mgs import BudgetExhausted, build_brick_pools, enumerate_mgs
-from .modules import band_module, enumerate_bricks, is_brick, string_module
+from .modules import band_module, enumerate_bricks, hom_classes, is_brick, string_module
 from .oracle import exists_full_rank_hom, probe_seed, to_explicit
 from .words import (
     Walk,
+    canonical_string,
     enumerate_bands,
     enumerate_strings,
     is_band,
@@ -29,7 +32,6 @@ from .words import (
     maximal_w_substrings,
     periodic_factor,
     primitive_root,
-    substring_occurrences,
     supported_on,
 )
 
@@ -133,8 +135,7 @@ def run_lemma_suite(alg: AlgebraPresentation, max_string_len: int,
             for m in maximal:
                 chk.examined += 1
                 chk.satisfied += 1
-                occ = m.occurrence
-                if not (occ.is_submodule_occurrence or occ.is_quotient_occurrence):
+                if not (m.submodule or m.quotient):
                     chk.counterexamples.append(
                         f"M({m.word}) inside brick M({gamma}) is neither"
                         " submodule nor quotient"
@@ -179,11 +180,9 @@ def run_lemma_suite(alg: AlgebraPresentation, max_string_len: int,
                 for m in maximal:
                     if m.power != 1:
                         continue
-                    occ = m.occurrence
-                    if not (occ.is_submodule_occurrence or occ.is_quotient_occurrence):
+                    if not (m.submodule or m.quotient):
                         continue
-                    want_quotient = occ.is_submodule_occurrence
-                    other = _find_second_host(m.word, gamma, bricks, want_quotient)
+                    other = _find_second_host(alg, m.word, gamma, bricks, m.submodule)
                     if other is None:
                         continue
                     chk.examined += 1
@@ -243,11 +242,11 @@ def run_lemma_suite(alg: AlgebraPresentation, max_string_len: int,
             # extension-host instances: brick u^k v sub/quotient of a brick z
             # supported one band power higher
             chk = report.extension_host_shaped_count
+            key = canonical_string(walk).key()
             if not any(
                 z.length > walk.length and periodic_factor(z.letters, w) is not None
                 and supported_on(z, u, k + 1)
-                and any(o.is_submodule_occurrence or o.is_quotient_occurrence
-                        for o in substring_occurrences(z, walk))
+                and any(key in side for side in hom_classes(alg, z))
                 for z in bricks
             ):
                 continue
@@ -283,14 +282,12 @@ def run_lemma_suite(alg: AlgebraPresentation, max_string_len: int,
     return report
 
 
-def _find_second_host(word: Walk, gamma: Walk, bricks, want_quotient: bool):
-    """A brick other than gamma in which word sits as a quotient (or
-    submodule) occurrence."""
+def _find_second_host(alg: AlgebraPresentation, word: Walk, gamma: Walk, bricks,
+                      want_quotient: bool):
+    """A brick other than gamma of which word is a quotient (or a
+    submodule).  Bricks are canonical, so this also passes over gamma^-1."""
+    key = canonical_string(word).key()
     for cand in bricks:
-        if cand in (gamma, gamma.inverse()):
-            continue
-        for occ in substring_occurrences(cand, word):
-            flag = occ.is_quotient_occurrence if want_quotient else occ.is_submodule_occurrence
-            if flag:
-                return cand
+        if cand != gamma and key in hom_classes(alg, cand)[0 if want_quotient else 1]:
+            return cand
     return None

@@ -108,18 +108,11 @@ def band_module(alg: AlgebraPresentation, w: Walk, lam: Fraction, k: int) -> Ban
 
 
 def top_socle(M: StringModuleRep) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """Simple tops sit at peaks of the diagram, socle simples at valleys."""
-    w = M.walk
-    d = w.length
-    top, socle = [], []
-    for p in range(1, d + 2):
-        left = w.letters[p - 2] if p >= 2 else None
-        right = w.letters[p - 1] if p <= d else None
-        if (left is None or left.sign == -1) and (right is None or right.sign == +1):
-            top.append(w.vertices[p - 1])
-        if (left is None or left.sign == +1) and (right is None or right.sign == -1):
-            socle.append(w.vertices[p - 1])
-    return tuple(sorted(top)), tuple(sorted(socle))
+    """Simple tops sit at peaks of the diagram, socle simples at valleys:
+    the length-0 quotient and submodule classes, each as often as it occurs."""
+    return tuple(tuple(sorted(key[1][0] for key, n in counts.items() if not key[0]
+                              for _ in range(n)))
+                 for counts in _class_counts(M.alg, M.walk))
 
 
 def band_peaks_valleys(w: Walk) -> tuple[list[int], list[int]]:

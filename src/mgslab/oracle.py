@@ -39,10 +39,10 @@ over the integer pivots gives each basis vector x_k of rational
 elimination as an int vector m_k x_k, m_k > 0.
 
 Injectivity/surjectivity of some intertwiner is decided by maximizing
-matrix ranks at pseudo-random points of the solution space, or exactly at
-a symbolic generic point in certified mode.  A sampled point sum c_k (L /
-m_k) (m_k x_k), L the LCM of the m_k, is L times the rational point sum
-c_k x_k: in ints, with the ranks and verdicts of rational sampling.
+matrix ranks at pseudo-random points of the solution space.  A point
+sum c_k (L / m_k) (m_k x_k), L the LCM of the m_k, is L times the rational
+point sum c_k x_k: in ints, with the ranks and verdicts of rational
+sampling.
 """
 
 from __future__ import annotations
@@ -421,20 +421,13 @@ def probe_seed(alg: AlgebraPresentation, *context: str) -> int:
     return int.from_bytes(h.digest()[:8], "big")
 
 
-def exists_full_rank_hom(
-    A: ExplicitRep,
-    B: ExplicitRep,
-    kind: str,
-    seed: int,
-    certified: bool = False,
-) -> bool:
+def exists_full_rank_hom(A: ExplicitRep, B: ExplicitRep, kind: str, seed: int) -> bool:
     """Whether some intertwiner is injective (kind='inj') or surjective
     (kind='surj') at every vertex.
 
-    Sampled mode evaluates ranks at 8 pseudo-random points of the solution
-    space (see the module docstring); max rank is generic, so repetition
-    bounds false negatives.  Certified mode checks the rank at a symbolic
-    generic point instead.
+    Ranks are evaluated at 8 pseudo-random points of the solution space
+    (see the module docstring); max rank is generic, so repetition bounds
+    false negatives.
     """
     if kind not in ("inj", "surj"):
         raise ValueError("kind must be 'inj' or 'surj'")
@@ -447,17 +440,12 @@ def exists_full_rank_hom(
     if not basis:
         return not any(goals)
     blocks = [(o, da, db, g) for o, da, db, g in zip(offs, adims, bdims, goals) if g]
-    if certified:
-        import sympy
-
-        coeffs = [c / m for c, (m, _) in zip(sympy.symbols(f"c0:{len(basis)}"), basis)]
-        return _meets(_point(coeffs, basis), blocks, lambda mat: sympy.Matrix(mat).rank())
     import random
 
     rng = random.Random(seed)
     scale = lcm(*(m for m, _ in basis))
     return any(_meets(_point([rng.randint(-999, 999) * (scale // m) for m, _ in basis], basis),
-                      blocks, matrix_rank) for _ in range(8))
+                      blocks) for _ in range(8))
 
 
 def _point(coeffs, basis) -> dict:
@@ -470,10 +458,11 @@ def _point(coeffs, basis) -> dict:
     return point
 
 
-def _meets(point, blocks, rank) -> bool:
+def _meets(point, blocks) -> bool:
     """Whether the point's matrix at each block (o, da, db, g) of unknowns,
     entry [r][c] at index o + r * da + c, has rank >= g."""
-    return all(rank([[point.get(o + r * da + c, 0) for c in range(da)] for r in range(db)]) >= g
+    return all(matrix_rank([[point.get(o + r * da + c, 0) for c in range(da)]
+                            for r in range(db)]) >= g
                for o, da, db, g in blocks)
 
 

@@ -11,6 +11,10 @@ need only test the factors that end in it.  Bands are primitive
 cyclic strings all of whose powers are strings; they are identified up to
 rotation and inversion.  Nothing reassigns a walk; walks compare, hash and
 sort by their key (``Walk.key``), and enumerations are memoised on ``alg.memo``.
+
+A maximal w-substring carries its own shape, read off its two boundary
+letters.  Whether a word sits as a quotient or a submodule of some host is
+answered from the host's class sets (:func:`mgslab.modules.hom_classes`).
 """
 
 from __future__ import annotations
@@ -349,79 +353,6 @@ def band_pool(alg: AlgebraPresentation, max_len: int) -> BandPool:
     return BandPool(tuple(r.canonical for r in enumerate_bands(alg, max_len)), max_len)
 
 
-class Occurrence(NamedTuple):
-    """A located substring of a host walk.
-
-    Letters start..end (1-based, inclusive) with end = start-1 for a
-    length-0 occurrence at basis position start.  The boundary letters are
-    the host letters just outside the occurrence, when present; the quotient
-    and submodule flags depend only on their signs.
-    """
-
-    host: Walk
-    start: int
-    end: int
-    orientation: str  # "forward" | "reverse"
-
-    @property
-    def word(self) -> Walk:
-        return self.host.sub(self.start, self.end)
-
-    @property
-    def left_letter(self) -> Letter | None:
-        return self.host.letters[self.start - 2] if self.start >= 2 else None
-
-    @property
-    def right_letter(self) -> Letter | None:
-        return self.host.letters[self.end] if self.end < self.host.length else None
-
-    @property
-    def is_quotient_occurrence(self) -> bool:
-        left_ok = self.left_letter is None or self.left_letter.sign == -1
-        right_ok = self.right_letter is None or self.right_letter.sign == +1
-        return left_ok and right_ok
-
-    @property
-    def is_submodule_occurrence(self) -> bool:
-        left_ok = self.left_letter is None or self.left_letter.sign == +1
-        right_ok = self.right_letter is None or self.right_letter.sign == -1
-        return left_ok and right_ok
-
-
-def substring_occurrences(gamma: Walk, u: Walk) -> list[Occurrence]:
-    """All located occurrences of u or u^-1 inside gamma; a length-0 u
-    occurs once at each visited copy of its vertex."""
-    out = []
-    if u.length == 0:
-        for p, v in enumerate(gamma.vertices, start=1):
-            if v == u.source:
-                out.append(Occurrence(gamma, p, p - 1, "forward"))
-        return out
-    target = u.letters
-    rev = u.inverse().letters
-    d = gamma.length
-    for i in range(1, d - u.length + 2):
-        window = gamma.letters[i - 1 : i - 1 + u.length]
-        if window == target:
-            out.append(Occurrence(gamma, i, i + u.length - 1, "forward"))
-        elif window == rev:
-            out.append(Occurrence(gamma, i, i + u.length - 1, "reverse"))
-    return out
-
-
-def all_occurrences(w: Walk) -> list[Occurrence]:
-    """Every located substring occurrence of w, including all length-0
-    positions, in position order."""
-    out = []
-    d = w.length
-    for p in range(1, d + 2):
-        out.append(Occurrence(w, p, p - 1, "forward"))
-    for i in range(1, d + 1):
-        for j in range(i, d + 1):
-            out.append(Occurrence(w, i, j, "forward"))
-    return out
-
-
 def supported_on(gamma: Walk, w: Walk, k: int) -> bool:
     """True iff u^k is a contiguous substring of gamma for some u ~ w."""
     if k < 1:
@@ -447,19 +378,24 @@ def periodic_factor(word: tuple[Letter, ...], w: Walk) -> Walk | None:
 
 
 class MaximalWSubstring(NamedTuple):
-    occurrence: Occurrence
-    band: Walk  # the rotation u ~ w aligned with the occurrence
+    """Letters start..end (1-based, inclusive) of the host, the word they
+    spell as u^k v, and its shape: a quotient when the host letter just
+    left of it is inverse and the one just right direct, a submodule for
+    the opposite signs, a missing letter fitting either."""
+
+    word: Walk
+    start: int
+    end: int
+    band: Walk  # the rotation u ~ w aligned with the word
     power: int  # k in epsilon = u^k v
     remainder: Walk  # v, a proper prefix of u
-
-    @property
-    def word(self) -> Walk:
-        return self.occurrence.word
+    quotient: bool
+    submodule: bool
 
 
 def maximal_w_substrings(gamma: Walk, w: Walk) -> list[MaximalWSubstring]:
-    """Occurrences of factors of w^N inside gamma that are supported on w
-    and inextensible within gamma, each with its u^k v factorization."""
+    """Factors of w^N inside gamma that are supported on w and inextensible
+    within gamma, each with its u^k v factorization."""
     out = []
     d = gamma.length
     lw = w.length
@@ -473,10 +409,13 @@ def maximal_w_substrings(gamma: Walk, w: Walk) -> list[MaximalWSubstring]:
                 continue
             if j < d and periodic_factor(gamma.letters[i - 1 : j + 1], w) is not None:
                 continue
-            occ = Occurrence(gamma, i, j, "forward")
+            left = gamma.letters[i - 2].sign if i > 1 else 0
+            right = gamma.letters[j].sign if j < d else 0
+            sub = gamma.sub(i, j)
             k = len(word) // lw
-            remainder = occ.word.sub(k * lw + 1, len(word))
-            out.append(MaximalWSubstring(occ, u, k, remainder))
+            out.append(MaximalWSubstring(sub, i, j, u, k, sub.sub(k * lw + 1, len(word)),
+                                         left != 1 and right != -1,
+                                         left != -1 and right != 1))
     return out
 
 

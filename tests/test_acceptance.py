@@ -279,6 +279,10 @@ DETERMINISM_COMMANDS = (
     ("lemmas", "run", "--algebra", str(DATA / "two_loops.alg"), "--max-len", "10"),
     ("lemmas", "run", "--algebra", str(DATA / "kronecker.alg"), "--max-len", "10"),
     ("lemmas", "run", "--algebra", str(DATA / "gentle5.alg"), "--max-len", "9"),
+    ("lemmas", "run", "--algebra", str(DATA / "mgs5.alg"),
+     "--max-len", "8", "--budget", "50000"),
+    ("lemmas", "run", "--algebra", str(DATA / "double_arrows.alg"),
+     "--max-len", "8", "--budget", "50000"),
 )
 
 

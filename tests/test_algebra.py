@@ -1,7 +1,10 @@
 import pytest
 
 from mgslab import (
+    AlgebraError,
     AlgebraParseError,
+    AlgebraPresentation,
+    Arrow,
     parse_algebra,
     validate_axioms,
     vertex_arrow_count,
@@ -40,6 +43,23 @@ def test_parse_unknown_arrow_in_relation():
 def test_parse_duplicate_arrow():
     with pytest.raises(AlgebraParseError, match="duplicate arrow"):
         parse_algebra("vertex 1\narrow a 1 1\narrow a 1 1\n")
+
+
+@pytest.mark.parametrize("name", ["a-", "e:1"])
+def test_parse_rejects_arrow_names_walk_literals_cannot_spell(name):
+    # `a-` would read back as the inverse of an arrow `a`, `e:1` as the
+    # trivial walk at vertex 1
+    with pytest.raises(AlgebraParseError, match="arrow name") as exc:
+        parse_algebra(f"vertex 1\nvertex 2\narrow {name} 1 2\n")
+    assert exc.value.line == 3
+
+
+@pytest.mark.parametrize("name", ["a-", "e:1"])
+def test_presentation_rejects_arrow_names_walk_literals_cannot_spell(name):
+    with pytest.raises(AlgebraError, match="arrow name"):
+        AlgebraPresentation(("1", "2"), (Arrow(name, "1", "2"),), ())
+    # a '-' or 'e:' elsewhere in the name is spelled unambiguously
+    AlgebraPresentation(("1", "2"), (Arrow("a-b", "1", "2"), Arrow("ce:", "1", "2")), ())
 
 
 def test_parse_duplicate_vertex():

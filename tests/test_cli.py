@@ -182,6 +182,15 @@ def test_parse_error_exit_three(capsys, tmp_path):
     assert "unknown vertex" in doc["error"]
 
 
+@pytest.mark.parametrize("name", ["a-", "e:1"])
+def test_unspellable_arrow_name_exit_three(capsys, tmp_path, name):
+    bad = tmp_path / "bad.alg"
+    bad.write_text(f"vertex 1\nvertex 2\narrow {name} 1 2\n")
+    code, doc = run_cli(capsys, "strings", "--algebra", str(bad), "--max-len", "1")
+    assert code == 3
+    assert doc["error"].startswith(f"line 3: arrow name {name!r}")
+
+
 def test_missing_file_exit_three(capsys):
     code, doc = run_cli(capsys, "validate", "--algebra", "no-such-file.alg")
     assert code == 3

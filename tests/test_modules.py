@@ -5,13 +5,13 @@ import pytest
 
 from mgslab import (
     ModuleError,
-    all_occurrences,
     band_module,
     band_top_socle,
     canonical_string,
     enumerate_bands,
     enumerate_bricks,
     enumerate_strings,
+    hom_classes,
     hom_dim,
     hom_dim_linalg,
     is_brick,
@@ -81,22 +81,15 @@ def test_band_module_argument_errors(gentle5):
 
 def test_occurrences_with_flags_single_arrow(a12tilde):
     w = parse_walk(a12tilde, "b1")
-    occs = all_occurrences(w)
-    by_pos = {(o.start, o.end): o for o in occs}
-    e1 = by_pos[(1, 0)]
-    assert e1.word.source == "1"
-    assert e1.is_quotient_occurrence and not e1.is_submodule_occurrence
-    e3 = by_pos[(2, 1)]
-    assert e3.word.source == "3"
-    assert e3.is_submodule_occurrence and not e3.is_quotient_occurrence
-    full = by_pos[(1, 1)]
-    assert full.is_quotient_occurrence and full.is_submodule_occurrence
+    quotient, submodule = hom_classes(a12tilde, w)
+    e1, e3 = parse_walk(a12tilde, "e:1").key(), parse_walk(a12tilde, "e:3").key()
+    assert set(quotient) == {e1, w.key()}
+    assert set(submodule) == {e3, w.key()}
 
 
 def test_occurrences_with_flags_trivial(gentle5):
-    occs = all_occurrences(parse_walk(gentle5, "e:2"))
-    assert len(occs) == 1
-    assert occs[0].is_quotient_occurrence and occs[0].is_submodule_occurrence
+    e2 = parse_walk(gentle5, "e:2")
+    assert [set(side) for side in hom_classes(gentle5, e2)] == [{e2.key()}, {e2.key()}]
 
 
 def test_top_socle_examples(a12tilde, double_arrows, gentle5):
@@ -243,14 +236,23 @@ def test_hom_dim_matches_oracle_gentle5_sample(gentle5):
 
 
 def _reference_class_counts(w):
-    """Occurrence class counts built per occurrence: a sub-walk and its
-    canonical key each time; the reference for the key slices."""
+    """Occurrence class counts built per located occurrence, letters i..j
+    of the canonical host (1-based; j = i-1 for the length-0 one at i): a
+    sub-walk, its boundary letters' signs and its canonical key each time;
+    the reference for the key slices.  A quotient has no direct letter on
+    its left and no inverse one on its right, a submodule the opposite."""
+    c = canonical_string(w)
+    d = c.length
+    spans = [(p, p - 1) for p in range(1, d + 2)]
+    spans += [(i, j) for i in range(1, d + 1) for j in range(i, d + 1)]
     quotient, submodule = {}, {}
-    for occ in all_occurrences(canonical_string(w)):
-        key = canonical_string(occ.word).key()
-        if occ.is_quotient_occurrence:
+    for i, j in spans:
+        left = c.letters[i - 2].sign if i >= 2 else 0
+        right = c.letters[j].sign if j < d else 0
+        key = canonical_string(c.sub(i, j)).key()
+        if left != +1 and right != -1:
             quotient[key] = quotient.get(key, 0) + 1
-        if occ.is_submodule_occurrence:
+        if left != -1 and right != +1:
             submodule[key] = submodule.get(key, 0) + 1
     return quotient, submodule
 

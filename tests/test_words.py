@@ -19,7 +19,6 @@ from mgslab import (
     make_walk,
     maximal_w_substrings,
     parse_walk,
-    substring_occurrences,
     supported_on,
 )
 from mgslab.words import BandPool, _all_string_walks
@@ -170,18 +169,6 @@ def test_length_one_band_minimal():
     assert is_minimal_band(alg, w, BandPool((), 0))
 
 
-def test_substring_occurrences(gentle5):
-    gamma = parse_walk(gentle5, "g2 b2 a2- g2 b1-")
-    occs = substring_occurrences(gamma, parse_walk(gentle5, "g2"))
-    assert len(occs) == 2
-    assert [(o.start, o.end) for o in occs] == [(1, 1), (4, 4)]
-    assert substring_occurrences(gamma, parse_walk(gentle5, "e:4")) == []
-    assert len(substring_occurrences(gamma, gamma)) == 1
-    # inverted query found with reverse orientation
-    occs_rev = substring_occurrences(gamma, parse_walk(gentle5, "g2-"))
-    assert len(occs_rev) == 2 and all(o.orientation == "reverse" for o in occs_rev)
-
-
 def test_supported_on(gentle5):
     gamma = parse_walk(gentle5, "g2 b2 a2- g2 b1-")
     w2 = parse_walk(gentle5, "b2 a2- g2")
@@ -199,7 +186,9 @@ def test_maximal_w_substrings_inner_window(gentle5):
     assert len(found) == 1
     m = found[0]
     assert str(m.word) == "g2 b2 a2- g2"
-    assert (m.occurrence.start, m.occurrence.end) == (1, 4)
+    assert (m.start, m.end) == (1, 4)
+    # no letter on the left, an inverse one (b1-) on the right
+    assert m.submodule and not m.quotient
     assert m.power == 1
     assert m.band.letters == m.word.sub(1, 3).letters
     assert str(m.remainder) == "g2"
@@ -210,6 +199,7 @@ def test_maximal_w_substring_whole_band(gentle5):
     found = maximal_w_substrings(w2, w2)
     assert len(found) == 1
     assert found[0].word == w2
+    assert found[0].quotient and found[0].submodule
 
 
 def test_maximal_w_substrings_no_support(gentle5):
