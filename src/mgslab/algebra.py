@@ -34,9 +34,14 @@ class Arrow(NamedTuple):
 
 
 def _unspellable(name: str) -> bool:
-    """Walk literals read a trailing ``-`` as an inverse letter and a
-    leading ``e:`` as a trivial walk, so no arrow name may have either."""
-    return name.endswith("-") or name.startswith("e:")
+    """Walk literals are split on whitespace, read a trailing ``-`` as an
+    inverse letter and a leading ``e:`` as a trivial walk, so no arrow name
+    may be empty, hold whitespace, or have either."""
+    return (not name or any(c.isspace() for c in name)
+            or name.endswith("-") or name.startswith("e:"))
+
+
+_NAME_RULE = "must be nonempty, hold no whitespace, and neither end in '-' nor start with 'e:'"
 
 
 class AlgebraPresentation:
@@ -63,7 +68,7 @@ class AlgebraPresentation:
             if a.name in names:
                 raise AlgebraError(f"duplicate arrow name {a.name!r}")
             if _unspellable(a.name):
-                raise AlgebraError(f"arrow name {a.name!r} ends in '-' or starts with 'e:'")
+                raise AlgebraError(f"arrow name {a.name!r} {_NAME_RULE}")
             names.add(a.name)
             for v in (a.source, a.target):
                 if v not in seen:
@@ -247,8 +252,7 @@ def parse_algebra(text: str) -> AlgebraPresentation:
             if name in anames:
                 raise AlgebraParseError(f"duplicate arrow name {name!r}", lineno)
             if _unspellable(name):
-                raise AlgebraParseError(
-                    f"arrow name {name!r} ends in '-' or starts with 'e:'", lineno)
+                raise AlgebraParseError(f"arrow name {name!r} {_NAME_RULE}", lineno)
             if src not in vset:
                 raise AlgebraParseError(f"unknown vertex {src!r}", lineno)
             if dst not in vset:

@@ -43,8 +43,8 @@ from typing import NamedTuple
 from .algebra import AlgebraPresentation
 from .modules import (
     band_end_dim,
-    band_peaks_valleys,
     band_top_socle,
+    band_turns,
     enumerate_bricks,
     hom_classes,
     hom_dim,
@@ -484,40 +484,35 @@ def simple_order_socle_first(alg: AlgebraPresentation, pool: BandPool) -> SocleF
     return SocleFirstResult(not witnesses, witnesses, tuple(socle_simples + rest))
 
 
-def _descents_from_peak(w: Walk, p: int):
-    """The two directed paths from a peak down to its adjacent valleys,
-    as (arrow list in composition order, valley vertex)."""
+def _run(w: Walk, i: int, step: int, sign: int):
+    """The arrows of the band's letters from letter i on, read cyclically
+    in steps of step while their sign holds, and the vertex the run stops at."""
     d = w.length
-    right, i = [], p
-    while w.letters[i].sign == +1:
-        right.append(w.letters[i].arrow)
-        i = (i + 1) % d
-    right_end = w.vertices[i]
-    left, i = [], (p - 1) % d
-    while w.letters[i].sign == -1:
-        left.append(w.letters[i].arrow)
-        i = (i - 1) % d
-    left_end = w.vertices[(i + 1) % d]
-    return [(tuple(right), right_end), (tuple(left), left_end)]
+    arrows = []
+    while w.letters[i].sign == sign:
+        arrows.append(w.letters[i].arrow)
+        i = (i + step) % d
+    return arrows, w.vertices[(i + (step < 0)) % d]
 
 
-def _ascents_to_valley(w: Walk, q: int):
-    """The two directed paths from the adjacent peaks down into a valley,
-    as (arrow list in composition order, peak vertex)."""
-    d = w.length
-    left_arrows, i = [], (q - 1) % d
-    while w.letters[i].sign == +1:
-        left_arrows.append(w.letters[i].arrow)
-        i = (i - 1) % d
-    left_arrows.reverse()
-    left_peak = w.vertices[(i + 1) % d]
-    right_arrows, i = [], q
-    while w.letters[i].sign == -1:
-        right_arrows.append(w.letters[i].arrow)
-        i = (i + 1) % d
-    right_arrows.reverse()
-    right_peak = w.vertices[i]
-    return [(tuple(left_arrows), left_peak), (tuple(right_arrows), right_peak)]
+def _pick_run(alg: AlgebraPresentation, band: Walk, vertex: str,
+              arrow: str | None, sign: int):
+    """The least relation-free path of the band from a peak (sign +1) or
+    into a valley (sign -1) at vertex, as (arrows in composition order,
+    other end): a descent composed after arrow, or an ascent before it."""
+    options = []
+    for p in band_turns(band, sign):
+        if band.vertices[p] != vertex:
+            continue
+        for arrows, end in (_run(band, p, +1, sign), _run(band, p - 1, -1, -sign)):
+            path = tuple(arrows if sign > 0 else reversed(arrows))  # never empty
+            if arrow is None or not alg.path_contains_relation(
+                    (arrow, path[0]) if sign > 0 else (path[-1], arrow)):
+                options.append((path, end))
+    if not options:
+        way = "descent from" if sign > 0 else "ascent into"
+        raise TheoremCounterexample(f"no relation-free {way} {vertex} in band {band}")
+    return min(options)
 
 
 class GentleOrderResult(NamedTuple):
@@ -528,11 +523,14 @@ class GentleOrderResult(NamedTuple):
 def domestic_gentle_order(alg: AlgebraPresentation, pool: BandPool) -> GentleOrderResult:
     """The constructive simple ordering for domestic gentle algebras.
 
-    Starting from a simple in the top of a band module, repeatedly follow the
-    unique relation-free composition down to the next socle simple; extend
-    dually backwards; repeat over the remaining bands and concatenate.  The
-    simples met along one chain are guaranteed distinct; a repeat is reported
-    as a theorem-check counterexample.
+    Over the bands with no simple in both top and socle, in pool order: a
+    chain starts at the least top simple of the first band left and follows
+    relation-free descents, each from a simple on top of a band to a socle
+    simple, with a nonzero junction, until no band has its simple on top.
+    Dually it grows backwards by ascents.  Reversed, the chain is one
+    chunk, and the bands touching it drop out.  The simples met along one
+    chain are guaranteed distinct; a repeat is reported as a theorem-check
+    counterexample.
     """
     from .algebra import validate_axioms
 
@@ -540,86 +538,31 @@ def domestic_gentle_order(alg: AlgebraPresentation, pool: BandPool) -> GentleOrd
     if not report.is_gentle:
         raise ValueError("construction requires a gentle algebra")
 
-    W = [w for w in pool.bands
-         if not (set(band_top_socle(w)[0]) & set(band_top_socle(w)[1]))]
+    top_socle = {w: band_top_socle(w) for w in pool.bands}
+    remaining = [w for w in pool.bands if not set(top_socle[w][0]) & set(top_socle[w][1])]
 
-    def junction_alive(prev_arrow: str | None, path: tuple[str, ...]) -> bool:
-        if prev_arrow is None or not path:
-            return True
-        return not alg.path_contains_relation((prev_arrow, path[0]))
-
-    def pick_descent(band: Walk, vertex: str, incoming_arrow: str | None):
-        peaks, _ = band_peaks_valleys(band)
-        options = []
-        for p in peaks:
-            if band.vertices[p] != vertex:
-                continue
-            for path, end in _descents_from_peak(band, p):
-                if junction_alive(incoming_arrow, path):
-                    options.append((path, end))
-        if not options:
-            raise TheoremCounterexample(
-                f"no relation-free descent from {vertex} in band {band}"
-            )
-        return sorted(options)[0]
-
-    def pick_ascent(band: Walk, vertex: str, outgoing_arrow: str | None):
-        _, valleys = band_peaks_valleys(band)
-        options = []
-        for q in valleys:
-            if band.vertices[q] != vertex:
-                continue
-            for path, peak in _ascents_to_valley(band, q):
-                ok = (outgoing_arrow is None or not path
-                      or not alg.path_contains_relation((path[-1], outgoing_arrow)))
-                if ok:
-                    options.append((path, peak))
-        if not options:
-            raise TheoremCounterexample(
-                f"no relation-free ascent into {vertex} in band {band}"
-            )
-        return sorted(options)[0]
+    def walk(chain: list, vertex: str, arrow: str | None, sign: int):
+        """Grow the chain by descents at its end (sign +1) or by ascents at
+        its start (sign -1); returns the first path taken."""
+        first = None
+        while cands := [w for w in remaining if vertex in top_socle[w][0 if sign > 0 else 1]]:
+            path, vertex = _pick_run(alg, cands[0], vertex, arrow, sign)
+            if vertex in chain:
+                raise TheoremCounterexample(f"simple {vertex} repeats along the chain {chain}")
+            chain.insert(len(chain) if sign > 0 else 0, vertex)
+            arrow = path[-1] if sign > 0 else path[0]
+            first = first or path
+        return first
 
     chunks: list[tuple[str, ...]] = []
     used_simples: set[str] = set()
-    remaining = list(W)
     while remaining:
-        w1 = remaining[0]
-        tops = band_top_socle(w1)[0]
-        a1 = min(tops, key=lambda v: alg.vertex_index[v])
+        a1 = min(top_socle[remaining[0]][0], key=lambda v: alg.vertex_index[v])
         chain = [a1]
-        # forward: follow relation-free descents toward successive socles.
-        # Bands in W never repeat a simple in top and socle, so the band
-        # just used is excluded automatically.
-        path, nxt = pick_descent(w1, a1, None)
-        onward_first = path[0] if path else None
-        last_arrow = path[-1] if path else None
-        while True:
-            if nxt in chain:
-                raise TheoremCounterexample(
-                    f"simple {nxt} repeats along the chain {chain}"
-                )
-            chain.append(nxt)
-            cands = [w for w in remaining if nxt in band_top_socle(w)[0]]
-            if not cands:
-                break
-            path, nxt = pick_descent(cands[0], nxt, last_arrow)
-            last_arrow = path[-1] if path else None
-        # backward: while the chain's first simple sits in the socle of a
-        # band, ascend to that band's top with a relation-free junction.
-        entry = chain[0]
-        while True:
-            cands = [w for w in remaining if entry in band_top_socle(w)[1]]
-            if not cands:
-                break
-            path, peak = pick_ascent(cands[0], entry, onward_first)
-            if peak in chain:
-                raise TheoremCounterexample(
-                    f"simple {peak} repeats along the chain {chain}"
-                )
-            chain.insert(0, peak)
-            entry = peak
-            onward_first = path[0] if path else None
+        # a1 is on top of the first band left; the ascents compose before
+        # the chain's first descent
+        first = walk(chain, a1, None, +1)
+        walk(chain, a1, first[0], -1)
         ordered_chunk = tuple(reversed(chain))
         if set(ordered_chunk) & used_simples:
             raise TheoremCounterexample(
@@ -628,7 +571,7 @@ def domestic_gentle_order(alg: AlgebraPresentation, pool: BandPool) -> GentleOrd
         chunks.append(ordered_chunk)
         used_simples.update(ordered_chunk)
         remaining = [w for w in remaining if used_simples.isdisjoint(
-            v for side in band_top_socle(w) for v in side)]
+            v for side in top_socle[w] for v in side)]
 
     rest = tuple(v for v in alg.vertices if v not in used_simples)
     order = tuple(v for chunk in chunks for v in chunk) + rest

@@ -7,7 +7,9 @@ A band module M(b, lambda, 1) enters the same count through the periodic
 word b^infinity, with one start position per period (Krause, *Maps between
 tree and band modules*, 1991): Homs between it and a string module, and its
 endomorphisms, have a basis of such pairs, so their dimensions do not
-depend on lambda.  These counts are validated wholesale against the
+depend on lambda.  One scan counts the occurrences of either host: a
+string over all its spans, a band over the spans of a power of it that
+start in one period.  These counts are validated wholesale against the
 linear-algebra oracle; any discrepancy is a build failure, not a tolerance.
 
 Every count is positive, so Hom support is a set intersection: Hom(a, b)
@@ -115,38 +117,56 @@ def top_socle(M: StringModuleRep) -> tuple[tuple[str, ...], tuple[str, ...]]:
                  for counts in _class_counts(M.alg, M.walk))
 
 
-def band_peaks_valleys(w: Walk) -> tuple[list[int], list[int]]:
-    """Cyclic peak and valley positions (0-based) of a band."""
-    peaks, valleys = [], []
-    for p in range(w.length):
-        prev, cur = w.letters[p - 1].sign, w.letters[p].sign
-        if prev == -1 and cur == +1:
-            peaks.append(p)
-        if prev == +1 and cur == -1:
-            valleys.append(p)
-    return peaks, valleys
+def band_turns(w: Walk, sign: int) -> list[int]:
+    """Cyclic peak (sign +1) or valley (sign -1) positions, 0-based, of a
+    band: letter p has the sign, letter p-1 the opposite one."""
+    return [p for p in range(w.length)
+            if w.letters[p - 1].sign == -sign and w.letters[p].sign == sign]
 
 
 def band_top_socle(w: Walk) -> tuple[tuple[str, ...], tuple[str, ...]]:
     """Top and socle of M(w, lambda, 1), read from the band's cyclic peaks
     and valleys; independent of lambda."""
-    peaks, valleys = band_peaks_valleys(w)
-    return (tuple(sorted(w.vertices[p] for p in peaks)),
-            tuple(sorted(w.vertices[p] for p in valleys)))
+    return tuple(tuple(sorted(w.vertices[p] for p in band_turns(w, sign)))
+                 for sign in (+1, -1))
 
 
-def _class_counts(alg: AlgebraPresentation, w: Walk) -> tuple[dict, dict]:
-    """(quotient, submodule) occurrence counts of w per word class up to
-    inversion, memoised on the algebra.  Both orientations of w share the
-    counts of the canonical one: inverting the host swaps the boundary
-    letters and their signs.  A class key is read from the host's key
-    letters and their inverse: host letters i..j-1 (0-based), inverted,
-    are letters d-j..d-i-1.
+def _scan(letters: tuple, vertices: tuple[str, ...], spans: list) -> tuple[dict, dict]:
+    """(quotient, submodule) occurrence counts per word class up to
+    inversion, over the spans (i, j) of a host given by its key letters
+    and vertices: host letters i..j-1 (0-based), or vertex i when i = j.
+    A key is read from the host letters and their inverse: host letters
+    i..j-1, inverted, are letters d-j..d-i-1.
 
     An occurrence is quotient-shaped when its left boundary letter is
     inverse and its right one direct, submodule-shaped for the opposite
-    signs; a missing boundary fits both.  The scan reads those signs from
-    the key, one bit per letter, with 2 standing for a missing letter."""
+    signs; a missing boundary, past either end of the host, fits both."""
+    d = len(letters)
+    inverse = tuple((arrow, 1 - bit) for arrow, bit in reversed(letters))
+    sides = (2, *(bit for _, bit in letters), 2)  # 2 stands for a missing letter
+    quotient: dict = {}
+    submodule: dict = {}
+    for i, j in spans:
+        left, right = sides[i], sides[j + 1]
+        is_q = left != 0 and right != 1
+        is_s = left != 1 and right != 0
+        if is_q or is_s:
+            if i == j:
+                key = (0, (vertices[i],))
+            else:
+                key = (j - i, min(letters[i:j], inverse[d - j : d - i]))
+            if is_q:
+                quotient[key] = quotient.get(key, 0) + 1
+            if is_s:
+                submodule[key] = submodule.get(key, 0) + 1
+    return quotient, submodule
+
+
+def _class_counts(alg: AlgebraPresentation, w: Walk) -> tuple[dict, dict]:
+    """The scan of the string w over all its spans, the length-0 ones
+    first, memoised on the algebra.  Both orientations of w share the
+    counts of the canonical one: inverting the host swaps the boundary
+    letters and their signs."""
     memo = alg.walk_memo
     counts = memo.get(w)
     if counts is None:
@@ -156,37 +176,17 @@ def _class_counts(alg: AlgebraPresentation, w: Walk) -> tuple[dict, dict]:
         counts = memo.get(c)
         if counts is None:
             d = c.length
-            letters = c.key()[1] if d else ()  # (arrow, 0 direct / 1 inverse)
-            inverse = tuple((arrow, 1 - bit) for arrow, bit in reversed(letters))
-            quotient: dict = {}
-            submodule: dict = {}
-            sides = (2, *(bit for _, bit in letters), 2)
-            # the length-0 occurrences, then letters i..j-1, in position order
             spans = [(p, p) for p in range(d + 1)]
             spans += [(i, j) for i in range(d) for j in range(i + 1, d + 1)]
-            for i, j in spans:
-                left, right = sides[i], sides[j + 1]
-                is_q = left != 0 and right != 1
-                is_s = left != 1 and right != 0
-                if is_q or is_s:
-                    if i == j:
-                        key = (0, (c.vertices[i],))
-                    else:
-                        key = (j - i, min(letters[i:j], inverse[d - j : d - i]))
-                    if is_q:
-                        quotient[key] = quotient.get(key, 0) + 1
-                    if is_s:
-                        submodule[key] = submodule.get(key, 0) + 1
-            counts = memo[c] = (quotient, submodule)
+            counts = memo[c] = _scan(c.key()[1] if d else (), c.vertices, spans)
         memo[w] = counts
     return counts
 
 
 def _band_counts(alg: AlgebraPresentation, band: Walk, max_len: int) -> tuple[dict, dict]:
-    """(quotient, submodule) occurrence counts, keyed as in ``_class_counts``,
-    of the words of length <= max_len in band^infinity, one start position
-    per period.  Every occurrence has both boundary letters.  Memoised on
-    the algebra, and counted again only for a larger bound."""
+    """The scan of band^infinity over the words of length <= max_len that
+    start in one period, each with both boundary letters.  Memoised on the
+    algebra, and scanned again only for a larger bound."""
     memo = alg.band_memo
     hit = memo.get(band)
     if hit is not None and hit[0] >= max_len:
@@ -196,36 +196,31 @@ def _band_counts(alg: AlgebraPresentation, band: Walk, max_len: int) -> tuple[di
     n = band.length
     # a period of starts, the longest word and the letter on either side
     copies = max_len // n + 3
-    total = n * copies
-    letters, inverse = band.key()[1] * copies, band.inverse().key()[1] * copies
-    quotient: dict = {}
-    submodule: dict = {}
-    for start in range(n, 2 * n):
-        for length in range(max_len + 1):
-            end = start + length
-            left, right = letters[start - 1][1], letters[end][1]  # 0 direct, 1 inverse
-            if left == right:
-                continue
-            if length:
-                key = (length, min(letters[start:end], inverse[total - end : total - start]))
-            else:
-                key = (0, (band.vertices[start - n],))
-            counts = quotient if left else submodule
-            counts[key] = counts.get(key, 0) + 1
+    spans = [(i, i + m) for i in range(n, 2 * n) for m in range(max_len + 1)]
+    quotient, submodule = _scan(band.key()[1] * copies, band.vertices[:-1] * copies, spans)
     memo[band] = (max_len, quotient, submodule)
     return quotient, submodule
 
 
 def hom_classes(alg: AlgebraPresentation, w: Walk, band_bound: int | None = None):
     """(quotient, submodule) class keys of the string module M(w), or with
-    ``band_bound`` those of the words of length <= band_bound in the
-    periodic word of the band w, which serve M(w, lambda, 1) against
-    strings of that length or shorter."""
+    ``band_bound`` those of the periodic word of the band w, which serve
+    M(w, lambda, 1) against strings of length <= band_bound.  The band's
+    keys hold every word of that length or shorter, and may hold longer
+    ones, left from a scan at a larger bound, which no such string has."""
     if band_bound is None:
         q, s = _class_counts(alg, w)
     else:
         q, s = _band_counts(alg, w, band_bound)
     return q.keys(), s.keys()
+
+
+def _pairs(quotient: dict, submodule: dict) -> int:
+    """The pairs of a quotient occurrence in the source and a submodule
+    occurrence in the target with one class: a Hom dimension."""
+    if len(submodule) < len(quotient):
+        return sum(quotient.get(key, 0) * n for key, n in submodule.items())
+    return sum(n * submodule.get(key, 0) for key, n in quotient.items())
 
 
 def hom_dim(alg: AlgebraPresentation, w: Walk, other: Walk) -> int:
@@ -235,24 +230,18 @@ def hom_dim(alg: AlgebraPresentation, w: Walk, other: Walk) -> int:
     other carrying the same word up to inversion; a length-0 word matches in
     a single orientation.
     """
-    q = _class_counts(alg, w)[0]
-    s = _class_counts(alg, other)[1]
-    if len(s) < len(q):
-        return sum(q.get(key, 0) * n for key, n in s.items())
-    return sum(n * s.get(key, 0) for key, n in q.items())
+    return _pairs(_class_counts(alg, w)[0], _class_counts(alg, other)[1])
 
 
 def hom_dim_string_band(alg: AlgebraPresentation, w: Walk, band: Walk) -> int:
     """dim Hom(M(w), M(band, lambda, 1)), the same for every lambda: quotient
     occurrences in w against submodule occurrences in band^infinity."""
-    s = _band_counts(alg, band, w.length)[1]
-    return sum(n * s.get(key, 0) for key, n in _class_counts(alg, w)[0].items())
+    return _pairs(_class_counts(alg, w)[0], _band_counts(alg, band, w.length)[1])
 
 
 def hom_dim_band_string(alg: AlgebraPresentation, band: Walk, w: Walk) -> int:
     """dim Hom(M(band, lambda, 1), M(w)), the same for every lambda."""
-    q = _band_counts(alg, band, w.length)[0]
-    return sum(q.get(key, 0) * n for key, n in _class_counts(alg, w)[1].items())
+    return _pairs(_band_counts(alg, band, w.length)[0], _class_counts(alg, w)[1])
 
 
 def band_end_dim(alg: AlgebraPresentation, band: Walk) -> int:

@@ -3,10 +3,18 @@ from pathlib import Path
 
 import pytest
 
-from mgslab import AlgebraPresentation, Arrow, load_algebra
+from mgslab import AlgebraPresentation, Arrow, load_algebra, validate_axioms
 
 DATA = Path(__file__).parent / "data"
 ALGEBRAS = tuple(sorted(p.stem for p in DATA.glob("*.alg")))  # the seven bundled
+
+# A gentle algebra with 2, 10 and 47 bands up to lengths 4, 8 and 12, on
+# which the domestic gentle construction meets a repeated simple.
+NON_DOMESTIC_GENTLE = (
+    "vertex 1\nvertex 2\nvertex 3\nvertex 4\n"
+    "arrow x1 3 2\narrow x2 3 1\narrow x3 4 1\n"
+    "arrow x4 4 2\narrow x5 1 4\narrow x6 1 4\n"
+    "relation x2 x6\nrelation x3 x5\nrelation x5 x4\nrelation x6 x3\n")
 
 
 def random_presentation(seed: int) -> AlgebraPresentation:
@@ -26,6 +34,33 @@ def random_presentation(seed: int) -> AlgebraPresentation:
         if len(path) >= 2:
             relations.add(tuple(a.name for a in path))
     return AlgebraPresentation(vertices, arrows, tuple(sorted(relations)))
+
+
+def random_gentle_presentation(rng: random.Random) -> AlgebraPresentation:
+    """A gentle algebra on 2-4 vertices, drawn from rng until one passes
+    ``validate_axioms``: up to 2n arrows x1, x2, ..., each kept while
+    in- and out-degrees stay <= 2, and each arrow starting, with
+    probability 3/4, a length-2 relation with one of its successors.
+    About 1 in 9 candidates passes."""
+    while True:
+        vertices = tuple(str(i) for i in range(1, rng.randint(2, 4) + 1))
+        out_degree = dict.fromkeys(vertices, 0)
+        in_degree = dict.fromkeys(vertices, 0)
+        arrows = []
+        for _ in range(2 * len(vertices)):
+            source, target = rng.choice(vertices), rng.choice(vertices)
+            if out_degree[source] < 2 and in_degree[target] < 2:
+                out_degree[source] += 1
+                in_degree[target] += 1
+                arrows.append(Arrow(f"x{len(arrows) + 1}", source, target))
+        relations = []
+        for a in arrows:
+            after = [b for b in arrows if b.source == a.target]
+            if after and rng.random() < 0.75:
+                relations.append((a.name, rng.choice(after).name))
+        alg = AlgebraPresentation(vertices, tuple(arrows), tuple(relations))
+        if validate_axioms(alg).is_gentle:
+            return alg
 
 
 @pytest.fixture(scope="session")

@@ -54,9 +54,12 @@ def test_parse_rejects_arrow_names_walk_literals_cannot_spell(name):
     assert exc.value.line == 3
 
 
-@pytest.mark.parametrize("name", ["a-", "e:1"])
+@pytest.mark.parametrize("name", ["a-", "e:1", "", "a b", "a\tb"])
 def test_presentation_rejects_arrow_names_walk_literals_cannot_spell(name):
-    with pytest.raises(AlgebraError, match="arrow name"):
+    # the file parser splits on whitespace, so only library callers can
+    # pass an empty name or one holding whitespace
+    with pytest.raises(AlgebraError, match="arrow name .* must be nonempty, hold no "
+                                           "whitespace, and neither end in '-' nor start with 'e:'"):
         AlgebraPresentation(("1", "2"), (Arrow(name, "1", "2"),), ())
     # a '-' or 'e:' elsewhere in the name is spelled unambiguously
     AlgebraPresentation(("1", "2"), (Arrow("a-b", "1", "2"), Arrow("ce:", "1", "2")), ())

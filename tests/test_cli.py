@@ -9,7 +9,7 @@ import pytest
 
 from mgslab.cli import main
 
-from conftest import DATA
+from conftest import DATA, NON_DOMESTIC_GENTLE
 
 
 def run_cli(capsys, *argv):
@@ -155,6 +155,16 @@ def test_mgs_exists_gentle_rejects_non_gentle(capsys):
                         "--max-string-len", "6")
     assert code == 3
     assert "gentle" in doc["error"]
+
+
+def test_mgs_exists_gentle_counterexample_exit_one(capsys, tmp_path):
+    alg = tmp_path / "non_domestic.alg"
+    alg.write_text(NON_DOMESTIC_GENTLE)
+    code, doc = run_cli(capsys, "mgs", "exists", "--algebra", str(alg),
+                        "--method", "gentle", "--max-string-len", "8")
+    assert code == 1
+    assert doc["kind"] == "TheoremCounterexample"
+    assert doc["error"] == "simple 1 repeats along the chain ['1', '4']"
 
 
 def test_lemmas_run(capsys):

@@ -1,4 +1,6 @@
 import gc
+import json
+import random
 import weakref
 
 import pytest
@@ -9,12 +11,15 @@ from mgslab import (
     enumerate_bricks,
     enumerate_strings,
     load_algebra,
+    parse_algebra,
     parse_walk,
+    validate_axioms,
 )
 from mgslab.lemmas import run_lemma_suite
 from mgslab.mgs import (
     BudgetExhausted,
     HomTable,
+    TheoremCounterexample,
     _Searcher,
     build_brick_pools,
     complete_from_prefix,
@@ -25,6 +30,8 @@ from mgslab.mgs import (
     is_weakly_fho,
     simple_order_socle_first,
 )
+
+from conftest import NON_DOMESTIC_GENTLE, random_gentle_presentation
 
 
 def walks(alg, *literals):
@@ -254,6 +261,58 @@ def test_domestic_gentle_order_a2(a2):
 def test_domestic_gentle_order_rejects_non_gentle(double_arrows):
     with pytest.raises(ValueError, match="gentle"):
         domestic_gentle_order(double_arrows, band_pool(double_arrows, 5))
+
+
+def test_domestic_gentle_order_counterexample_path():
+    alg = parse_algebra(NON_DOMESTIC_GENTLE)
+    assert validate_axioms(alg).is_gentle
+    assert [len(band_pool(alg, n).bands) for n in (4, 8, 12)] == [2, 10, 47]
+    with pytest.raises(TheoremCounterexample) as exc:
+        domestic_gentle_order(alg, band_pool(alg, 4))
+    assert str(exc.value) == "simple 1 repeats along the chain ['1', '4']"
+
+
+def _construction_results(alg, bound):
+    """Both constructions on the band pool at this bound: each a result
+    record, or a counterexample's type and message."""
+    pool = band_pool(alg, bound)
+    out = {}
+    try:
+        res = domestic_gentle_order(alg, pool)
+        out["gentle"] = {"chunks": [list(c) for c in res.chunks], "order": list(res.order)}
+    except TheoremCounterexample as exc:
+        out["gentle"] = {"error": type(exc).__name__, "message": str(exc)}
+    res = simple_order_socle_first(alg, pool)
+    out["simples"] = {"hypothesis_holds": res.hypothesis_holds,
+                      "witnesses": [list(w) for w in res.witnesses],
+                      "order": list(res.order)}
+    return out
+
+
+def construction_sweep(seed=1, count=300, bounds=(4, 6, 8)):
+    """The sweep of ``tests/data/construction_sweep.json``: the first
+    ``count`` gentle algebras of ``random_gentle_presentation`` on this
+    seed, each with both constructions at every bound."""
+    rng = random.Random(seed)
+    records = []
+    for _ in range(count):
+        alg = random_gentle_presentation(rng)
+        records.append({"algebra": alg.normalized_text,
+                        "results": {str(b): _construction_results(alg, b) for b in bounds}})
+    return {"seed": seed, "bounds": list(bounds), "algebras": records}
+
+
+def test_constructions_match_recorded_sweep(data_dir):
+    # recorded before the constructions were rewritten on one run walker
+    recorded = json.loads((data_dir / "construction_sweep.json").read_text())
+    swept = construction_sweep(recorded["seed"], len(recorded["algebras"]),
+                               tuple(recorded["bounds"]))
+    for got, want in zip(swept["algebras"], recorded["algebras"]):
+        assert got == want
+    # the sweep reaches every kind of outcome
+    outcomes = {r["gentle"]["error"] if "error" in r["gentle"] else bool(r["gentle"]["chunks"])
+                for a in recorded["algebras"] for r in a["results"].values()}
+    assert outcomes == {True, False, "TheoremCounterexample"}
 
 
 def test_complete_from_prefix_a12(a12tilde):

@@ -21,7 +21,7 @@ from mgslab import (
     to_explicit,
     top_socle,
 )
-from mgslab.modules import _class_counts
+from mgslab.modules import _band_counts, _class_counts
 from mgslab.words import _all_string_walks
 
 from conftest import ALGEBRAS
@@ -235,21 +235,32 @@ def test_hom_dim_matches_oracle_gentle5_sample(gentle5):
         assert hom_dim(gentle5, a, b) == hom_dim_linalg(reps[a], reps[b])
 
 
-def _reference_class_counts(w):
+def _reference_class_counts(w, bound=None):
     """Occurrence class counts built per located occurrence, letters i..j
-    of the canonical host (1-based; j = i-1 for the length-0 one at i): a
-    sub-walk, its boundary letters' signs and its canonical key each time;
-    the reference for the key slices.  A quotient has no direct letter on
-    its left and no inverse one on its right, a submodule the opposite."""
-    c = canonical_string(w)
-    d = c.length
-    spans = [(p, p - 1) for p in range(1, d + 2)]
-    spans += [(i, j) for i in range(1, d + 1) for j in range(i, d + 1)]
+    of the host (1-based; j = i-1 for the length-0 one at i): a sub-walk,
+    its boundary letters' signs and its canonical key each time; the
+    reference for the key slices.  A quotient has no direct letter on its
+    left and no inverse one on its right, a submodule the opposite.
+
+    The host of a string is its canonical form, every sub-walk counted.
+    With a bound, w is a band and the host a power of it long enough that
+    every sub-walk starting in its second period with at most bound
+    letters has a letter on either side; those are counted."""
+    if bound is None:
+        host = canonical_string(w)
+        d = host.length
+        spans = [(p, p - 1) for p in range(1, d + 2)]
+        spans += [(i, j) for i in range(1, d + 1) for j in range(i, d + 1)]
+    else:
+        n = w.length
+        host = w.power(bound + 3)
+        d = host.length
+        spans = [(i, i + m - 1) for i in range(n + 1, 2 * n + 1) for m in range(bound + 1)]
     quotient, submodule = {}, {}
     for i, j in spans:
-        left = c.letters[i - 2].sign if i >= 2 else 0
-        right = c.letters[j].sign if j < d else 0
-        key = canonical_string(c.sub(i, j)).key()
+        left = host.letters[i - 2].sign if i >= 2 else 0
+        right = host.letters[j].sign if j < d else 0
+        key = canonical_string(host.sub(i, j)).key()
         if left != +1 and right != -1:
             quotient[key] = quotient.get(key, 0) + 1
         if left != -1 and right != +1:
@@ -266,3 +277,11 @@ def test_class_counts_match_per_occurrence_reference(data_dir, name):
         # equal counts, inserted in the same order
         assert ([list(counts.items()) for counts in _class_counts(alg, w)]
                 == [list(counts.items()) for counts in _reference_class_counts(w)])
+    for bound in range(13):
+        # a fresh presentation: a band memo filled at a larger bound also
+        # serves the longer words
+        alg = load_algebra(data_dir / f"{name}.alg")
+        bands = [b for rec in enumerate_bands(alg, 8) for b in rec.canonical.rotations]
+        for b in bands:  # every rotation of either orientation
+            assert ([list(counts.items()) for counts in _band_counts(alg, b, bound)]
+                    == [list(counts.items()) for counts in _reference_class_counts(b, bound)])
