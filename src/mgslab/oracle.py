@@ -4,30 +4,38 @@ Independent of the substring calculus: representations are plain matrices
 over exact rationals and Hom dimensions come from solving the intertwiner
 equations f_t phi_a(A) = phi_a(B) f_s in exact arithmetic.  Each equation
 is scaled by the LCM of the denominators in its arrow's two matrices, so
-its coefficients are Python ints; each rep caches its scaled matrices as
-per-arrow index lists (``ExplicitRep.view``).
+its coefficients are Python ints.  Each rep caches, per arrow, the columns
+and the rows of its scaled matrix (``ExplicitRep.view``) as three lists:
+the single-entry lines as (line, position, value), the empty lines, and
+the multi-entry lines with their entries.  Equation (r, c) of an arrow
+pairs column c of A_a with row r of B_a, so the solvers walk pairs of
+these lists and never visit an equation whose two lines are empty.
 
-``hom_dim_linalg`` counts the solutions in two stages.
+``hom_dim_linalg`` counts the solutions in two stages, skipping an arrow
+s -> t when dim A(s) or dim B(t) is 0 (it has no equations).
 
-1. Union-find.  An equation with at most one nonzero in its column of A_a
-   and at most one in its row of B_a reads ``u x_p = w x_q`` or ``u x_p =
-   0``; every equation of a string module, and of a band module M(w, lambda,
-   1), has this form.  Walking each arrow's index lists, a weighted
-   union-find keeps, in lists indexed by unknown p, its parent, a rational
-   rho_p != 0 with x_p = rho_p x_parent, and whether its class (read at
-   the root) is forced to zero.  A one-term equation forces its class to
-   zero; a two-term one merges the two classes with the ratio it fixes, or,
-   if they are already one class whose ratios disagree (a loop arrow, or a
-   band against itself at another lambda), forces that class to zero.  A
-   zero class stays zero through later merges, since every ratio is
-   nonzero.  So the solutions of these equations are exactly the vectors
-   with one free parameter x_root per class not forced to zero: each such
-   class contributes one dimension.
-2. Elimination.  The other equations (a Jordan block of size k >= 2 puts
-   two nonzeros in a column) are rewritten, after every union, over the
-   class roots, x_p = rho_p x_root, with the zero classes dropped; they only
-   constrain the free roots.  They are scaled to ints and eliminated, and
-   dim Hom is the number of free classes minus their rank.
+1. Union-find.  An equation between a column and a row with at most one
+   nonzero each reads ``u x_p = w x_q`` or ``u x_p = 0``; every equation
+   of a string module, and of a band module M(w, lambda, 1), has this
+   form.  A weighted union-find keeps, in lists indexed by unknown p, its
+   parent, a rational rho_p != 0 with x_p = rho_p x_parent, and whether its
+   class (read at the root) is forced to zero.  The pass first forces the
+   unknown of every one-term equation (a single-entry line against an
+   empty one) to zero, over all arrows: no union has happened yet, so
+   every unknown is its own root and needs no find.  Then each single-entry
+   column against a single-entry row merges the two classes with the ratio
+   it fixes, or, if they are already one class whose ratios disagree (a
+   loop arrow, or a band against itself at another lambda), forces that
+   class to zero.  A zero class stays zero through later merges, since
+   every ratio is nonzero.  So the solutions of these equations are
+   exactly the vectors with one free parameter x_root per class not forced
+   to zero: each such class contributes one dimension.
+2. Elimination.  The equations with a multi-entry line (a Jordan block
+   of size k >= 2 puts two nonzeros in a column) are rewritten, after
+   every union, over the class roots, x_p = rho_p x_root, with the zero
+   classes dropped; they only constrain the free roots.  They are scaled
+   to ints and eliminated, and dim Hom is the number of free classes minus
+   their rank.
 
 The elimination, also behind ``matrix_rank`` and ``hom_solution_basis``
 (which work on the full system), is fraction free: reducing a row against
@@ -73,14 +81,16 @@ class ExplicitRep:
         self.vertices, self.arrows, self.relations = alg.vertices, alg.arrows, alg.relations
         self.dims, self.mats = dims, mats
 
+    def _fields(self) -> tuple:
+        return self.vertices, self.arrows, self.relations, self.dims, self.mats
+
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return ((self.vertices, self.arrows, self.relations, self.dims, self.mats)
-                == (other.vertices, other.arrows, other.relations, other.dims, other.mats))
+        return self._fields() == other._fields()
 
     def __hash__(self) -> int:
-        return hash((self.vertices, self.arrows, self.relations, self.dims, self.mats))
+        return hash(self._fields())
 
     def __repr__(self) -> str:
         alg = AlgebraPresentation(self.vertices, self.arrows, self.relations)
@@ -90,43 +100,36 @@ class ExplicitRep:
     def view(self):
         """The dims in vertex order and, per arrow in ``arrows`` order, its
         source and target index, the LCM of its matrix's denominators and
-        that matrix times the LCM by column and by row (see ``_by_index``)."""
+        the lines of that matrix times the LCM, by column and by row (see
+        ``_lines``).  Raises OracleError unless each arrow has a matrix of
+        dims[target] rows of dims[source] entries."""
         dims = dict(self.dims)
         if set(dims) != set(self.vertices):
             raise OracleError("vertex sets differ")
         mats, out = dict(self.mats), []
         for a in self.arrows:
             ncols, nrows = dims[a.source], dims[a.target]
-            den, flat = _scaled(x for row in mats[a.name] for x in row)
-            cols, rows = {}, {}
+            m = mats.get(a.name)
+            if m is None or [len(row) for row in m] != [ncols] * nrows:
+                raise OracleError(f"arrow {a.name} needs a {nrows} x {ncols} matrix")
+            den, flat = _scaled(x for row in m for x in row)
+            cols, rows = [[] for _ in range(ncols)], [[] for _ in range(nrows)]
             for j, v in flat.items():
                 r, c = divmod(j, ncols)
-                rows.setdefault(r, []).append((c, v))
-                cols.setdefault(c, []).append((r, v))
+                rows[r].append((c, v))
+                cols[c].append((r, v))
             out.append((self.vertices.index(a.source), self.vertices.index(a.target), den,
-                        _by_index(cols, ncols), _by_index(rows, nrows)))
+                        _lines(cols), _lines(rows)))
         return tuple(dims[v] for v in self.vertices), tuple(out)
 
 
-def _by_index(entries: dict, n: int):
-    """Columns (or rows) 0..n-1 as (pos, val, multi): pos[i] is the
-    position of the only nonzero of line i (-1 if none, -2 if several) and
-    val[i] its value; multi[i] holds the ((position, value), ...) of a line
-    with several."""
-    pos, val, multi = [-1] * n, [0] * n, {}
-    for i, e in entries.items():
-        if len(e) == 1:
-            pos[i], val[i] = e[0]
-        else:
-            pos[i], multi[i] = -2, tuple(e)
-    return pos, val, multi
-
-
-def _entries(side, i: int):
-    """The ((position, value), ...) nonzeros of column or row i of a view."""
-    pos, val, multi = side
-    p = pos[i]
-    return () if p == -1 else ((p, val[i]),) if p >= 0 else multi[i]
+def _lines(lines):
+    """Columns (or rows) as (singles, empties, multis): the (line,
+    position, value) of each line with one nonzero, the lines with none,
+    and the (line, ((position, value), ...)) of each line with several."""
+    return (tuple((i, *e[0]) for i, e in enumerate(lines) if len(e) == 1),
+            tuple(i for i, e in enumerate(lines) if not e),
+            tuple((i, tuple(e)) for i, e in enumerate(lines) if len(e) > 1))
 
 
 def _zero_matrix(rows: int, cols: int) -> list[list[Fraction]]:
@@ -138,14 +141,8 @@ def _freeze(m: list[list[Fraction]]) -> Matrix:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    out = _zero_matrix(len(a), len(b[0]) if b else 0)
-    for i, row in enumerate(a):
-        for k, x in enumerate(row):
-            if x:
-                for j, y in enumerate(b[k]):
-                    if y:
-                        out[i][j] += x * y
-    return _freeze(out)
+    return tuple(tuple(sum(x * y for x, y in zip(row, col) if x and y) for col in zip(*b))
+                 for row in a)
 
 
 def _scaled(values) -> tuple[int, dict[int, int]]:
@@ -272,11 +269,8 @@ def _band_to_explicit(M: BandModuleRep) -> ExplicitRep:
             target[r0 + j][c0 + j] += diag
             if last and j + 1 < k:
                 target[r0 + j + 1][c0 + j] += 1
-    return ExplicitRep(
-        alg,
-        M.dim_vector,
-        tuple(sorted((name, _freeze(m)) for name, m in mats.items())),
-    )
+    return ExplicitRep(alg, M.dim_vector,
+                       tuple(sorted((name, _freeze(m)) for name, m in mats.items())))
 
 
 def _check_relations(rep: ExplicitRep) -> None:
@@ -285,115 +279,128 @@ def _check_relations(rep: ExplicitRep) -> None:
         prod = mats[r[0]]
         for name in r[1:]:
             prod = mat_mul(mats[name], prod)
-        if any(any(x for x in row) for row in prod):
+        if any(any(row) for row in prod):
             raise OracleError(f"relation {' '.join(r)} acts nonzero")
 
 
 def _layout(A: ExplicitRep, B: ExplicitRep):
-    """The dims and arrow views of A and B, and per vertex index v the
-    offset of the unknowns: entry f_v[r][c] of the (B-dim x A-dim) matrix
-    at v has index offs[v] + r * adims[v] + c, of ``total``."""
+    """The dims of A and B, per vertex index v the offset of the unknowns
+    (entry f_v[r][c] of the (B-dim x A-dim) matrix at v has index offs[v] +
+    r * adims[v] + c, of ``total``) and, per arrow s -> t with unknowns at
+    both ends, (offs[t], offs[s], adims[s], adims[t], fa, fb, the columns
+    of A_a, the rows of B_a), where fa * aden = fb * bden is the LCM of the
+    denominators in A_a and B_a."""
     if (A.vertices, A.arrows, A.relations) != (B.vertices, B.arrows, B.relations):
         raise OracleError("representations live over different algebras")
     (adims, aview), (bdims, bview) = A.view, B.view
-    offs, total = [], 0
+    offs, total, arrows = [], 0, []
     for da, db in zip(adims, bdims):
         offs.append(total)
         total += da * db
-    return adims, bdims, aview, bview, offs, total
+    for (s, t, aden, acols, _), (_, _, bden, _, brows) in zip(aview, bview):
+        if adims[s] and bdims[t]:
+            den = lcm(aden, bden)
+            arrows.append((offs[t], offs[s], adims[s], adims[t], den // aden, den // bden,
+                           acols, brows))
+    return adims, bdims, offs, total, arrows
+
+
+def _rows(arrow, multi_only=False):
+    """The integer row {index: coefficient} of each equation (r, c) of an
+    arrow (see ``_layout``) but those whose two lines are empty: the index
+    of f_t[r][0] joins the nonzeros of column c of A_a (times fa) and the
+    index of f_s[0][c] those of row r of B_a (times fb).  With multi_only,
+    only the equations with a line of several nonzeros."""
+    ot, os_, ns, nt, fa, fb, (asing, aempty, amulti), (bsing, bempty, bmulti) = arrow
+    acols = [(c, ((p, v),)) for c, p, v in asing] + list(amulti)
+    brows = [(r, ((q, v),)) for r, q, v in bsing] + list(bmulti)
+    for c, aline in acols + [(c, ()) for c in aempty]:
+        for r, bline in brows + [(r, ()) for r in bempty] if aline else brows:
+            if multi_only and len(aline) < 2 and len(bline) < 2:
+                continue
+            row = {ot + r * nt + m: fa * v for m, v in aline}
+            for m, v in bline:
+                key = os_ + m * ns + c
+                nv = row.get(key, 0) - fb * v
+                if nv:
+                    row[key] = nv
+                else:  # a loop: f_v[r][c] on both sides cancels
+                    del row[key]
+            yield row
 
 
 def _hom_system(A: ExplicitRep, B: ExplicitRep):
     """Echelon pivots of the integer system for {f_v} with f_t A_a = B_a f_s
-    per arrow a: the equation (r, c) of an arrow joins the index of
-    f_t[r][0] with the nonzeros of column c of A_a (times fa) and the index
-    of f_s[0][c] with those of row r of B_a (times fb), scaled by the LCM
-    fa * aden = fb * bden of the denominators in A_a and B_a."""
-    adims, bdims, aview, bview, offs, total = _layout(A, B)
+    per arrow a (see ``_rows``)."""
+    adims, bdims, offs, total, arrows = _layout(A, B)
     pivots: Pivots = {}
-    for (s, t, aden, acols, _), (_, _, bden, _, brows) in zip(aview, bview):
-        den = lcm(aden, bden)
-        fa, fb = den // aden, den // bden
-        ns, nt = adims[s], adims[t]
-        for r in range(bdims[t]):
-            for c in range(ns):
-                row = {offs[t] + r * nt + m: fa * v for m, v in _entries(acols, c)}
-                for m, v in _entries(brows, r):
-                    key = offs[s] + m * ns + c
-                    nv = row.get(key, 0) - fb * v
-                    if nv:
-                        row[key] = nv
-                    else:  # a loop: f_v[r][c] on both sides cancels
-                        del row[key]
-                if row:
-                    _echelon_insert(pivots, row)
+    for arrow in arrows:
+        for row in _rows(arrow):
+            _echelon_insert(pivots, row)
     return pivots, adims, bdims, offs, total
+
+
+def _find(parent, ratio, p):
+    """The root of p and x_p / x_root, compressing the path."""
+    path = []
+    while parent[p] != p:
+        path.append(p)
+        p = parent[p]
+    f = 1
+    for q in reversed(path):
+        f *= ratio[q]
+        parent[q], ratio[q] = p, f
+    return p, f
 
 
 def hom_dim_linalg(A: ExplicitRep, B: ExplicitRep) -> int:
     """Dimension of Hom(A, B): the free stage-1 classes minus the rank of
     the stage-2 rows (see the module docstring)."""
-    adims, bdims, aview, bview, offs, total = _layout(A, B)
+    adims, bdims, offs, total, arrows = _layout(A, B)
     parent = list(range(total))
     ratio = [1] * total  # x_p / x_parent[p]
     zero = [False] * total  # per root: its class is forced to zero
     free = total  # the classes not forced to zero
-    later = []
-
-    def find(p):
-        """The root of p and x_p / x_root, compressing the path."""
-        path = []
-        while parent[p] != p:
-            path.append(p)
-            p = parent[p]
-        f = 1
-        for q in reversed(path):
-            f *= ratio[q]
-            parent[q], ratio[q] = p, f
-        return p, f
-
-    for (s, t, aden, acols, _), (_, _, bden, _, brows) in zip(aview, bview):
-        # fa * aden = fb * bden = lcm(aden, bden)
-        fa, fb = (1, 1) if aden == bden else (bden // gcd(aden, bden), aden // gcd(aden, bden))
-        ns, nt = adims[s], adims[t]
-        (apos, aval, _), (bpos, bval, _) = acols, brows
-        base_t = offs[t]
-        for r in range(bdims[t]):
-            q0 = bpos[r]
-            base_s = offs[s] + q0 * ns
-            rhs0 = fb * bval[r]
-            for c in range(ns):
-                p0 = apos[c]
-                if p0 >= 0 and q0 >= 0:
-                    p, q = base_t + p0, base_s + c
-                    rp, fp = (p, 1) if parent[p] == p else find(p)
-                    rq, fq = (q, 1) if parent[q] == q else find(q)
-                    lhs, rhs = fa * aval[c] * fp, rhs0 * fq
-                    if rp != rq:
-                        parent[rp], ratio[rp] = rq, (1 if lhs == rhs else Fraction(rhs, lhs))
-                        if not (zero[rp] and zero[rq]):
-                            free -= 1
-                        zero[rq] = zero[rq] or zero[rp]
-                    elif lhs != rhs and not zero[rp]:
-                        zero[rp] = True
+    later = []  # stage 2: the equations with a multi-entry line
+    for arrow in arrows:  # one term: its unknown is zero, and still its own root
+        ot, os_, ns, nt, _, _, (asing, aempty, amulti), (bsing, bempty, bmulti) = arrow
+        if bempty:
+            for _, p0, _ in asing:
+                for r in bempty:
+                    p = ot + r * nt + p0
+                    if not zero[p]:
+                        zero[p] = True
                         free -= 1
-                elif p0 == -1 == q0:
-                    continue
-                elif p0 == -2 or q0 == -2:
-                    later.append([(base_t + m, fa * v) for m, v in _entries(acols, c)]
-                                 + [(offs[s] + m * ns + c, -fb * v) for m, v in _entries(brows, r)])
-                else:  # one term: its class is zero
-                    p = base_t + p0 if q0 == -1 else base_s + c
-                    rp = p if parent[p] == p else find(p)[0]
-                    if not zero[rp]:
-                        zero[rp] = True
+        if aempty:
+            for _, q0, _ in bsing:
+                for c in aempty:
+                    p = os_ + q0 * ns + c
+                    if not zero[p]:
+                        zero[p] = True
                         free -= 1
-            base_t += nt
+        if amulti or bmulti:
+            later += _rows(arrow, True)
+    for ot, os_, ns, nt, fa, fb, (asing, _, _), (bsing, _, _) in arrows:
+        for r, q0, bv in bsing:
+            base_t, base_s, rhs0 = ot + r * nt, os_ + q0 * ns, fb * bv
+            for c, p0, av in asing:
+                p, q = base_t + p0, base_s + c
+                rp, fp = (p, 1) if parent[p] == p else _find(parent, ratio, p)
+                rq, fq = (q, 1) if parent[q] == q else _find(parent, ratio, q)
+                lhs, rhs = fa * av * fp, rhs0 * fq
+                if rp != rq:
+                    parent[rp], ratio[rp] = rq, (1 if lhs == rhs else Fraction(rhs, lhs))
+                    if not (zero[rp] and zero[rq]):
+                        free -= 1
+                    zero[rq] = zero[rq] or zero[rp]
+                elif lhs != rhs and not zero[rp]:
+                    zero[rp] = True
+                    free -= 1
     pivots: Pivots = {}
-    for terms in later:
+    for raw in later:
         row = {}
-        for p, v in terms:
-            root, f = find(p)
+        for p, v in raw.items():
+            root, f = _find(parent, ratio, p)
             if not zero[root]:
                 row[root] = row.get(root, 0) + v * f
         den = lcm(*(v.denominator for v in row.values()))

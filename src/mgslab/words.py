@@ -45,12 +45,14 @@ class Walk:
 
     ``vertices`` always has one more entry than ``letters``; a length-0 walk
     is the trivial path e_i at ``vertices[0]``.  Nothing may reassign either
-    field: the key and rotations cached on the walk would silently go stale.
+    field: the key, hash and rotations cached on the walk would go stale.
 
     ``==``, ``hash`` and ``<`` compare ``key()``, computed once per walk:
     the length, then (arrow, 0 if direct else 1) per letter; a length-0 walk
     is keyed (0, (vertex,)).  Within one presentation the letters determine
-    the vertices, so equal keys mean equal letters and vertices.
+    the vertices, so equal keys mean equal letters and vertices.  The hash
+    of the key is computed once too, so a memo lookup does not hash the
+    nested key tuple again.
     """
 
     def __init__(self, letters: tuple[Letter, ...], vertices: tuple[str, ...]):
@@ -130,8 +132,12 @@ class Walk:
     def __eq__(self, other) -> bool:
         return isinstance(other, Walk) and self._key == other._key
 
-    def __hash__(self) -> int:
+    @cached_property
+    def _hash(self) -> int:
         return hash(self._key)
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __lt__(self, other: "Walk") -> bool:
         return self._key < other._key

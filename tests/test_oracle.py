@@ -103,6 +103,25 @@ def test_band_module_rotation_and_inversion_isos(gentle5):
         assert exists_full_rank_hom(base, other, "inj", seed)
 
 
+@pytest.mark.parametrize("dims, mats, message", [
+    # a: 1 -> 2 needs dims[2] rows of dims[1] entries
+    ((("1", 1), ("2", 1)), (("a", ((F(1), F(0)),)), ("b", ((F(1),),))), "arrow a needs a 1 x 1"),
+    ((("1", 1), ("2", 1)), (("a", ((F(1),), (F(0),))), ("b", ((F(1),),))), "arrow a needs a 1 x 1"),
+    ((("1", 1), ("2", 1)), (("a", ((F(1),),)),), "arrow b needs a 1 x 1"),
+    ((("1", 2), ("2", 1)), (("a", ((F(1),),)), ("b", ((F(1), F(0)),))), "arrow a needs a 1 x 2"),
+], ids=["1x2", "2x1", "missing", "short-row"])
+def test_malformed_matrices_rejected(kronecker, dims, mats, message):
+    from mgslab.oracle import ExplicitRep
+
+    rep = ExplicitRep(kronecker, dims, mats)
+    good = to_explicit(string_module(kronecker, parse_walk(kronecker, "a")))
+    for A, B in ((rep, rep), (rep, good), (good, rep)):
+        with pytest.raises(OracleError, match=message):
+            hom_dim_linalg(A, B)
+        with pytest.raises(OracleError, match=message):
+            hom_solution_basis(A, B)
+
+
 def test_relation_violation_detected(two_loops):
     from mgslab.oracle import ExplicitRep
 

@@ -2,14 +2,17 @@
 here as a slow reference: equal Hom dimensions (union-find, then fraction
 free elimination), ranks, null-space bases (the same Fraction vectors, and
 integer back substitution giving positive multiples of them) and sampled
-full-rank verdicts.  And the substring calculus for band modules against
-the oracle at sampled band parameters."""
+full-rank verdicts, on string and band modules and on random hand-built
+representations.  And the substring calculus for band modules against the
+oracle at sampled band parameters."""
 
 import random
 from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mgslab import (
     band_end_dim,
@@ -291,3 +294,56 @@ def test_sampled_full_rank_matches_rational_sampling_on_string_band_pairs(name, 
                             str(w), str(rec.canonical), lam, k, kind)
                         verdicts.add((kind, got))
     assert verdicts == {(kind, v) for kind in ("inj", "surj") for v in (True, False)}
+
+
+# zero four times over, so that empty, single-entry and multi-entry lines
+# all occur in matrices of up to 3 x 3
+_ENTRIES = (0, 0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-1, 3))
+
+
+@st.composite
+def _random_rep(draw, alg):
+    """A representation of alg's quiver (relations not imposed) with vertex
+    dims 0-3, so that arrows with a zero-dimensional end occur too."""
+    dims = {v: draw(st.integers(0, 3)) for v in alg.vertices}
+    entry = st.sampled_from(_ENTRIES).map(Fraction)
+    mats = tuple(sorted(
+        (a.name, tuple(tuple(draw(entry) for _ in range(dims[a.source]))
+                       for _ in range(dims[a.target])))
+        for a in alg.arrows))
+    return ExplicitRep(alg, tuple(dims.items()), mats)
+
+
+@pytest.mark.parametrize("name", ["kronecker", "two_loops"])  # two_loops has loops
+def test_random_hand_built_reps_match_reference(name, data_dir):
+    alg = load_algebra(data_dir / f"{name}.alg")
+
+    @settings(max_examples=100, derandomize=True, deadline=None, database=None)
+    @given(_random_rep(alg), _random_rep(alg))
+    def check(A, B):
+        _assert_same(A, B)
+        for kind, seed in product(("inj", "surj"), (1, 2, 3)):
+            assert exists_full_rank_hom(A, B, kind, seed) == ref_exists_full_rank_hom(A, B, kind, seed)
+
+    check()
+
+
+def _rep(alg, dims, mats):
+    return ExplicitRep(alg, tuple(dims.items()),
+                       tuple((name, _F(rows)) for name, rows in sorted(mats.items())))
+
+
+def test_hand_built_zero_classes_merge_and_mixed_lines(kronecker, two_loops):
+    third = Fraction(-1, 3)
+    # the loops a and g force x = f_1 and y = f_2 to zero (one term each),
+    # then b ties -y = -1/3 x: a union of two zero classes, which frees nothing
+    A = _rep(two_loops, {"1": 1, "2": 1}, {"a": [[2]], "b": [[-1]], "g": [[1]]})
+    B = _rep(two_loops, {"1": 1, "2": 1}, {"a": [[0]], "b": [[third]], "g": [[0]]})
+    assert hom_dim_linalg(A, B) == ref_hom_dim(A, B) == 0
+    _assert_same(A, B)
+    # the row of B_b with two entries meets the column of A_b with one:
+    # a stage-2 equation beside the stage-1 ones of a
+    A = _rep(kronecker, {"1": 1, "2": 1}, {"a": [[third]], "b": [[2]]})
+    B = _rep(kronecker, {"1": 2, "2": 1}, {"a": [[0, 0]], "b": [[Fraction(1, 2), third]]})
+    _assert_same(A, B)
+    _assert_same(B, A)
