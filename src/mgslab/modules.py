@@ -79,10 +79,7 @@ def string_module(alg: AlgebraPresentation, w: Walk) -> StringModuleRep:
         dims[v] += 1
     actions: dict[str, list[tuple[int, int]]] = {}
     for i, letter in enumerate(w.letters, start=1):
-        if letter.sign > 0:
-            actions.setdefault(letter.arrow, []).append((i, i + 1))
-        else:
-            actions.setdefault(letter.arrow, []).append((i + 1, i))
+        actions.setdefault(letter.arrow, []).append((i, i + 1) if letter.sign > 0 else (i + 1, i))
     return StringModuleRep(
         alg,
         w,
@@ -208,19 +205,21 @@ def hom_classes(alg: AlgebraPresentation, w: Walk, band_bound: int | None = None
     M(w, lambda, 1) against strings of length <= band_bound.  The band's
     keys hold every word of that length or shorter, and may hold longer
     ones, left from a scan at a larger bound, which no such string has."""
-    if band_bound is None:
-        q, s = _class_counts(alg, w)
-    else:
-        q, s = _band_counts(alg, w, band_bound)
+    q, s = _class_counts(alg, w) if band_bound is None else _band_counts(alg, w, band_bound)
     return q.keys(), s.keys()
 
 
 def _pairs(quotient: dict, submodule: dict) -> int:
     """The pairs of a quotient occurrence in the source and a submodule
-    occurrence in the target with one class: a Hom dimension."""
+    occurrence in the target with one class: a Hom dimension.  Looks up
+    the classes of the smaller side in the other."""
     if len(submodule) < len(quotient):
-        return sum(quotient.get(key, 0) * n for key, n in submodule.items())
-    return sum(n * submodule.get(key, 0) for key, n in quotient.items())
+        quotient, submodule = submodule, quotient
+    n = 0
+    for key, m in quotient.items():
+        if key in submodule:
+            n += m * submodule[key]
+    return n
 
 
 def hom_dim(alg: AlgebraPresentation, w: Walk, other: Walk) -> int:
@@ -228,9 +227,13 @@ def hom_dim(alg: AlgebraPresentation, w: Walk, other: Walk) -> int:
 
     Counts pairs of a quotient occurrence in w and a submodule occurrence in
     other carrying the same word up to inversion; a length-0 word matches in
-    a single orientation.
+    a single orientation.  Both counts are read from ``alg.walk_memo``
+    here, and scanned (or the walk rejected) only on a miss.
     """
-    return _pairs(_class_counts(alg, w)[0], _class_counts(alg, other)[1])
+    memo = alg.walk_memo
+    source, target = memo.get(w), memo.get(other)
+    return _pairs((source or _class_counts(alg, w))[0],
+                  (target or _class_counts(alg, other))[1])
 
 
 def hom_dim_string_band(alg: AlgebraPresentation, w: Walk, band: Walk) -> int:
@@ -277,10 +280,6 @@ def enumerate_bricks(alg: AlgebraPresentation, max_len: int) -> tuple[BrickInfo,
     pool = band_pool(alg, max_len // 2)
     strings = enumerate_strings(alg, max_len)
     brickhood = pmap(lambda w: is_brick(alg, w), strings)
-    out = []
-    for w, ok in zip(strings, brickhood):
-        if not ok:
-            continue
-        squares = tuple(b for b in pool.bands if supported_on(w, b, 2))
-        out.append(BrickInfo(w, squares))
-    return alg.memo.setdefault(key, tuple(out))
+    return alg.memo.setdefault(key, tuple(
+        BrickInfo(w, tuple(b for b in pool.bands if supported_on(w, b, 2)))
+        for w, ok in zip(strings, brickhood) if ok))

@@ -2,40 +2,43 @@
 
 Independent of the substring calculus: representations are plain matrices
 over exact rationals and Hom dimensions come from solving the intertwiner
-equations f_t phi_a(A) = phi_a(B) f_s in exact arithmetic.  Each equation
-is scaled by the LCM of the denominators in its arrow's two matrices, so
-its coefficients are Python ints.  Each rep caches, per arrow, the columns
-and the rows of its scaled matrix (``ExplicitRep.view``) as three lists:
+equations f_t phi_a(A) = phi_a(B) f_s in exact arithmetic.  Each rep caches,
+per arrow, the LCM of its matrix's denominators and the columns and the
+rows of its matrix times that LCM (``ExplicitRep.view``) as three lists:
 the single-entry lines as (line, position, value), the empty lines, and
 the multi-entry lines with their entries.  Equation (r, c) of an arrow
-pairs column c of A_a with row r of B_a, so the solvers walk pairs of
-these lists and never visit an equation whose two lines are empty.
+pairs column c of A_a with row r of B_a; it is scaled by the product of
+the two LCMs, so its coefficients are Python ints.  The solvers walk pairs
+of these lists and never visit an equation whose two lines are empty.
 
-``hom_dim_linalg`` counts the solutions in two stages, skipping an arrow
-s -> t when dim A(s) or dim B(t) is 0 (it has no equations).
+One setup serves every solver (``_frame``): the same-algebra check, which
+tries identity before comparing the quiver tuples, and the offsets of the
+unknowns.  ``hom_dim_linalg`` then counts the solutions in one walk over
+the arrows, skipping an arrow s -> t when dim A(s) or dim B(t) is 0 (it
+has no equations).  At each arrow it takes its equations in two stages.
 
 1. Union-find.  An equation between a column and a row with at most one
    nonzero each reads ``u x_p = w x_q`` or ``u x_p = 0``; every equation
    of a string module, and of a band module M(w, lambda, 1), has this
    form.  A weighted union-find keeps, in lists indexed by unknown p, its
-   parent, a rational rho_p != 0 with x_p = rho_p x_parent, and whether its
-   class (read at the root) is forced to zero.  The pass first forces the
-   unknown of every one-term equation (a single-entry line against an
-   empty one) to zero, over all arrows: no union has happened yet, so
-   every unknown is its own root and needs no find.  Then each single-entry
-   column against a single-entry row merges the two classes with the ratio
-   it fixes, or, if they are already one class whose ratios disagree (a
-   loop arrow, or a band against itself at another lambda), forces that
-   class to zero.  A zero class stays zero through later merges, since
-   every ratio is nonzero.  So the solutions of these equations are
-   exactly the vectors with one free parameter x_root per class not forced
-   to zero: each such class contributes one dimension.
+   parent, a rational rho_p != 0 with x_p = rho_p x_parent (1 at a root,
+   and written only when not 1), and whether its class (read at the root)
+   is forced to zero.  A one-term equation (a single-entry line against
+   an empty one) forces the class of its unknown to zero.  A single-entry
+   column against a single-entry row merges the two classes with the
+   ratio it fixes, or, if they are already one class whose ratios
+   disagree (a loop arrow, or a band against itself at another lambda),
+   forces that class to zero.  A zero class stays zero through later
+   merges, since every ratio is nonzero, so the order of the equations
+   does not matter.  The solutions of these equations are exactly the
+   vectors with one free parameter x_root per class not forced to zero:
+   each such class contributes one dimension.
 2. Elimination.  The equations with a multi-entry line (a Jordan block
-   of size k >= 2 puts two nonzeros in a column) are rewritten, after
-   every union, over the class roots, x_p = rho_p x_root, with the zero
-   classes dropped; they only constrain the free roots.  They are scaled
-   to ints and eliminated, and dim Hom is the number of free classes minus
-   their rank.
+   of size k >= 2 puts two nonzeros in a column) are kept until the walk
+   ends, then rewritten over the class roots, x_p = rho_p x_root, with the
+   zero classes dropped; they only constrain the free roots.  They are
+   scaled to ints and eliminated, and dim Hom is the number of free
+   classes minus their rank.
 
 The elimination, also behind ``matrix_rank`` and ``hom_solution_basis``
 (which work on the full system), is fraction free: reducing a row against
@@ -51,6 +54,9 @@ matrix ranks at pseudo-random points of the solution space.  A point
 sum c_k (L / m_k) (m_k x_k), L the LCM of the m_k, is L times the rational
 point sum c_k x_k: in ints, with the ranks and verdicts of rational
 sampling.
+
+``to_explicit`` checks that every relation path acts by zero by carrying
+basis vectors along the sparse columns of the view.
 """
 
 from __future__ import annotations
@@ -102,7 +108,8 @@ class ExplicitRep:
         source and target index, the LCM of its matrix's denominators and
         the lines of that matrix times the LCM, by column and by row (see
         ``_lines``).  Raises OracleError unless each arrow has a matrix of
-        dims[target] rows of dims[source] entries."""
+        dims[target] rows of dims[source] entries, and the matrices are named
+        for the arrows, each once."""
         dims = dict(self.dims)
         if set(dims) != set(self.vertices):
             raise OracleError("vertex sets differ")
@@ -120,6 +127,8 @@ class ExplicitRep:
                 cols[c].append((r, v))
             out.append((self.vertices.index(a.source), self.vertices.index(a.target), den,
                         _lines(cols), _lines(rows)))
+        if len(self.mats) != len(self.arrows):  # every arrow's matrix was found
+            raise OracleError("matrix names differ from the arrow names")
         return tuple(dims[v] for v in self.vertices), tuple(out)
 
 
@@ -132,17 +141,10 @@ def _lines(lines):
             tuple((i, tuple(e)) for i, e in enumerate(lines) if len(e) > 1))
 
 
-def _zero_matrix(rows: int, cols: int) -> list[list[Fraction]]:
-    return [[_ZERO] * cols for _ in range(rows)]
-
-
-def _freeze(m: list[list[Fraction]]) -> Matrix:
-    return tuple(tuple(row) for row in m)
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(sum(x * y for x, y in zip(row, col) if x and y) for col in zip(*b))
-                 for row in a)
+def _full(singles, multis):
+    """The (line, ((position, value), ...)) of every nonempty line (see
+    ``_lines``)."""
+    return [(i, ((p, v),)) for i, p, v in singles] + list(multis)
 
 
 def _scaled(values) -> tuple[int, dict[int, int]]:
@@ -215,11 +217,19 @@ def to_explicit(M: StringModuleRep | BandModuleRep) -> ExplicitRep:
     """Expand a string or band module into honest matrices and verify that
     every relation path acts by zero (a nonzero product is a bug upstream)."""
     if isinstance(M, StringModuleRep):
-        rep = _string_to_explicit(M)
+        slot = _slots(M.walk.vertices, 1)
+        entries = [(a, slot[t - 1], slot[f - 1], 1) for a, ts in M.arrow_actions for f, t in ts]
     elif isinstance(M, BandModuleRep):
-        rep = _band_to_explicit(M)
+        entries = _band_entries(M)
     else:
         raise OracleError(f"cannot expand {type(M).__name__}")
+    dims = M.dims()
+    mats = {a.name: [[_ZERO] * dims[a.source] for _ in range(dims[a.target])]
+            for a in M.alg.arrows}
+    for name, r, c, v in entries:
+        mats[name][r][c] += v
+    rep = ExplicitRep(M.alg, M.dim_vector,
+                      tuple(sorted((name, tuple(map(tuple, m))) for name, m in mats.items())))
     _check_relations(rep)
     return rep
 
@@ -234,86 +244,79 @@ def _slots(vertices, k: int) -> dict[int, int]:
     return slot
 
 
-def _string_to_explicit(M: StringModuleRep) -> ExplicitRep:
-    alg = M.alg
-    dims = dict(M.dim_vector)
-    slot = _slots(M.walk.vertices, 1)
-    arrow_actions = dict(M.arrow_actions)
-    mats = {}
-    for a in alg.arrows:
-        m = _zero_matrix(dims[a.target], dims[a.source])
-        for p_from, p_to in arrow_actions.get(a.name, ()):
-            m[slot[p_to - 1]][slot[p_from - 1]] = Fraction(1)
-        mats[a.name] = _freeze(m)
-    return ExplicitRep(alg, M.dim_vector, tuple(sorted(mats.items())))
-
-
-def _band_to_explicit(M: BandModuleRep) -> ExplicitRep:
-    """Identity blocks along the band, and on the last letter the lower
-    triangular Jordan block J_k(lambda) (J_k(1/lambda) if it is inverse)."""
-    alg = M.alg
+def _band_entries(M: BandModuleRep):
+    """The (arrow, row, column, value) entries of a band module: identity
+    blocks along the band, and on the last letter the lower triangular
+    Jordan block J_k(lambda) (J_k(1/lambda) if it is inverse)."""
     w, lam, k = M.walk, M.lam, M.k
     d = w.length
-    dims = dict(M.dim_vector)
     slot = _slots(w.vertices[:-1], k)
-    mats = {a.name: _zero_matrix(dims[a.target], dims[a.source]) for a in alg.arrows}
+    entries = []
     for i, letter in enumerate(w.letters):
         src, dst = i, (i + 1) % d
         if letter.sign < 0:
             src, dst = dst, src
         last = i == d - 1
-        diag = (lam if letter.sign > 0 else 1 / lam) if last else Fraction(1)
-        target = mats[letter.arrow]
+        diag = (lam if letter.sign > 0 else 1 / lam) if last else 1
         r0, c0 = slot[dst], slot[src]
         for j in range(k):
-            target[r0 + j][c0 + j] += diag
+            entries.append((letter.arrow, r0 + j, c0 + j, diag))
             if last and j + 1 < k:
-                target[r0 + j + 1][c0 + j] += 1
-    return ExplicitRep(alg, M.dim_vector,
-                       tuple(sorted((name, _freeze(m)) for name, m in mats.items())))
+                entries.append((letter.arrow, r0 + j + 1, c0 + j, 1))
+    return entries
 
 
 def _check_relations(rep: ExplicitRep) -> None:
-    mats = dict(rep.mats)
+    """Raise OracleError unless every relation path acts by zero: the image
+    of each basis vector at the path's start is carried along the sparse
+    columns of the view (scaled matrices, so the same zeros) until it
+    vanishes or the path ends."""
+    cols = {a.name: dict(_full(sing, multi))
+            for a, (_, _, _, (sing, _, multi), _) in zip(rep.arrows, rep.view[1])}
     for r in rep.relations:
-        prod = mats[r[0]]
+        images = cols[r[0]].values()
         for name in r[1:]:
-            prod = mat_mul(mats[name], prod)
-        if any(any(row) for row in prod):
+            col, out = cols[name], []
+            for image in images:
+                acc = {}
+                for p, v in image:
+                    for q, w in col.get(p, ()):
+                        acc[q] = acc.get(q, 0) + v * w
+                if any(acc.values()):
+                    out.append(acc.items())
+            images = out
+        if images:
             raise OracleError(f"relation {' '.join(r)} acts nonzero")
 
 
-def _layout(A: ExplicitRep, B: ExplicitRep):
-    """The dims of A and B, per vertex index v the offset of the unknowns
-    (entry f_v[r][c] of the (B-dim x A-dim) matrix at v has index offs[v] +
-    r * adims[v] + c, of ``total``) and, per arrow s -> t with unknowns at
-    both ends, (offs[t], offs[s], adims[s], adims[t], fa, fb, the columns
-    of A_a, the rows of B_a), where fa * aden = fb * bden is the LCM of the
-    denominators in A_a and B_a."""
-    if (A.vertices, A.arrows, A.relations) != (B.vertices, B.arrows, B.relations):
+def _frame(A, B):
+    """The setup of one pair: the dims of A and B, per vertex index v the
+    offset of the unknowns (entry f_v[r][c] of the (B-dim x A-dim) matrix
+    at v has index offs[v] + r * adims[v] + c, of ``total``) and the
+    arrows of the two views side by side.  Raises OracleError unless A and
+    B live over one algebra."""
+    if not (A.vertices is B.vertices and A.arrows is B.arrows and A.relations is B.relations
+            or A._fields()[:3] == B._fields()[:3]):
         raise OracleError("representations live over different algebras")
     (adims, aview), (bdims, bview) = A.view, B.view
-    offs, total, arrows = [], 0, []
+    offs, total = [], 0
     for da, db in zip(adims, bdims):
         offs.append(total)
         total += da * db
-    for (s, t, aden, acols, _), (_, _, bden, _, brows) in zip(aview, bview):
-        if adims[s] and bdims[t]:
-            den = lcm(aden, bden)
-            arrows.append((offs[t], offs[s], adims[s], adims[t], den // aden, den // bden,
-                           acols, brows))
-    return adims, bdims, offs, total, arrows
+    return adims, bdims, offs, total, zip(aview, bview)
 
 
-def _rows(arrow, multi_only=False):
+def _rows(ot, os_, ns, nt, fa, fb, acols, brows, multi_only=False):
     """The integer row {index: coefficient} of each equation (r, c) of an
-    arrow (see ``_layout``) but those whose two lines are empty: the index
-    of f_t[r][0] joins the nonzeros of column c of A_a (times fa) and the
-    index of f_s[0][c] those of row r of B_a (times fb).  With multi_only,
-    only the equations with a line of several nonzeros."""
-    ot, os_, ns, nt, fa, fb, (asing, aempty, amulti), (bsing, bempty, bmulti) = arrow
-    acols = [(c, ((p, v),)) for c, p, v in asing] + list(amulti)
-    brows = [(r, ((q, v),)) for r, q, v in bsing] + list(bmulti)
+    arrow s -> t but those whose two lines are empty: the index of
+    f_t[r][0] joins the nonzeros of column c of A_a (times fa) and the
+    index of f_s[0][c] those of row r of B_a (times fb).  Here ot and os_
+    are offs[t] and offs[s], ns and nt are dim A(s) and dim A(t) (see
+    ``_frame``), acols and brows the lines of A_a and B_a in the views,
+    and fa * aden = fb * bden (the solvers pass fa = bden, fb = aden).
+    With multi_only, only the equations with a line of several nonzeros."""
+    (asing, aempty, amulti), (bsing, bempty, bmulti) = acols, brows
+    acols, brows = _full(asing, amulti), _full(bsing, bmulti)
     for c, aline in acols + [(c, ()) for c in aempty]:
         for r, bline in brows + [(r, ()) for r in bempty] if aline else brows:
             if multi_only and len(aline) < 2 and len(bline) < 2:
@@ -332,11 +335,12 @@ def _rows(arrow, multi_only=False):
 def _hom_system(A: ExplicitRep, B: ExplicitRep):
     """Echelon pivots of the integer system for {f_v} with f_t A_a = B_a f_s
     per arrow a (see ``_rows``)."""
-    adims, bdims, offs, total, arrows = _layout(A, B)
+    adims, bdims, offs, total, arrows = _frame(A, B)
     pivots: Pivots = {}
-    for arrow in arrows:
-        for row in _rows(arrow):
-            _echelon_insert(pivots, row)
+    for (s, t, aden, acols, _), (_, _, bden, _, brows) in arrows:
+        if adims[s] and bdims[t]:
+            for row in _rows(offs[t], offs[s], adims[s], adims[t], bden, aden, acols, brows):
+                _echelon_insert(pivots, row)
     return pivots, adims, bdims, offs, total
 
 
@@ -356,43 +360,58 @@ def _find(parent, ratio, p):
 def hom_dim_linalg(A: ExplicitRep, B: ExplicitRep) -> int:
     """Dimension of Hom(A, B): the free stage-1 classes minus the rank of
     the stage-2 rows (see the module docstring)."""
-    adims, bdims, offs, total, arrows = _layout(A, B)
+    adims, bdims, offs, total, arrows = _frame(A, B)
     parent = list(range(total))
-    ratio = [1] * total  # x_p / x_parent[p]
+    ratio = [1] * total  # x_p / x_parent[p], written only when not 1
     zero = [False] * total  # per root: its class is forced to zero
     free = total  # the classes not forced to zero
     later = []  # stage 2: the equations with a multi-entry line
-    for arrow in arrows:  # one term: its unknown is zero, and still its own root
-        ot, os_, ns, nt, _, _, (asing, aempty, amulti), (bsing, bempty, bmulti) = arrow
-        if bempty:
+    for (s, t, aden, acols, _), (_, _, bden, _, brows) in arrows:
+        ns = adims[s]
+        if not (ns and bdims[t]):
+            continue
+        ot, os_, nt = offs[t], offs[s], adims[t]
+        (asing, aempty, amulti), (bsing, bempty, bmulti) = acols, brows
+        if bempty:  # one term: the class of x_p is zero
             for _, p0, _ in asing:
                 for r in bempty:
-                    p = ot + r * nt + p0
+                    p = parent[ot + r * nt + p0]
+                    if parent[p] != p:
+                        p = _find(parent, ratio, p)[0]
                     if not zero[p]:
                         zero[p] = True
                         free -= 1
         if aempty:
             for _, q0, _ in bsing:
                 for c in aempty:
-                    p = os_ + q0 * ns + c
+                    p = parent[os_ + q0 * ns + c]
+                    if parent[p] != p:
+                        p = _find(parent, ratio, p)[0]
                     if not zero[p]:
                         zero[p] = True
                         free -= 1
         if amulti or bmulti:
-            later += _rows(arrow, True)
-    for ot, os_, ns, nt, fa, fb, (asing, _, _), (bsing, _, _) in arrows:
+            later += _rows(ot, os_, ns, nt, bden, aden, acols, brows, True)
         for r, q0, bv in bsing:
-            base_t, base_s, rhs0 = ot + r * nt, os_ + q0 * ns, fb * bv
+            base_t, base_s, rhs0 = ot + r * nt, os_ + q0 * ns, aden * bv
             for c, p0, av in asing:
                 p, q = base_t + p0, base_s + c
-                rp, fp = (p, 1) if parent[p] == p else _find(parent, ratio, p)
-                rq, fq = (q, 1) if parent[q] == q else _find(parent, ratio, q)
-                lhs, rhs = fa * av * fp, rhs0 * fq
+                rp, fp = parent[p], ratio[p]  # a root has ratio 1
+                if parent[rp] != rp:
+                    rp, fp = _find(parent, ratio, p)
+                rq, fq = parent[q], ratio[q]
+                if parent[rq] != rq:
+                    rq, fq = _find(parent, ratio, q)
+                lhs, rhs = bden * av * fp, rhs0 * fq
                 if rp != rq:
-                    parent[rp], ratio[rp] = rq, (1 if lhs == rhs else Fraction(rhs, lhs))
-                    if not (zero[rp] and zero[rq]):
+                    parent[rp] = rq
+                    if lhs != rhs:
+                        ratio[rp] = Fraction(rhs, lhs)
+                    if not zero[rp]:
                         free -= 1
-                    zero[rq] = zero[rq] or zero[rp]
+                    elif not zero[rq]:
+                        zero[rq] = True
+                        free -= 1
                 elif lhs != rhs and not zero[rp]:
                     zero[rp] = True
                     free -= 1

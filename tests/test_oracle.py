@@ -12,6 +12,7 @@ from mgslab import (
     hom_dim,
     hom_dim_linalg,
     hom_solution_basis,
+    load_algebra,
     parse_walk,
     string_module,
     to_explicit,
@@ -109,7 +110,12 @@ def test_band_module_rotation_and_inversion_isos(gentle5):
     ((("1", 1), ("2", 1)), (("a", ((F(1),), (F(0),))), ("b", ((F(1),),))), "arrow a needs a 1 x 1"),
     ((("1", 1), ("2", 1)), (("a", ((F(1),),)),), "arrow b needs a 1 x 1"),
     ((("1", 2), ("2", 1)), (("a", ((F(1),),)), ("b", ((F(1), F(0)),))), "arrow a needs a 1 x 2"),
-], ids=["1x2", "2x1", "missing", "short-row"])
+    # a matrix named for no arrow, or a second matrix for one, must not be ignored
+    ((("1", 1), ("2", 1)), (("a", ((F(1),),)), ("b", ((F(0),),)), ("c", ((F(5),),))),
+     "matrix names differ"),
+    ((("1", 1), ("2", 1)), (("a", ((F(1),),)), ("a", ((F(0),),)), ("b", ((F(0),),))),
+     "matrix names differ"),
+], ids=["1x2", "2x1", "missing", "short-row", "extra", "twice"])
 def test_malformed_matrices_rejected(kronecker, dims, mats, message):
     from mgslab.oracle import ExplicitRep
 
@@ -245,3 +251,32 @@ def test_vertex_set_mismatch(gentle5, a2):
     B = to_explicit(string_module(a2, parse_walk(a2, "e:1")))
     with pytest.raises(OracleError):
         hom_dim_linalg(A, B)
+
+
+def test_same_vertices_other_arrows_rejected(a2, kronecker):
+    # a2 and kronecker share the vertices 1 and 2 but not their arrows
+    A = to_explicit(string_module(a2, parse_walk(a2, "e:1")))
+    B = to_explicit(string_module(kronecker, parse_walk(kronecker, "e:1")))
+    assert A.vertices == B.vertices and A.dims == B.dims and A.arrows != B.arrows
+    for X, Y in ((A, B), (B, A)):
+        with pytest.raises(OracleError, match="different algebras"):
+            hom_dim_linalg(X, Y)
+        with pytest.raises(OracleError, match="different algebras"):
+            hom_solution_basis(X, Y)
+
+
+def test_separate_loads_are_one_algebra(data_dir):
+    # reps over equal presentations that share no tuple give the same
+    # Hom dimensions as reps over one presentation
+    one = load_algebra(data_dir / "gentle5.alg")
+    other = load_algebra(data_dir / "gentle5.alg")
+    assert one == other and one.arrows is not other.arrows
+    strings = enumerate_strings(one, 3)
+    reps = [to_explicit(string_module(one, w)) for w in strings]
+    others = [to_explicit(string_module(other, w)) for w in strings]
+    assert len(reps) > 20
+    for A, A2 in zip(reps, others):
+        for B, B2 in zip(reps, others):
+            dim = hom_dim_linalg(A, B)
+            assert hom_dim_linalg(A2, B) == hom_dim_linalg(A, B2) == dim
+            assert len(hom_solution_basis(A2, B)) == dim

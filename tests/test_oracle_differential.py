@@ -175,6 +175,17 @@ def test_string_pairs_match_reference(name, data_dir):
         _assert_same(A, B)
 
 
+def test_loop_strings_at_crosscheck_bound(data_dir):
+    # every ordered pair of two_loops strings of length <= 7, the bound of
+    # the crosscheck benchmark: loop arrows put both sides of an equation at
+    # one vertex, so the union-find meets cancelling and disagreeing ratios
+    alg = load_algebra(data_dir / "two_loops.alg")
+    reps = [to_explicit(string_module(alg, w)) for w in enumerate_strings(alg, 7)]
+    assert len(reps) == 75
+    for A, B in product(reps, repeat=2):
+        assert hom_dim_linalg(A, B) == len(hom_solution_basis(A, B))
+
+
 @pytest.mark.parametrize("name", [n for n in ALGEBRAS if n != "a2"])  # a2 has no bands
 def test_band_modules_match_reference(name, data_dir, monkeypatch):
     alg = load_algebra(data_dir / f"{name}.alg")
