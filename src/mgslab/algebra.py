@@ -44,6 +44,34 @@ def _unspellable(name: str) -> bool:
 _NAME_RULE = "must be nonempty, hold no whitespace, and neither end in '-' nor start with 'e:'"
 
 
+def _admit(kind: str, item, vertices: set[str], arrows: dict[str, Arrow]) -> None:
+    """Add a vertex, arrow or relation to the vertices and arrows (by name)
+    admitted so far, or raise AlgebraError saying which rule it breaks."""
+    if kind == "vertex":
+        if item in vertices:
+            raise AlgebraError(f"duplicate vertex {item!r}")
+        vertices.add(item)
+    elif kind == "arrow":
+        if item.name in arrows:
+            raise AlgebraError(f"duplicate arrow name {item.name!r}")
+        if _unspellable(item.name):
+            raise AlgebraError(f"arrow name {item.name!r} {_NAME_RULE}")
+        for v in (item.source, item.target):
+            if v not in vertices:
+                raise AlgebraError(f"arrow {item.name!r} uses unknown vertex {v!r}")
+        arrows[item.name] = item
+    else:
+        if len(item) < 2:
+            raise AlgebraError(f"relation {' '.join(item)!r} has length < 2")
+        for name in item:
+            if name not in arrows:
+                raise AlgebraError(f"unknown arrow {name!r} in relation")
+        for left, right in zip(item, item[1:]):
+            if arrows[left].target != arrows[right].source:
+                raise AlgebraError(
+                    f"relation {' '.join(item)!r} is not composable at {left!r} {right!r}")
+
+
 class AlgebraPresentation:
     """Quiver with monomial relations.  Nothing may reassign its fields once
     built: its memos, and every memo keyed on it, would silently go stale.
@@ -58,33 +86,11 @@ class AlgebraPresentation:
     def __init__(self, vertices: tuple[str, ...], arrows: tuple[Arrow, ...],
                  relations: tuple[tuple[str, ...], ...]):
         self.vertices, self.arrows, self.relations = vertices, arrows, relations
-        seen = set()
-        for v in self.vertices:
-            if v in seen:
-                raise AlgebraError(f"duplicate vertex {v!r}")
-            seen.add(v)
-        names = set()
-        for a in self.arrows:
-            if a.name in names:
-                raise AlgebraError(f"duplicate arrow name {a.name!r}")
-            if _unspellable(a.name):
-                raise AlgebraError(f"arrow name {a.name!r} {_NAME_RULE}")
-            names.add(a.name)
-            for v in (a.source, a.target):
-                if v not in seen:
-                    raise AlgebraError(f"arrow {a.name!r} uses unknown vertex {v!r}")
-        amap = {a.name: a for a in self.arrows}
-        for rel in self.relations:
-            if len(rel) < 2:
-                raise AlgebraError(f"relation {' '.join(rel)!r} has length < 2")
-            for name in rel:
-                if name not in amap:
-                    raise AlgebraError(f"unknown arrow {name!r} in relation")
-            for left, right in zip(rel, rel[1:]):
-                if amap[left].target != amap[right].source:
-                    raise AlgebraError(
-                        f"relation {' '.join(rel)!r} is not composable at {left!r} {right!r}"
-                    )
+        vset: set[str] = set()
+        amap: dict[str, Arrow] = {}
+        for kind, items in (("vertex", vertices), ("arrow", arrows), ("relation", relations)):
+            for item in items:
+                _admit(kind, item, vset, amap)
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
@@ -224,60 +230,32 @@ def parse_algebra(text: str) -> AlgebraPresentation:
     """Parse the line-oriented algebra file format.
 
     Grammar: ``vertex <id>`` | ``arrow <name> <src> <dst>`` |
-    ``relation <name1> <name2> ...``; ``#`` starts a comment.
+    ``relation <name1> <name2> ...``; ``#`` starts a comment.  A line that
+    the presentation would refuse raises its message with the line number.
     """
-    vertices: list[str] = []
-    arrows: list[Arrow] = []
-    relations: list[tuple[str, ...]] = []
+    items: dict[str, list] = {"vertex": [], "arrow": [], "relation": []}
     vset: set[str] = set()
-    anames: set[str] = set()
-
+    amap: dict[str, Arrow] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        tokens = line.split()
-        kind, args = tokens[0], tokens[1:]
-        if kind == "vertex":
-            if len(args) != 1:
-                raise AlgebraParseError("vertex takes exactly one identifier", lineno)
-            if args[0] in vset:
-                raise AlgebraParseError(f"duplicate vertex {args[0]!r}", lineno)
-            vset.add(args[0])
-            vertices.append(args[0])
-        elif kind == "arrow":
-            if len(args) != 3:
-                raise AlgebraParseError("arrow takes name, source, target", lineno)
-            name, src, dst = args
-            if name in anames:
-                raise AlgebraParseError(f"duplicate arrow name {name!r}", lineno)
-            if _unspellable(name):
-                raise AlgebraParseError(f"arrow name {name!r} {_NAME_RULE}", lineno)
-            if src not in vset:
-                raise AlgebraParseError(f"unknown vertex {src!r}", lineno)
-            if dst not in vset:
-                raise AlgebraParseError(f"unknown vertex {dst!r}", lineno)
-            anames.add(name)
-            arrows.append(Arrow(name, src, dst))
-        elif kind == "relation":
-            if len(args) < 2:
-                raise AlgebraParseError("relation needs at least two arrows", lineno)
-            amap = {a.name: a for a in arrows}
-            for name in args:
-                if name not in amap:
-                    raise AlgebraParseError(f"unknown arrow {name!r} in relation", lineno)
-            for left, right in zip(args, args[1:]):
-                if amap[left].target != amap[right].source:
-                    raise AlgebraParseError(
-                        f"relation is not composable: t({left}) != s({right})", lineno
-                    )
-            relations.append(tuple(args))
-        else:
+        kind, *args = line.split()
+        if kind not in items:
             raise AlgebraParseError(f"unknown directive {kind!r}", lineno)
-
-    if not vertices:
+        if kind == "vertex" and len(args) != 1:
+            raise AlgebraParseError("vertex takes exactly one identifier", lineno)
+        if kind == "arrow" and len(args) != 3:
+            raise AlgebraParseError("arrow takes name, source, target", lineno)
+        item = args[0] if kind == "vertex" else Arrow(*args) if kind == "arrow" else tuple(args)
+        try:
+            _admit(kind, item, vset, amap)
+        except AlgebraError as exc:
+            raise AlgebraParseError(str(exc), lineno) from None
+        items[kind].append(item)
+    if not vset:
         raise AlgebraParseError("presentation has no vertices")
-    return AlgebraPresentation(tuple(vertices), tuple(arrows), tuple(relations))
+    return AlgebraPresentation(*(tuple(v) for v in items.values()))
 
 
 def load_algebra(path) -> AlgebraPresentation:
@@ -300,45 +278,29 @@ def _unbounded_path_witness(alg: AlgebraPresentation) -> str | None:
     States are relation-avoiding paths of length R-1 where R is the longest
     relation; any unbounded relation-free path must revisit such a window, so
     the algebra is infinite dimensional iff the window transition graph has a
-    cycle.
+    cycle.  Windows with no live successor are pruned until none is left;
+    then the first live successor is followed from the first live window
+    until a window repeats, and that window is the witness.
     """
-    window = max(alg.max_relation_length - 1, 1)
+    def grown(s):  # the relation-free extensions of a path by one arrow
+        return [e for b in alg.outgoing[alg.arrow_map[s[-1][0]].target]
+                if not alg.ends_in_forbidden(e := s + ((b.name, 0),))]
+
     # paths as direct walk-key letters, grown level by level in arrow order
     states = [((a.name, 0),) for a in alg.arrows]
-    for _ in range(window - 1):
-        states = [s + ((b.name, 0),) for s in states
-                  for b in alg.outgoing[alg.arrow_map[s[-1][0]].target]
-                  if not alg.ends_in_forbidden(s + ((b.name, 0),))]
+    for _ in range(max(alg.max_relation_length - 1, 1) - 1):
+        states = [e for s in states for e in grown(s)]
     # a state followed by a letter is relation-free, so its tail is a state
-    succ: dict[tuple, list[tuple]] = {s: [] for s in states}
-    for s in states:
-        for a in alg.outgoing[alg.arrow_map[s[-1][0]].target]:
-            extended = s + ((a.name, 0),)
-            if not alg.ends_in_forbidden(extended):
-                succ[s].append(extended[1:])
-
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {s: WHITE for s in states}
-    for start in states:
-        if color[start] != WHITE:
-            continue
-        stack = [(start, iter(succ[start]))]
-        color[start] = GRAY
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if color[nxt] == GRAY:
-                    return " ".join(arrow for arrow, _ in nxt)
-                if color[nxt] == WHITE:
-                    color[nxt] = GRAY
-                    stack.append((nxt, iter(succ[nxt])))
-                    advanced = True
-                    break
-            if not advanced:
-                color[node] = BLACK
-                stack.pop()
-    return None
+    succ = {s: [e[1:] for e in grown(s)] for s in states}
+    live = set(states)
+    while dead := {s for s in live if live.isdisjoint(succ[s])}:
+        live -= dead
+    seen: set[tuple] = set()
+    s = next((s for s in states if s in live), None)
+    while s is not None and s not in seen:
+        seen.add(s)
+        s = next(t for t in succ[s] if t in live)
+    return None if s is None else " ".join(arrow for arrow, _ in s)
 
 
 def validate_axioms(alg: AlgebraPresentation) -> AxiomReport:
@@ -346,7 +308,9 @@ def validate_axioms(alg: AlgebraPresentation) -> AxiomReport:
     and finite-dimensionality, collecting violation witnesses.
 
     A length-2 path is "in I" when it contains some relation as a contiguous
-    subpath; with length-2 relations this is literal membership.
+    subpath; with length-2 relations this is literal membership.  Each arrow
+    tests each neighbour once: S2 reads the nonzero compositions, G1 the
+    zero ones.
     """
     violations: list[tuple[str, str]] = []
 
@@ -357,23 +321,17 @@ def validate_axioms(alg: AlgebraPresentation) -> AxiomReport:
             violations.append(("S1", f"vertex {v} has {len(alg.outgoing[v])} outgoing arrows"))
 
     for a in alg.arrows:
-        succ_alive = [b.name for b in alg.outgoing[a.target]
-                      if not alg.path_contains_relation((a.name, b.name))]
-        if len(succ_alive) > 1:
-            violations.append(("S2", f"arrow {a.name} composes nonzero with {succ_alive}"))
-        pred_alive = [g.name for g in alg.incoming[a.source]
-                      if not alg.path_contains_relation((g.name, a.name))]
-        if len(pred_alive) > 1:
-            violations.append(("S2", f"arrows {pred_alive} compose nonzero onto {a.name}"))
-
-        succ_dead = [b.name for b in alg.outgoing[a.target]
-                     if alg.path_contains_relation((a.name, b.name))]
-        if len(succ_dead) > 1:
-            violations.append(("G1", f"arrow {a.name} composes to zero with {succ_dead}"))
-        pred_dead = [g.name for g in alg.incoming[a.source]
-                     if alg.path_contains_relation((g.name, a.name))]
-        if len(pred_dead) > 1:
-            violations.append(("G1", f"arrows {pred_dead} compose to zero onto {a.name}"))
+        after = [(b.name, alg.path_contains_relation((a.name, b.name)))
+                 for b in alg.outgoing[a.target]]
+        before = [(g.name, alg.path_contains_relation((g.name, a.name)))
+                  for g in alg.incoming[a.source]]
+        for tag, zero, how in (("S2", False, "nonzero"), ("G1", True, "to zero")):
+            succ = [name for name, z in after if z == zero]
+            if len(succ) > 1:
+                violations.append((tag, f"arrow {a.name} composes {how} with {succ}"))
+            pred = [name for name, z in before if z == zero]
+            if len(pred) > 1:
+                violations.append((tag, f"arrows {pred} compose {how} onto {a.name}"))
 
     for r in alg.minimal_relations:
         if len(r) != 2:

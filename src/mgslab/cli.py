@@ -115,15 +115,6 @@ def _fraction(text: str):
         raise WalkError(f"bad number {text!r}: {exc}")
 
 
-def _require_string_algebra(alg):
-    report = validate_axioms(alg)
-    if not report.is_string_algebra:
-        raise AlgebraError(
-            "not a string algebra: " + "; ".join(f"{t}: {w}" for t, w in report.violations)
-        )
-    return report
-
-
 def _read_sequence(alg, path) -> tuple:
     from .words import parse_walk
 
@@ -244,7 +235,6 @@ def _cmd_validate(alg, args):
 def _cmd_strings(alg, args):
     from .words import enumerate_strings
 
-    _require_string_algebra(alg)
     return {"max_len": args.max_len,
             "strings": _walks(enumerate_strings(alg, args.max_len))}, None
 
@@ -252,7 +242,6 @@ def _cmd_strings(alg, args):
 def _cmd_bands(alg, args):
     from .words import enumerate_bands
 
-    _require_string_algebra(alg)
     records = enumerate_bands(alg, args.max_len)
     return {
         "max_len": args.max_len,
@@ -265,7 +254,6 @@ def _cmd_module(alg, args):
     from .oracle import to_explicit
     from .words import parse_walk
 
-    _require_string_algebra(alg)
     if args.module_cmd == "show":
         from . import diagram
 
@@ -292,7 +280,6 @@ def _cmd_hom(alg, args):
     from .oracle import hom_dim_linalg, to_explicit
     from .words import parse_walk
 
-    _require_string_algebra(alg)
     w1, w2 = parse_walk(alg, args.source), parse_walk(alg, args.target)
     combinatorial = hom_dim(alg, w1, w2)
     oracle = hom_dim_linalg(
@@ -309,7 +296,6 @@ def _cmd_hom(alg, args):
 def _cmd_bricks(alg, args):
     from .modules import enumerate_bricks
 
-    _require_string_algebra(alg)
     infos = enumerate_bricks(alg, args.max_len)
     return {
         "max_len": args.max_len,
@@ -325,8 +311,6 @@ def _cmd_oracle(alg, args):
     from .modules import band_module, string_module
     from .oracle import hom_dim_linalg, to_explicit
     from .words import parse_walk
-
-    _require_string_algebra(alg)
 
     def rep(text, band_lam):
         w = parse_walk(alg, text)
@@ -358,7 +342,6 @@ def _cmd_mgs(alg, args):
     )
     from .words import band_pool
 
-    _require_string_algebra(alg)
     if args.mgs_cmd == "enumerate":
         pools = _pools_for(alg, args)
         contains = None
@@ -424,7 +407,6 @@ def _cmd_mgs(alg, args):
 def _cmd_lemmas(alg, args):
     from .lemmas import run_lemma_suite
 
-    _require_string_algebra(alg)
     report = run_lemma_suite(
         alg, args.max_len, band_bound=args.band_len, mgs_budget=args.budget
     )
@@ -466,6 +448,10 @@ def main(argv=None) -> int:
     code = EXIT_OK
     try:
         alg = load_algebra(args.algebra)
+        # validate reports the axioms; every other command needs them to hold
+        if args.cmd != "validate" and not (report := validate_axioms(alg)).is_string_algebra:
+            raise AlgebraError("not a string algebra: " + "; ".join(
+                f"{t}: {w}" for t, w in report.violations))
         out = handlers[args.cmd](alg, args)
         if len(out) == 3:
             payload, certificate, code = out

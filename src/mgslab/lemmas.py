@@ -126,9 +126,10 @@ def run_lemma_suite(alg: AlgebraPresentation, max_string_len: int,
     for rec in band_records:
         w = rec.canonical
         for gamma in bricks:
-            if not supported_on(gamma, w, 1):
-                continue
+            # gamma is supported on w iff it has a maximal w-substring
             maximal = maximal_w_substrings(gamma, w)
+            if not maximal:
+                continue
 
             # maximal w-substrings of bricks are submodules or quotients
             chk = report.sub_or_quotient
@@ -143,7 +144,7 @@ def run_lemma_suite(alg: AlgebraPresentation, max_string_len: int,
 
             # maximal substrings carved from a band square stay bricks
             chk = report.square_substring_brick
-            if supported_on(gamma, w, 2):
+            if any(m.power >= 2 for m in maximal):
                 for m in maximal:
                     chk.examined += 1
                     if m.power < 2:
@@ -157,7 +158,7 @@ def run_lemma_suite(alg: AlgebraPresentation, max_string_len: int,
 
             # bricks periodic over a band embed in or surject from M(w,l,N+1)
             chk = report.band_module_embedding
-            u = periodic_factor(gamma.letters, w)
+            u = next((m.band for m in maximal if m.word.length == gamma.length), None)
             if u is not None:
                 chk.examined += 1
                 chk.satisfied += 1

@@ -300,7 +300,9 @@ class _Searcher:
     prune = True
 
     def __init__(self, alg, pools: BrickPools, table: HomTable):
-        member = list(pools.member)
+        # in walk order: the search tries the lowest bit first, so it meets
+        # its sequences already sorted
+        member = sorted(pools.member)
         self.member = member
         self.m = len(member)
         self.index = {w: i for i, w in enumerate(member)}
@@ -402,11 +404,6 @@ class _Searcher:
         finally:
             sys.setrecursionlimit(old_limit)
 
-        # order by the members' walk order, compared through their ranks
-        rank = [0] * self.m
-        for r, i in enumerate(sorted(range(self.m), key=self.member.__getitem__)):
-            rank[i] = r
-        found.sort(key=lambda ids: [rank[i] for i in ids])
         sequences = tuple(tuple(self.member[i] for i in ids) for ids in found)
         if budget_hit:
             raise BudgetExhausted(sequences, nodes, pruned)

@@ -310,13 +310,6 @@ class BandRecord(NamedTuple):
     is_minimal: bool
 
 
-def _occurs_in(haystack: tuple[Letter, ...], needle: tuple[Letter, ...]) -> bool:
-    n, m = len(haystack), len(needle)
-    if m > n:
-        return False
-    return any(haystack[i : i + m] == needle for i in range(n - m + 1))
-
-
 def is_minimal_band(alg: AlgebraPresentation, w: Walk, pool: BandPool) -> bool:
     """No rotation/inversion of w contains v^k, k >= 2, for a shorter band v.
 
@@ -359,28 +352,27 @@ def band_pool(alg: AlgebraPresentation, max_len: int) -> BandPool:
     return BandPool(tuple(r.canonical for r in enumerate_bands(alg, max_len)), max_len)
 
 
+def _run(letters: Sequence[Letter], i: int, u: Walk) -> int:
+    """How many letters from index i on follow u periodically."""
+    period, n, r = u.letters, u.length, i
+    while r < len(letters) and letters[r] == period[(r - i) % n]:
+        r += 1
+    return r - i
+
+
 def supported_on(gamma: Walk, w: Walk, k: int) -> bool:
     """True iff u^k is a contiguous substring of gamma for some u ~ w."""
     if k < 1:
         raise ValueError("support power must be >= 1")
     need = k * w.length
-    if need > gamma.length:
-        return False
-    for u in w.rotations:
-        if _occurs_in(gamma.letters, u.power(k).letters):
-            return True
-    return False
+    return any(_run(gamma.letters, i, u) >= need
+               for i in range(gamma.length - need + 1) for u in w.rotations)
 
 
-def periodic_factor(word: tuple[Letter, ...], w: Walk) -> Walk | None:
+def periodic_factor(word: Sequence[Letter], w: Walk) -> Walk | None:
     """If word is a factor of u^N for some rotation u of w or w^-1, return
     that rotation (phase aligned with the first letter of word)."""
-    for u in w.rotations:
-        period = u.letters
-        n = len(period)
-        if all(word[i] == period[i % n] for i in range(len(word))):
-            return u
-    return None
+    return next((u for u in w.rotations if _run(word, 0, u) == len(word)), None)
 
 
 class MaximalWSubstring(NamedTuple):
@@ -401,27 +393,24 @@ class MaximalWSubstring(NamedTuple):
 
 def maximal_w_substrings(gamma: Walk, w: Walk) -> list[MaximalWSubstring]:
     """Factors of w^N inside gamma that are supported on w and inextensible
-    within gamma, each with its u^k v factorization."""
+    within gamma, each with its u^k v factorization.  A factor at least as
+    long as w follows the one rotation u its first len(w) letters spell, so
+    from each start it runs as far as u does, and it extends to the left
+    iff the letter before it is the last letter of u."""
     out = []
-    d = gamma.length
-    lw = w.length
-    for i in range(1, d + 2 - lw):
-        for j in range(i + lw - 1, d + 1):
-            word = gamma.letters[i - 1 : j]
-            u = periodic_factor(word, w)
-            if u is None:
-                continue
-            if i > 1 and periodic_factor(gamma.letters[i - 2 : j], w) is not None:
-                continue
-            if j < d and periodic_factor(gamma.letters[i - 1 : j + 1], w) is not None:
-                continue
-            left = gamma.letters[i - 2].sign if i > 1 else 0
-            right = gamma.letters[j].sign if j < d else 0
-            sub = gamma.sub(i, j)
-            k = len(word) // lw
-            out.append(MaximalWSubstring(sub, i, j, u, k, sub.sub(k * lw + 1, len(word)),
-                                         left != 1 and right != -1,
-                                         left != -1 and right != 1))
+    letters, d, lw = gamma.letters, gamma.length, w.length
+    for p in range(d - lw + 1):
+        u = next((u for u in w.rotations if letters[p : p + lw] == u.letters), None)
+        if u is None or (p and letters[p - 1] == u.letters[-1]):
+            continue
+        run = _run(letters, p, u)
+        left = letters[p - 1].sign if p else 0
+        right = letters[p + run].sign if p + run < d else 0
+        sub = gamma.sub(p + 1, p + run)
+        k = run // lw
+        out.append(MaximalWSubstring(sub, p + 1, p + run, u, k, sub.sub(k * lw + 1, run),
+                                     left != 1 and right != -1,
+                                     left != -1 and right != 1))
     return out
 
 

@@ -36,6 +36,40 @@ def random_presentation(seed: int) -> AlgebraPresentation:
     return AlgebraPresentation(vertices, arrows, tuple(sorted(relations)))
 
 
+def random_alg_text(rng: random.Random) -> str:
+    """``.alg`` text drawn from rng: a quiver on 1-4 vertices with 0-6
+    arrows, loops allowed, and 0-5 relations of length 2-4 along composable
+    paths; with probability 0.3 one line is replaced by a malformed one."""
+    vertices = [f"v{i}" for i in range(1, rng.randint(1, 4) + 1)]
+    arrows = [Arrow(f"a{i}", rng.choice(vertices), rng.choice(vertices))
+              for i in range(1, rng.randint(0, 6) + 1)]
+    relations = []
+    for _ in range(rng.randint(0, 5) if arrows else 0):
+        path = [rng.choice(arrows)]
+        for _ in range(rng.randint(2, 4) - 1):
+            after = [a for a in arrows if a.source == path[-1].target]
+            if not after:
+                break
+            path.append(rng.choice(after))
+        if len(path) >= 2:
+            relations.append(" ".join(a.name for a in path))
+    lines = ([f"vertex {v}" for v in vertices] + [f"arrow {' '.join(a)}" for a in arrows]
+             + [f"relation {r}" for r in relations])
+    if rng.random() < 0.3:
+        a = rng.choice(arrows or [Arrow("a1", "v1", "v1")])
+        b = rng.choice([b for b in arrows if b.source != a.target] or [a])
+        malformed = [
+            "edge v1 v2", "vertex", "vertex v1 v2", "arrow b v1", "relation",
+            f"vertex {rng.choice(vertices)}", f"arrow {a.name} v1 v1",
+            f"arrow {rng.choice(('b-', 'e:v1'))} v1 v1",
+            f"arrow b v1 {rng.choice(('v1', 'v9'))}", f"arrow b v9 {a.target}",
+            f"relation {a.name}", f"relation {a.name} zz",
+            f"relation {a.name} {b.name}",
+        ]
+        lines[rng.randrange(len(lines))] = rng.choice(malformed)
+    return "\n".join(lines) + "\n"
+
+
 def random_gentle_presentation(rng: random.Random) -> AlgebraPresentation:
     """A gentle algebra on 2-4 vertices, drawn from rng until one passes
     ``validate_axioms``: up to 2n arrows x1, x2, ..., each kept while

@@ -1,3 +1,6 @@
+import json
+import random
+
 import pytest
 
 from mgslab import (
@@ -9,6 +12,8 @@ from mgslab import (
     validate_axioms,
     vertex_arrow_count,
 )
+
+from conftest import random_alg_text
 
 
 def test_parse_two_loops(two_loops):
@@ -204,3 +209,33 @@ def test_fingerprint_stable(gentle5):
 def test_presentation_rejects_unknown_vertex():
     with pytest.raises(AlgebraParseError, match="unknown vertex"):
         parse_algebra("vertex 1\narrow a 1 9\n")
+
+
+def axiom_sweep(seed=1, count=300):
+    """The sweep of ``tests/data/axiom_sweep.json``: the first ``count``
+    texts of ``random_alg_text`` on this seed, each with its axiom
+    violations or, for a file the parser refuses, the line it names."""
+    rng = random.Random(seed)
+    records = []
+    for _ in range(count):
+        text = random_alg_text(rng)
+        try:
+            report = validate_axioms(parse_algebra(text))
+        except AlgebraParseError as exc:
+            records.append({"algebra": text, "error_line": exc.line})
+        else:
+            records.append({"algebra": text,
+                            "violations": [list(v) for v in report.violations]})
+    return {"seed": seed, "cases": records}
+
+
+def test_axioms_match_recorded_sweep(data_dir):
+    # recorded before the admission rules and the axiom scans were merged
+    recorded = json.loads((data_dir / "axiom_sweep.json").read_text())
+    swept = axiom_sweep(recorded["seed"], len(recorded["cases"]))
+    for got, want in zip(swept["cases"], recorded["cases"]):
+        assert got == want
+    # the sweep reaches refused files and every axiom
+    tags = {v[0] for c in recorded["cases"] for v in c.get("violations", ())}
+    assert tags == {"S1", "S2", "G1", "G2", "FinDim"}
+    assert sum("error_line" in c for c in recorded["cases"]) >= 30

@@ -7,11 +7,13 @@ import pytest
 
 from mgslab import (
     AlgebraError,
+    AlgebraParseError,
     AlgebraPresentation,
     Arrow,
     enumerate_bands,
     enumerate_bricks,
     load_algebra,
+    parse_algebra,
     parse_walk,
     string_module,
     to_explicit,
@@ -98,7 +100,7 @@ def test_named_tuple_records_are_immutable(a12tilde):
     assert (arrow, sign) == ("b1", 1) and letter == ("b1", 1)
 
 
-@pytest.mark.parametrize("parts, message", [
+VALIDATION_CASES = [
     ((("1", "1"), (), ()), "duplicate vertex '1'"),
     ((("1", "2"), (Arrow("a", "1", "2"), Arrow("a", "2", "1")), ()),
      "duplicate arrow name 'a'"),
@@ -107,8 +109,23 @@ def test_named_tuple_records_are_immutable(a12tilde):
     ((("1", "2"), (Arrow("a", "1", "2"),), (("a", "b"),)), "unknown arrow 'b' in relation"),
     ((("1", "2"), (Arrow("a", "1", "2"), Arrow("b", "1", "2")), (("a", "b"),)),
      "relation 'a b' is not composable at 'a' 'b'"),
-])
+]
+
+
+@pytest.mark.parametrize("parts, message", VALIDATION_CASES)
 def test_presentation_validation_messages(parts, message):
     with pytest.raises(AlgebraError) as info:
         AlgebraPresentation(*parts)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("parts, message", VALIDATION_CASES)
+def test_parser_speaks_the_presentation_messages(parts, message):
+    # each case breaks a rule at its last item, which is the file's last line
+    vertices, arrows, relations = parts
+    lines = ([f"vertex {v}" for v in vertices] + [f"arrow {' '.join(a)}" for a in arrows]
+             + [f"relation {' '.join(r)}" for r in relations])
+    with pytest.raises(AlgebraParseError) as info:
+        parse_algebra("\n".join(lines) + "\n")
+    assert info.value.line == len(lines)
+    assert str(info.value) == f"line {len(lines)}: {message}"
