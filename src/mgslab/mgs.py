@@ -24,6 +24,13 @@ R does not depend on a required subsequence, which only narrows the
 appends further, so the search emits exactly the sequences of the
 unpruned search, in the same depth-first order.
 
+The search is a depth-first walk over an explicit stack of prefixes, so
+its depth is bounded by the member count, not by the interpreter's
+recursion limit.  A node budget of b stops it on visiting node b + 1:
+``BudgetExhausted`` then reports ``nodes == b + 1`` and the sequences
+found so far.  Every emitted sequence, partial output included, is checked
+to hold every simple.
+
 The masks are built from Hom support, read off class sets (see
 :mod:`mgslab.modules`), not from Hom dimensions: no pairwise Hom is
 computed.
@@ -281,10 +288,11 @@ class MgsSearchResult(NamedTuple):
 
 
 class _Searcher:
-    """Append-only DFS over the member pool with hom data baked into
-    bitmasks: appending a brick rules out every brick it maps onto, and a
-    prefix dies as soon as a simple it still owes is ruled out or an
-    insertion candidate stays insertable in every extension.
+    """Append-only depth-first search over the member pool, on an explicit
+    stack, with hom data baked into bitmasks: appending a brick rules out
+    every brick it maps onto, and a prefix dies as soon as a simple it still
+    owes is ruled out or an insertion candidate stays insertable in every
+    extension.
 
     The candidate bits are those of ``_candidate_masks``, with the members
     first, so that candidate bit i is member i.  Along a prefix, ``blocked``
@@ -294,16 +302,25 @@ class _Searcher:
     ``blocked`` holds the used members too, so the members outside it are
     exactly the appendable ones.  Appending member i costs two big-int
     steps, ``blocked |= blocks[i]`` and ``dead |= needs[i] & blocked``.
+
+    A stack frame is ``(prefix, used, need, blocked, dead)``, ``need``
+    being the number of required entries placed.  A node is counted when it
+    is popped; its children are pushed highest bit first, so the lowest bit
+    is tried first and the sequences come out in walk order.  No entry
+    repeats, so a prefix, and the stack, is at most m deep, with at most m
+    frames per depth.  A budget of b nodes raises ``BudgetExhausted`` on
+    popping node b + 1.
     """
 
     # the dead-prefix rule; the tests' unpruned reference switches it off
     prune = True
 
-    def __init__(self, alg, pools: BrickPools, table: HomTable):
+    def __init__(self, pools: BrickPools, table: HomTable):
         # in walk order: the search tries the lowest bit first, so it meets
         # its sequences already sorted
         member = sorted(pools.member)
         self.member = member
+        self.vertices = frozenset(table.alg.vertices)
         self.m = len(member)
         self.index = {w: i for i, w in enumerate(member)}
         self.simples_mask = sum(1 << i for i, w in enumerate(member) if w.length == 0)
@@ -317,8 +334,6 @@ class _Searcher:
 
     def run(self, *, budget=None, require_subsequence=None,
             stop_at_first=False) -> MgsSearchResult:
-        import sys
-
         required: list[int] = []
         required_mask = 0
         for w in require_subsequence or ():
@@ -342,18 +357,14 @@ class _Searcher:
         all_cands = self.all_cands
         nodes = pruned = 0
         budget_cap = budget if budget is not None else float("inf")
-        seq: list[int] = []
-
-        class _Done(Exception):
-            pass
-
-        def rec(used: int, need: int, blocked: int, dead: int):
-            nonlocal nodes, pruned
+        stack = [((), 0, 0, 0, 0)]
+        while stack:
+            prefix, used, need, blocked, dead = stack.pop()
             nodes += 1
             if nodes > budget_cap:
-                raise _Done
+                raise BudgetExhausted(self._sequences(found), nodes, pruned)
             if owed_mask & blocked & ~used:
-                return
+                continue
             open_ids = all_mask & ~blocked
             # dead prefix: a live candidate has a zero Hom to every brick
             # that could still be appended
@@ -365,49 +376,42 @@ class _Searcher:
                 closed &= spares[low.bit_length() - 1]
             if closed:
                 pruned += 1
-                return
-            appended = False
+                continue
+            top = len(stack)
             rest = open_ids
             while rest:
-                low = rest & -rest
-                rest ^= low
-                i = low.bit_length() - 1
+                i = rest.bit_length() - 1
+                high = 1 << i
+                rest ^= high
                 next_need = need
-                if low & required_mask:
+                if high & required_mask:
                     if need >= n_required or required[need] != i:
                         continue
                     next_need = need + 1
-                appended = True
-                seq.append(i)
                 now_blocked = blocked | blocks[i]
-                rec(used | low, next_need, now_blocked, dead | (needs[i] & now_blocked))
-                seq.pop()
-            if not appended and seq:
-                if need < n_required:
-                    return
-                # every simple is used: an unused one is blocked, and cut
-                # above, or open, and appended.  So the leaf is complete iff
-                # no candidate is live; with the dead-prefix rule on, a leaf
-                # with a live candidate was cut already
-                if not all_cands & ~dead:
-                    found.append(tuple(seq))
-                    if stop_at_first:
-                        raise _Done
+                stack.append((prefix + (i,), used | high, next_need, now_blocked,
+                              dead | (needs[i] & now_blocked)))
+            # a leaf: every simple is used, as an unused one is blocked, and
+            # cut above, or open, and appended.  So the leaf is complete iff
+            # no candidate is live; with the dead-prefix rule on, a leaf
+            # with a live candidate was cut already
+            if (len(stack) == top and prefix and need == n_required
+                    and not all_cands & ~dead):
+                found.append(prefix)
+                if stop_at_first:
+                    break
+        return MgsSearchResult(self._sequences(found), nodes, pruned)
 
-        old_limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(max(old_limit, self.m * 50 + 1000))
-        budget_hit = False
-        try:
-            rec(0, 0, 0, 0)
-        except _Done:
-            budget_hit = nodes > budget_cap
-        finally:
-            sys.setrecursionlimit(old_limit)
-
+    def _sequences(self, found):
+        """The member walks of the found id sequences, each checked to hold
+        every simple."""
         sequences = tuple(tuple(self.member[i] for i in ids) for ids in found)
-        if budget_hit:
-            raise BudgetExhausted(sequences, nodes, pruned)
-        return MgsSearchResult(sequences, nodes, pruned)
+        for seq in sequences:
+            if self.vertices - {e.source for e in seq if e.length == 0}:
+                raise AssertionError(
+                    f"emitted sequence {[str(w) for w in seq]} misses simples"
+                )
+        return sequences
 
 
 def enumerate_mgs(alg: AlgebraPresentation, pools: BrickPools, *,
@@ -417,21 +421,13 @@ def enumerate_mgs(alg: AlgebraPresentation, pools: BrickPools, *,
     certified complete relative to the pools; deterministic order.
 
     Limits: a node budget (exceeding it raises BudgetExhausted carrying the
-    partial output), and optionally a required subsequence, restricting the
-    search to complete sequences containing the given entries in the given
-    relative order.  An entry outside the member pool, or listed twice,
-    raises ValueError.
+    partial output, with ``nodes == budget + 1``), and optionally a
+    required subsequence, restricting the search to complete sequences
+    containing the given entries in the given relative order.  An entry
+    outside the member pool, or listed twice, raises ValueError.
     """
-    table = table or HomTable(alg)
-    result = _Searcher(alg, pools, table).run(
+    return _Searcher(pools, table or HomTable(alg)).run(
         budget=budget, require_subsequence=require_subsequence)
-    for seq in result.sequences:
-        present = {e.source for e in seq if e.length == 0}
-        if set(alg.vertices) - present:
-            raise AssertionError(
-                f"emitted sequence {[str(w) for w in seq]} misses simples"
-            )
-    return result
 
 
 def complete_from_prefix(alg: AlgebraPresentation, pools: BrickPools,
@@ -445,7 +441,7 @@ def complete_from_prefix(alg: AlgebraPresentation, pools: BrickPools,
     check certifies the sequence on the masks of ``is_complete_relative``,
     so it is complete relative to the pools."""
     simples = tuple(Walk((), (v,)) for v in simple_order)
-    result = _Searcher(alg, pools, table or HomTable(alg)).run(
+    result = _Searcher(pools, table or HomTable(alg)).run(
         budget=budget, require_subsequence=simples, stop_at_first=True)
     return result.sequences[0] if result.sequences else None
 

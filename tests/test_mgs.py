@@ -1,6 +1,8 @@
 import gc
+import inspect
 import json
 import random
+import sys
 import weakref
 
 import pytest
@@ -15,6 +17,7 @@ from mgslab import (
     parse_walk,
     validate_axioms,
 )
+from mgslab.algebra import AlgebraPresentation, Arrow
 from mgslab.lemmas import run_lemma_suite
 from mgslab.mgs import (
     BudgetExhausted,
@@ -213,6 +216,51 @@ def test_enumerate_mgs_budget(mgs5):
     assert err.value.pruned > 0
 
 
+@pytest.mark.parametrize("budget, pruned, partial", [
+    (0, 0, 0), (1, 0, 0), (50, 32, 1), (113, 56, 5),
+])
+def test_enumerate_mgs_budget_boundary(a12tilde, budget, pruned, partial):
+    """The full search takes 114 nodes: a budget of b < 114 stops on popping
+    node b + 1, with the sequences found so far, in search order."""
+    pools = build_brick_pools(a12tilde, 12)
+    full = enumerate_mgs(a12tilde, pools, budget=114)
+    assert (full.nodes, full.pruned, len(full.sequences)) == (114, 56, 5)
+    with pytest.raises(BudgetExhausted) as err:
+        enumerate_mgs(a12tilde, pools, budget=budget)
+    assert (err.value.nodes, err.value.pruned) == (budget + 1, pruned)
+    assert err.value.partial == full.sequences[:partial]
+
+
+def test_search_depth_needs_no_recursion_limit(monkeypatch):
+    """Linear A_40 with rad^2 = 0: a complete sequence holds all 79 members,
+    yet the search runs within 40 frames of its caller and leaves the
+    interpreter's recursion limit alone."""
+    n = 40
+    alg = AlgebraPresentation(
+        tuple(str(v) for v in range(1, n + 1)),
+        tuple(Arrow(f"a{v}", str(v), str(v + 1)) for v in range(1, n)),
+        tuple((f"a{v}", f"a{v + 1}") for v in range(1, n - 1)))
+    pools = build_brick_pools(alg, 1)
+    assert len(pools.member) == 2 * n - 1
+
+    def refuse(limit):
+        raise AssertionError(f"the search set the recursion limit to {limit}")
+
+    set_limit, old = sys.setrecursionlimit, sys.getrecursionlimit()
+    low = len(inspect.stack()) + 40
+    set_limit(low)
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(sys, "setrecursionlimit", refuse)
+            seq = complete_from_prefix(alg, pools, alg.vertices)
+        limit = sys.getrecursionlimit()
+    finally:
+        set_limit(old)
+    assert limit == low
+    assert len(seq) == 2 * n - 1
+    assert is_complete_relative(alg, seq, pools).kind == "complete"
+
+
 def test_enumerate_mgs_deterministic(a12tilde):
     pools = build_brick_pools(a12tilde, 8)
     a = enumerate_mgs(a12tilde, pools).sequences
@@ -368,7 +416,7 @@ def test_complete_from_prefix_pinned(request, name, method, expected, nodes, pru
     pools = build_brick_pools(alg, bound)
     seq = complete_from_prefix(alg, pools, order)
     assert (seq if seq is None else tuple(map(str, seq))) == expected
-    result = _Searcher(alg, pools, HomTable(alg)).run(
+    result = _Searcher(pools, HomTable(alg)).run(
         require_subsequence=simples(alg, order), stop_at_first=True)
     assert (result.nodes, result.pruned) == (nodes, pruned)
 
@@ -421,8 +469,8 @@ class _Unpruned(_Searcher):
 
 def pruned_and_reference(alg, pools, **kwargs):
     table = HomTable(alg)
-    return (_Searcher(alg, pools, table).run(**kwargs),
-            _Unpruned(alg, pools, table).run(**kwargs))
+    return (_Searcher(pools, table).run(**kwargs),
+            _Unpruned(pools, table).run(**kwargs))
 
 
 @pytest.mark.parametrize("name, max_len, nodes, reference_nodes", [
