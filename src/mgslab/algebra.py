@@ -215,8 +215,9 @@ class AlgebraPresentation:
     @cached_property
     def memo(self) -> dict:
         """Results derived from this presentation, keyed by a tag and the
-        arguments: the string, band and brick enumerations per length
-        bound."""
+        arguments: the string automaton, the string walks grown on it
+        (which serve every length bound), and the string, band and brick
+        enumerations per length bound."""
         return {}
 
     @cached_property

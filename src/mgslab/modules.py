@@ -159,24 +159,35 @@ def _scan(letters: tuple, vertices: tuple[str, ...], spans: list) -> tuple[dict,
     return quotient, submodule
 
 
+def _require_string(alg: AlgebraPresentation, w: Walk) -> None:
+    if not is_string(alg, w):
+        raise ModuleError("hom_dim requires strings")
+
+
 def _class_counts(alg: AlgebraPresentation, w: Walk) -> tuple[dict, dict]:
     """The scan of the string w over all its spans, the length-0 ones
-    first, memoised on the algebra.  Both orientations of w share the
+    first, memoised on the algebra; a walk that is not a string raises."""
+    counts = alg.walk_memo.get(w)
+    if counts is None:
+        _require_string(alg, w)
+        counts = _string_counts(alg, w)
+    return counts
+
+
+def _string_counts(alg: AlgebraPresentation, w: Walk) -> tuple[dict, dict]:
+    """The scan of :func:`_class_counts` for a walk known to be a string,
+    memoised for it and its canonical form.  Both orientations share the
     counts of the canonical one: inverting the host swaps the boundary
     letters and their signs."""
     memo = alg.walk_memo
-    counts = memo.get(w)
+    c = canonical_string(w)
+    counts = memo.get(c)
     if counts is None:
-        if not is_string(alg, w):
-            raise ModuleError("hom_dim requires strings")
-        c = canonical_string(w)
-        counts = memo.get(c)
-        if counts is None:
-            d = c.length
-            spans = [(p, p) for p in range(d + 1)]
-            spans += [(i, j) for i in range(d) for j in range(i + 1, d + 1)]
-            counts = memo[c] = _scan(c.key()[1] if d else (), c.vertices, spans)
-        memo[w] = counts
+        d = c.length
+        spans = [(p, p) for p in range(d + 1)]
+        spans += [(i, j) for i in range(d) for j in range(i + 1, d + 1)]
+        counts = memo[c] = _scan(c.key()[1] if d else (), c.vertices, spans)
+    memo[w] = counts
     return counts
 
 
@@ -257,10 +268,51 @@ def band_end_dim(alg: AlgebraPresentation, band: Walk) -> int:
     return 1 + sum(m * s.get(key, 0) for key, m in q.items() if key[0] < n)
 
 
+def _short_witness(w: Walk) -> bool:
+    """Whether some word of length <= 2, shorter than the string w, has a
+    quotient-shaped and a submodule-shaped occurrence in w (the shapes of
+    :func:`_scan`).  A word of length 0 is its vertex, of length 1 its
+    arrow, of length 2 the smaller of its key letters and their inverse.
+    Scans w as given: inverting the host keeps every occurrence's shape."""
+    d = w.length
+    letters = w.key()[1] if d else ()
+    sides = (2, *(bit for _, bit in letters), 2)  # 2 stands for a missing letter
+    words = w.vertices
+    for m in range(min(d, 3)):
+        shapes = list(zip(words, sides, sides[m + 1:]))
+        if not {u for u, left, right in shapes if left != 0 and right != 1}.isdisjoint(
+                {u for u, left, right in shapes if left != 1 and right != 0}):
+            return True
+        words = ([arrow for arrow, _ in letters] if m == 0 else
+                 [min((x, y), ((y[0], 1 - y[1]), (x[0], 1 - x[1])))
+                  for x, y in zip(letters, letters[1:])])
+    return False
+
+
 def is_brick(alg: AlgebraPresentation, w: Walk) -> bool:
     """Over an algebraically closed field End is a division algebra iff it
-    is one dimensional, so a string module is a brick iff hom_dim(w, w) = 1."""
-    return hom_dim(alg, w, w) == 1
+    is one dimensional, so a string module is a brick iff hom_dim(w, w) = 1.
+
+    A short witness settles most non-bricks first.  The whole word w is the
+    one class of its length, quotient- and submodule-shaped at once, so it
+    adds exactly 1 to dim End; a shorter class with a quotient-shaped and a
+    submodule-shaped occurrence adds at least 1 more.  So a word of length
+    <= 2 that is such a class proves dim End >= 2, and the string is
+    rejected without the full class scan, leaving no ``walk_memo`` entry.
+    Only the strings without one are scanned, and their counts memoised."""
+    if w not in alg.walk_memo:
+        _require_string(alg, w)
+    return _string_is_brick(alg, w)
+
+
+def _string_is_brick(alg: AlgebraPresentation, w: Walk) -> bool:
+    """:func:`is_brick` for a walk known to be a string."""
+    counts = alg.walk_memo.get(w)
+    if counts is None:
+        if _short_witness(w):
+            return False
+        counts = _string_counts(alg, w)
+    return _pairs(*counts) == 1
 
 
 class BrickInfo(NamedTuple):
@@ -278,8 +330,8 @@ def enumerate_bricks(alg: AlgebraPresentation, max_len: int) -> tuple[BrickInfo,
     if key in alg.memo:
         return alg.memo[key]
     pool = band_pool(alg, max_len // 2)
-    strings = enumerate_strings(alg, max_len)
-    brickhood = pmap(lambda w: is_brick(alg, w), strings)
+    strings = enumerate_strings(alg, max_len)  # strings, so left unchecked
+    brickhood = pmap(lambda w: _string_is_brick(alg, w), strings)
     return alg.memo.setdefault(key, tuple(
         BrickInfo(w, tuple(b for b in pool.bands if supported_on(w, b, 2)))
         for w, ok in zip(strings, brickhood) if ok))

@@ -7,7 +7,13 @@ letters (arrow, 0 direct | 1 inverse) that is one rule: no forbidden factor
 occurs, a factor being a backtrack, a minimal relation in direct letters, or
 a minimal relation read backwards in inverse letters
 (``AlgebraPresentation.forbidden_factors``).  Growing a string by a letter
-need only test the factors that end in it.  Bands are primitive
+need only test the factors that end in it, and those lie in its last r
+key letters, r being the longest forbidden factor.  So strings grow on the
+string automaton, built once per presentation: its state is the last
+r - 1 key letters, and each state lists the letters that may follow with
+their next state.  A walk grown on it gets its key from its parent's, and
+tests no factor.  The walks grown for the longest length bound asked so far
+serve every shorter bound.  Bands are primitive
 cyclic strings all of whose powers are strings; they are identified up to
 rotation and inversion.  Nothing reassigns a walk; walks compare, hash and
 sort by their key (``Walk.key``), and enumerations are memoised on ``alg.memo``.
@@ -20,7 +26,7 @@ answered from the host's class sets (:func:`mgslab.modules.hom_classes`).
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .algebra import AlgebraPresentation
 
@@ -47,7 +53,8 @@ class Walk:
     is the trivial path e_i at ``vertices[0]``.  Nothing may reassign either
     field: the key, hash and rotations cached on the walk would go stale.
 
-    ``==``, ``hash`` and ``<`` compare ``key()``, computed once per walk:
+    ``==``, ``hash`` and ``<`` compare ``key()``, computed once per walk
+    (or set by the string growth, which builds it from the parent's):
     the length, then (arrow, 0 if direct else 1) per letter; a length-0 walk
     is keyed (0, (vertex,)).  Within one presentation the letters determine
     the vertices, so equal keys mean equal letters and vertices.  The hash
@@ -207,57 +214,122 @@ def canonical_string(w: Walk) -> Walk:
     built only when it is the representative."""
     if not w.letters:
         return w
-    letters = w.key()[1]
-    inverse = tuple((arrow, 1 - bit) for arrow, bit in reversed(letters))
-    return w.inverse() if inverse < letters else w
+    return w.inverse() if _inverse_is_smaller(w.key()[1]) else w
 
 
-def _extensions(alg: AlgebraPresentation, w: Walk) -> Iterator[Letter]:
-    """Letters that compose with w on the right, the backtrack included."""
-    for a in alg.outgoing[w.target]:
-        yield Letter(a.name, +1)
-    for a in alg.incoming[w.target]:
-        yield Letter(a.name, -1)
+def _inverse_is_smaller(letters: tuple) -> bool:
+    """Whether the inverse walk's key letters are smaller.  Its first
+    letter, the last one inverted, mostly decides."""
+    arrow, bit = letters[-1]
+    first = (arrow, 1 - bit)
+    if first != letters[0]:
+        return first < letters[0]
+    return tuple((arrow, 1 - bit) for arrow, bit in reversed(letters)) < letters
 
 
-def _extended_is_string(alg: AlgebraPresentation, w: Walk, letter: Letter) -> Walk | None:
-    """Append one letter to a string; only factors ending in it are new."""
-    new = Walk(w.letters + (letter,), w.vertices + (letter_endpoints(alg, letter)[1],))
-    return None if alg.ends_in_forbidden(new.key()[1]) else new
+def _string_automaton(alg: AlgebraPresentation) -> dict:
+    """The string automaton, built once per presentation.  The state of a
+    string walk with n >= 1 letters is its last min(n, r - 1) key letters,
+    r being ``max_relation_length``; a walk with no letter has its vertex
+    as state.  Each state maps to its steps (letter, key letter, target,
+    next state), one per letter that may follow, in key-letter order.
+    Every forbidden factor has at most r letters, so a state and the new
+    letter hold every factor that ends in it."""
+    automaton = alg.memo.get("string_automaton")
+    if automaton is not None:
+        return automaton
+    keep = alg.max_relation_length - 1
+    # per vertex: (key letter, letter, target) for the letters leaving it
+    leaving: dict[str, list] = {v: [] for v in alg.vertices}
+    for a in alg.arrows:
+        leaving[a.source].append(((a.name, 0), Letter(a.name, +1), a.target))
+        leaving[a.target].append(((a.name, 1), Letter(a.name, -1), a.source))
+    for options in leaving.values():
+        options.sort()
+    automaton = {v: tuple((letter, k, target, (k,)) for k, letter, target in options)
+                 for v, options in leaving.items()}
+    todo = [(state, target) for steps in automaton.values() for *_, target, state in steps]
+    while todo:
+        state, at = todo.pop()
+        if state in automaton:
+            continue
+        steps = []
+        for k, letter, target in leaving[at]:
+            grown = state + (k,)
+            if not alg.ends_in_forbidden(grown):
+                to = grown[-keep:]
+                steps.append((letter, k, target, to))
+                todo.append((to, target))
+        automaton[state] = tuple(steps)
+    return alg.memo.setdefault("string_automaton", automaton)
+
+
+class _StringWalks:
+    """String walks grown a level at a time on the string automaton.
+    ``walks`` holds every level grown so far in key order (by length, then
+    key letters), ``ends[n]`` counts those of length <= n, and ``frontier``
+    pairs each walk of the last level with its state.  Each child is built
+    with its key set, so no walk computes its key or tests a factor."""
+
+    def __init__(self, alg: AlgebraPresentation):
+        self.automaton = automaton = _string_automaton(alg)
+        self.walks: list[Walk] = sorted(Walk((), (v,)) for v in alg.vertices)
+        self.ends = [len(self.walks)]
+        first = []
+        for v in alg.vertices:
+            for letter, k, target, state in automaton[v]:
+                w = Walk((letter,), (v, target))
+                w._key = (1, (k,))
+                first.append((w, state))
+        self.frontier = sorted(first, key=lambda pair: pair[0])
+        self._close_level()
+
+    def _close_level(self) -> None:
+        self.walks.extend(w for w, _ in self.frontier)
+        self.ends.append(len(self.walks))
+
+    def upto(self, max_len: int) -> tuple[Walk, ...]:
+        """The walks of length <= max_len, growing further levels first."""
+        automaton = self.automaton
+        # a level's children come in key order, as the level shares a length
+        while len(self.ends) <= max_len and self.frontier:
+            grown = []
+            for w, state in self.frontier:
+                letters, vertices, keys = w.letters, w.vertices, w._key[1]
+                n = len(letters) + 1
+                for letter, k, target, to in automaton[state]:
+                    child = Walk(letters + (letter,), vertices + (target,))
+                    child._key = (n, keys + (k,))
+                    grown.append((child, to))
+            self.frontier = grown
+            self._close_level()
+        if max_len < 0:
+            return ()
+        return tuple(self.walks[:self.ends[min(max_len, len(self.ends) - 1)]])
 
 
 def _all_string_walks(alg: AlgebraPresentation, max_len: int) -> tuple[Walk, ...]:
-    """Every string walk (both orientations) of length <= max_len."""
-    key = ("string_walks", max_len)
-    if key in alg.memo:
-        return alg.memo[key]
-    out: list[Walk] = [Walk((), (v,)) for v in alg.vertices]
-    frontier: list[Walk] = []
-    for a in alg.arrows:
-        for sign in (+1, -1):
-            frontier.append(make_walk(alg, (Letter(a.name, sign),)))
-    while frontier:
-        out.extend(frontier)
-        if frontier[0].length >= max_len:
-            break
-        nxt: list[Walk] = []
-        for w in frontier:
-            for letter in _extensions(alg, w):
-                grown = _extended_is_string(alg, w, letter)
-                if grown is not None:
-                    nxt.append(grown)
-        frontier = nxt
-    return alg.memo.setdefault(key, tuple(w for w in out if w.length <= max_len))
+    """Every string walk (both orientations) of length <= max_len, in key
+    order; the walks grown for the longest bound asked serve every shorter
+    one."""
+    growth = alg.memo.get("string_walks")
+    if growth is None:
+        growth = alg.memo.setdefault("string_walks", _StringWalks(alg))
+    return growth.upto(max_len)
 
 
 def enumerate_strings(alg: AlgebraPresentation, max_len: int) -> tuple[Walk, ...]:
     """All strings of length <= max_len, one canonical representative per
-    {w, w^-1} class, ordered by length then canonical word."""
+    {w, w^-1} class, ordered by length then canonical word: the string
+    walks whose key letters are no greater than their inverse's, kept in
+    the walks' key order.  No string equals its inverse, which would need
+    a backtrack in its middle."""
     key = ("strings", max_len)
     if key in alg.memo:
         return alg.memo[key]
-    seen = {canonical_string(w) for w in _all_string_walks(alg, max_len)}
-    return alg.memo.setdefault(key, tuple(sorted(seen)))
+    return alg.memo.setdefault(key, tuple(
+        w for w in _all_string_walks(alg, max_len)
+        if not w.letters or not _inverse_is_smaller(w._key[1])))
 
 
 def primitive_root(w: Walk) -> Walk:

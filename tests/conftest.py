@@ -3,7 +3,17 @@ from pathlib import Path
 
 import pytest
 
-from mgslab import AlgebraPresentation, Arrow, load_algebra, validate_axioms
+from mgslab import (
+    AlgebraParseError,
+    AlgebraPresentation,
+    Arrow,
+    Letter,
+    is_string,
+    load_algebra,
+    make_walk,
+    parse_algebra,
+    validate_axioms,
+)
 
 DATA = Path(__file__).parent / "data"
 ALGEBRAS = tuple(sorted(p.stem for p in DATA.glob("*.alg")))  # the seven bundled
@@ -95,6 +105,50 @@ def random_gentle_presentation(rng: random.Random) -> AlgebraPresentation:
         alg = AlgebraPresentation(vertices, tuple(arrows), tuple(relations))
         if validate_axioms(alg).is_gentle:
             return alg
+
+
+def composable_extensions(alg: AlgebraPresentation, w):
+    """w grown by each letter, direct or inverse, of the arrow list that
+    composes with it, built by ``make_walk``."""
+    for a in alg.arrows:
+        for sign, source in ((+1, a.source), (-1, a.target)):
+            if source == w.target:
+                yield make_walk(alg, w.letters + (Letter(a.name, sign),))
+
+
+def brute_force_string_walks(alg: AlgebraPresentation, max_len: int) -> list:
+    """Every composable letter word of length <= max_len that ``is_string``
+    keeps, both orientations.  A prefix of a string is a string, so only
+    strings are grown."""
+    level = [make_walk(alg, (), base_vertex=v) for v in alg.vertices]
+    out = list(level)
+    for _ in range(max_len):
+        level = [x for w in level for x in composable_extensions(alg, w) if is_string(alg, x)]
+        out += level
+    return out
+
+
+def string_algebra_sample() -> tuple[tuple[str, str], ...]:
+    """(label, ``.alg`` text) of the algebras the string-growth and brick
+    tests run on: the seven bundled ones, 100 ``random_gentle_presentation``
+    draws (seed 1), and the first 600 ``random_alg_text`` draws (seed 1)
+    that parse and pass ``validate_axioms`` as string algebras (187 of them,
+    21 with a minimal relation of length 3 or 4).  Texts, so that each test
+    parses presentations with empty memos."""
+    out = [(name, (DATA / f"{name}.alg").read_text()) for name in ALGEBRAS]
+    rng = random.Random(1)
+    out += [(f"gentle-{i}", random_gentle_presentation(rng).normalized_text)
+            for i in range(100)]
+    rng = random.Random(1)
+    for i in range(600):
+        text = random_alg_text(rng)
+        try:
+            alg = parse_algebra(text)
+        except AlgebraParseError:
+            continue
+        if validate_axioms(alg).is_string_algebra:
+            out.append((f"text-{i}", text))
+    return tuple(out)
 
 
 @pytest.fixture(scope="session")

@@ -240,6 +240,7 @@ DETERMINISM_COMMANDS = (
     ("validate", "--algebra", str(DATA / "gentle5.alg")),
     ("validate", "--algebra", str(DATA / "double_arrows.alg")),
     ("strings", "--algebra", str(DATA / "two_loops.alg"), "--max-len", "4"),
+    ("strings", "--algebra", str(DATA / "gentle5.alg"), "--max-len", "10"),
     ("bands", "--algebra", str(DATA / "kronecker.alg"), "--max-len", "6"),
     ("bands", "--algebra", str(DATA / "gentle5.alg"), "--max-len", "9"),
     ("module", "show", "--algebra", str(DATA / "gentle5.alg"), "g2 b2 a2- g2 b1-"),
@@ -247,6 +248,7 @@ DETERMINISM_COMMANDS = (
      "--lam", "2", "--k", "2"),
     ("hom", "--algebra", str(DATA / "a12tilde.alg"), "b1", "e:1"),
     ("bricks", "--algebra", str(DATA / "a12tilde.alg"), "--max-len", "8"),
+    ("bricks", "--algebra", str(DATA / "two_loops.alg"), "--max-len", "10"),
     ("oracle", "hom", "--algebra", str(DATA / "gentle5.alg"),
      "b2 a2- g2", "b2 a2- g2", "--band1", "2", "--band2", "2"),
     ("oracle", "hom", "--algebra", str(DATA / "gentle5.alg"),

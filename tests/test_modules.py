@@ -5,6 +5,7 @@ import pytest
 
 from mgslab import (
     ModuleError,
+    band_end_dim,
     band_module,
     band_top_socle,
     canonical_string,
@@ -15,16 +16,20 @@ from mgslab import (
     hom_dim,
     hom_dim_linalg,
     is_brick,
+    is_string,
     load_algebra,
+    parse_algebra,
     parse_walk,
     string_module,
+    supported_on,
     to_explicit,
     top_socle,
 )
-from mgslab.modules import _band_counts, _class_counts
+from mgslab.mgs import build_brick_pools
+from mgslab.modules import _band_counts, _class_counts, _short_witness
 from mgslab.words import _all_string_walks
 
-from conftest import ALGEBRAS
+from conftest import ALGEBRAS, composable_extensions, string_algebra_sample
 
 
 def test_string_module_dims_pinned(gentle5):
@@ -285,3 +290,67 @@ def test_class_counts_match_per_occurrence_reference(data_dir, name):
         for b in bands:  # every rotation of either orientation
             assert ([list(counts.items()) for counts in _band_counts(alg, b, bound)]
                     == [list(counts.items()) for counts in _reference_class_counts(b, bound)])
+
+
+SAMPLE = string_algebra_sample()
+
+
+def test_is_brick_matches_end_dim_on_sample():
+    """is_brick against dim End = 1 from the full scan on a fresh
+    presentation, for every string of length <= 8 in both orientations.
+    The short witness is a class of length <= 2, shorter than the string,
+    among both the quotient and the submodule classes of the full scan;
+    a string rejected at one leaves no ``walk_memo`` entry."""
+    rejected = scanned_non_bricks = 0
+    for label, text in SAMPLE:
+        alg, fresh = parse_algebra(text), parse_algebra(text)
+        walks = _all_string_walks(alg, 8)
+        for w in walks:
+            assert is_brick(alg, w) == (hom_dim(fresh, w, w) == 1), (label, str(w))
+            quotient, submodule = _class_counts(fresh, w)
+            assert _short_witness(w) == any(
+                key in submodule for key in quotient if key[0] < min(w.length, 3))
+        for w in walks:
+            if _short_witness(w):
+                rejected += 1
+                assert w not in alg.walk_memo, (label, str(w))
+            elif hom_dim(fresh, w, w) > 1:
+                scanned_non_bricks += 1
+    # most non-bricks fall at a short witness, and some need the full scan
+    assert rejected > 20 * scanned_non_bricks > 0
+
+
+@pytest.mark.parametrize("name", ALGEBRAS)
+def test_is_brick_rejects_non_strings(data_dir, name):
+    alg = load_algebra(data_dir / f"{name}.alg")
+    bad = [x for w in _all_string_walks(alg, 4) for x in composable_extensions(alg, w)
+           if not is_string(alg, x)]
+    assert bad or name == "a2"
+    for w in bad:
+        for _ in range(2):
+            with pytest.raises(ModuleError, match="hom_dim requires strings"):
+                is_brick(alg, w)
+        assert w not in alg.walk_memo
+
+
+def _reference_pools(alg, max_len: int) -> tuple:
+    """build_brick_pools with the default band bound, from dim End = 1 and
+    ``supported_on``: member strings, insertion strings, band bricks and
+    excluded (brick, first band whose square supports it)."""
+    bands = [rec.canonical for rec in enumerate_bands(alg, max_len // 2)]
+    bricks = tuple(w for w in enumerate_strings(alg, max_len) if hom_dim(alg, w, w) == 1)
+    squares = {w: next((b for b in bands if supported_on(w, b, 2)), None) for w in bricks}
+    return (tuple(w for w in bricks if squares[w] is None), bricks,
+            tuple(b for b in bands if band_end_dim(alg, b) == 1),
+            tuple((w, squares[w]) for w in bricks if squares[w] is not None))
+
+
+@pytest.mark.parametrize("max_len", [8, 12])
+def test_brick_pools_match_reference_on_sample(max_len):
+    sizes = set()
+    for label, text in SAMPLE:
+        pools = build_brick_pools(parse_algebra(text), max_len)
+        got = (pools.member, pools.insertion_strings, pools.insertion_bands, pools.excluded)
+        assert got == _reference_pools(parse_algebra(text), max_len), label
+        sizes.add(tuple(map(bool, got)))
+    assert sizes >= {(True, True, True, True), (True, True, False, False)}

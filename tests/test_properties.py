@@ -23,7 +23,7 @@ from mgslab import (
     to_explicit,
 )
 from mgslab.modules import band_top_socle
-from mgslab.words import Walk, _extended_is_string, _extensions, make_walk
+from mgslab.words import Letter, Walk, make_walk
 
 from conftest import DATA
 
@@ -39,11 +39,12 @@ def random_string(alg, seed: int, max_len: int = 8) -> Walk:
     w = make_walk(alg, (), base_vertex=start)
     target = rng.randrange(max_len + 1)
     while w.length < target:
-        options = []
-        for letter in _extensions(alg, w):
-            grown = _extended_is_string(alg, w, letter)
-            if grown is not None:
-                options.append(grown)
+        # the letters that compose with w on the right, kept when w grows to a string
+        options = [grown for grown in (
+            w.concat(make_walk(alg, (letter,))) for letter in
+            [Letter(a.name, +1) for a in alg.outgoing[w.target]]
+            + [Letter(a.name, -1) for a in alg.incoming[w.target]])
+            if is_string(alg, grown)]
         if not options:
             break
         w = rng.choice(options)

@@ -18,12 +18,18 @@ from mgslab import (
     load_algebra,
     make_walk,
     maximal_w_substrings,
+    parse_algebra,
     parse_walk,
     supported_on,
 )
 from mgslab.words import BandPool, _all_string_walks
 
-from conftest import ALGEBRAS, random_presentation
+from conftest import (
+    ALGEBRAS,
+    brute_force_string_walks,
+    random_presentation,
+    string_algebra_sample,
+)
 
 
 def test_parse_walk_roundtrip(gentle5):
@@ -306,3 +312,40 @@ def test_strings_and_bands_match_run_scan_reference_on_random_presentations():
                     for w in bands]
         assert [tuple(r) for r in enumerate_bands(alg, 4)] == expected, alg.normalized_text
     assert {2, 3, 4} <= longest and walks_checked > 10_000
+
+
+SAMPLE = string_algebra_sample()
+
+
+def test_automaton_growth_matches_brute_force():
+    """The walks grown on the string automaton, up to length 8, against
+    every composable word that ``is_string`` keeps: equal as a set of
+    letters, vertices and keys (the grown walks' keys are set, the brute
+    force computes its own), and the canonical representatives in the
+    order of ``enumerate_strings``."""
+    longest = set()
+    for label, text in SAMPLE:
+        alg = parse_algebra(text)
+        longest.add(alg.max_relation_length)
+        walks = brute_force_string_walks(alg, 8)
+        grown = _all_string_walks(alg, 8)
+        assert len(grown) == len(walks), label
+        assert ({(w.letters, w.vertices, w.key()) for w in grown}
+                == {(w.letters, w.vertices, w.key()) for w in walks}), label
+        assert enumerate_strings(alg, 8) == tuple(sorted(
+            {min(w, w.inverse()) for w in walks})), label
+    # the random texts reach states of two and three letters
+    assert longest == {2, 3, 4}
+
+
+@pytest.mark.parametrize("name", ALGEBRAS)
+def test_string_walks_serve_every_bound(data_dir, name):
+    """A bound asked after a longer one, or a longer one after a shorter
+    one, gives what a fresh presentation gives."""
+    text = (data_dir / f"{name}.alg").read_text()
+    alg = parse_algebra(text)
+    _all_string_walks(alg, 3)
+    for bound in (8, *range(-1, 8), 9):
+        fresh = parse_algebra(text)
+        assert _all_string_walks(alg, bound) == _all_string_walks(fresh, bound)
+        assert enumerate_strings(alg, bound) == enumerate_strings(parse_algebra(text), bound)
