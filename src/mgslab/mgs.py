@@ -24,6 +24,15 @@ R does not depend on a required subsequence, which only narrows the
 appends further, so the search emits exactly the sequences of the
 unpruned search, in the same depth-first order.
 
+Few candidates ever witness a cut (22 on ``mgs5`` and 27 on ``gentle5``
+at length 8, against some 160,000 cuts each), so the search tries the
+earlier witnesses first: with ``hosts[c]`` the members e with
+Hom(c, e) != 0, a live c with no host in R proves the cut in two big-int
+tests.  Only a prefix that none of them cuts is scanned member by member
+over R, and its lowest witness joins the list.  This is the same rule,
+tried on a sufficient witness first, so the cuts, and with them the
+nodes, the order and the output, do not change.
+
 The search is a depth-first walk over an explicit stack of prefixes, so
 its depth is bounded by the member count, not by the interpreter's
 recursion limit.  A node budget of b stops it on visiting node b + 1:
@@ -303,6 +312,20 @@ class _Searcher:
     exactly the appendable ones.  Appending member i costs two big-int
     steps, ``blocked |= blocks[i]`` and ``dead |= needs[i] & blocked``.
 
+    A prefix is cut when a candidate outside ``dead`` has a zero Hom to
+    every open member: ``spares[i]`` holds the candidates with a zero Hom
+    to member i, and ``hosts[c]``, its transpose, the members that
+    candidate c maps onto.  ``run`` keeps the candidates that have cut a
+    prefix as a list, most recently used first, each with its ``hosts``
+    mask, read off ``needs`` when it first cuts, and tries them before the
+    scan: a listed c that is live, with ``not hosts[c] & open_ids``, cuts
+    the prefix and moves to the front.  Only a prefix none of them cuts ANDs
+    ``spares`` over the open members, and its lowest surviving candidate
+    joins the front.  Either way a prefix is cut iff some live candidate
+    has no open host, so the cuts are those of the scan alone.  A listed
+    candidate that survived the scan would have cut the prefix first, so
+    the list never repeats one and holds at most one entry per candidate.
+
     A stack frame is ``(prefix, used, need, blocked, dead)``, ``need``
     being the number of required entries placed.  A node is counted when it
     is popped; its children are pushed highest bit first, so the lowest bit
@@ -354,6 +377,8 @@ class _Searcher:
         needs = self.needs
         spares = self.spares
         prune = self.prune
+        # (bit, hosts) of the candidates that cut a prefix, most recent first
+        witnesses: list[tuple[int, int]] = []
         all_cands = self.all_cands
         nodes = pruned = 0
         budget_cap = budget if budget is not None else float("inf")
@@ -367,16 +392,28 @@ class _Searcher:
                 continue
             open_ids = all_mask & ~blocked
             # dead prefix: a live candidate has a zero Hom to every brick
-            # that could still be appended
-            closed = all_cands & ~dead if prune else 0
-            rest = open_ids
-            while closed and rest:
-                low = rest & -rest
-                rest ^= low
-                closed &= spares[low.bit_length() - 1]
-            if closed:
-                pruned += 1
-                continue
+            # that could still be appended; earlier witnesses go first
+            if prune:
+                for k, (bit, host) in enumerate(witnesses):
+                    if not (bit & dead or host & open_ids):
+                        witness = witnesses.pop(k)
+                        break
+                else:
+                    closed = all_cands & ~dead
+                    rest = open_ids
+                    while closed and rest:
+                        low = rest & -rest
+                        rest ^= low
+                        closed &= spares[low.bit_length() - 1]
+                    witness = None
+                    if closed:
+                        c = (closed & -closed).bit_length() - 1
+                        witness = (1 << c, sum(1 << i for i, n in enumerate(needs)
+                                               if n >> c & 1))
+                if witness:
+                    witnesses.insert(0, witness)
+                    pruned += 1
+                    continue
             top = len(stack)
             rest = open_ids
             while rest:

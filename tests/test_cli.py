@@ -139,6 +139,21 @@ def test_mgs_enumerate_contains_repeated_entry(capsys, tmp_path):
     assert doc["error"] == "required entry e:1 is listed twice"
 
 
+@pytest.mark.parametrize("bound", ["4", "8", "10"])
+def test_mgs_enumerate_hexagon_record(capsys, tmp_path, bound):
+    """The smallest gentle algebra found with a gap in its lengths: a loop
+    x1 at 2 with x1 x1 = 0 and x2: 2 -> 1 gives lengths 2 and 4, no 3.
+    This records the engine's output; no independent reference confirms
+    it yet."""
+    alg = tmp_path / "hexagon.alg"
+    alg.write_text("vertex 1\nvertex 2\narrow x1 2 2\narrow x2 2 1\nrelation x1 x1\n")
+    code, doc = run_cli(capsys, "mgs", "enumerate", "--algebra", str(alg),
+                        "--max-string-len", bound, "--band-len", bound)
+    assert code == 0
+    assert doc["payload"]["sequences"] == [["e:1", "e:2"], ["e:2", "x1 x2", "x2", "e:1"]]
+    assert doc["payload"]["nodes"] == 12
+
+
 def test_mgs_exists_simples(capsys):
     code, doc = run_cli(capsys, "mgs", "exists", "--algebra",
                         str(DATA / "a12tilde.alg"), "--method", "simples",

@@ -473,18 +473,38 @@ def pruned_and_reference(alg, pools, **kwargs):
             _Unpruned(pools, table).run(**kwargs))
 
 
-@pytest.mark.parametrize("name, max_len, nodes, reference_nodes", [
-    ("a12tilde", 12, 114, 7758),
-    ("two_loops", 10, 36, 651),
-    ("kronecker", 8, 13, 47),
-    ("double_arrows", 8, 21, 89),
+@pytest.mark.parametrize("name, max_len, nodes, cuts, reference_nodes", [
+    pytest.param("a12tilde", 12, 114, 56, 7758, id="a12tilde-12-114-7758"),
+    pytest.param("two_loops", 10, 36, 22, 651, id="two_loops-10-36-651"),
+    pytest.param("kronecker", 8, 13, 5, 47, id="kronecker-8-13-47"),
+    pytest.param("double_arrows", 8, 21, 10, 89, id="double_arrows-8-21-89"),
 ])
-def test_pruning_keeps_emitted_sequences(request, name, max_len, nodes, reference_nodes):
+def test_pruning_keeps_emitted_sequences(request, name, max_len, nodes, cuts, reference_nodes):
     alg = request.getfixturevalue(name)
     pruned, reference = pruned_and_reference(alg, build_brick_pools(alg, max_len))
     assert pruned.sequences == reference.sequences
-    assert (pruned.nodes, reference.nodes) == (nodes, reference_nodes)
-    assert pruned.pruned > 0 and reference.pruned == 0
+    assert (pruned.nodes, pruned.pruned) == (nodes, cuts)
+    assert (reference.nodes, reference.pruned) == (reference_nodes, 0)
+
+
+def test_pruning_keeps_random_gentle_sequences():
+    """The pruned search against the unpruned one on 40 random gentle
+    algebras (seed 1), pools at length 6.  A draw that either side cannot
+    finish within the budget is skipped, but at least 25 must be compared."""
+    rng = random.Random(1)
+    compared = cut = 0
+    for _ in range(40):
+        alg = random_gentle_presentation(rng)
+        pools = build_brick_pools(alg, 6, band_bound=6)
+        try:
+            pruned, reference = pruned_and_reference(alg, pools, budget=20_000)
+        except BudgetExhausted:
+            continue
+        assert pruned.sequences == reference.sequences, alg.normalized_text
+        compared += 1
+        cut += pruned.pruned > 0
+    assert compared >= 25, f"only {compared} of 40 draws compared"
+    assert cut > 0
 
 
 def test_band_brick_refines_and_prunes(a12tilde):
