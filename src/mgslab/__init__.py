@@ -6,8 +6,8 @@ The names below are re-exported from their modules on first access
 
 _EXPORTS = {
     "algebra": """AlgebraError AlgebraParseError AlgebraPresentation Arrow AxiomReport
-        load_algebra parse_algebra validate_axioms vertex_arrow_count""",
-    "words": """BandPool BandRecord Letter Walk WalkError band_equivalent band_pool
+        Letter load_algebra parse_algebra validate_axioms vertex_arrow_count""",
+    "words": """BandPool BandRecord Walk WalkError band_equivalent band_pool
         canonical_rotation canonical_string enumerate_bands enumerate_strings
         is_band is_directed is_minimal_band is_string make_walk
         maximal_w_substrings parse_walk supported_on""",

@@ -5,6 +5,12 @@ finite list of monomial relations, each a composable path of arrows.
 `relation a b` means the path traversing a then b is zero, so relations
 compose left to right with t(a) = s(b).  The string and gentle axioms are
 decided directly from this data by :func:`validate_axioms`.
+
+Which letter may follow a walk is decided in one place, the presentation's
+string automaton (:class:`StringAutomaton`), which string growth,
+``is_string``, :meth:`path_contains_relation` and the FinDim check all read.
+It expands a state when first read, so the FinDim check, which reads direct
+states only, builds none that holds an inverse letter.
 """
 
 from __future__ import annotations
@@ -31,6 +37,76 @@ class Arrow(NamedTuple):
     name: str
     source: str
     target: str
+
+
+class Letter(NamedTuple):
+    arrow: str
+    sign: int  # +1 direct, -1 inverse
+
+    def inverse(self) -> "Letter":
+        return Letter(self.arrow, -self.sign)
+
+    def __str__(self) -> str:
+        return self.arrow + ("-" if self.sign < 0 else "")
+
+
+class StringAutomaton(dict):
+    """Maps each state to its steps, computed when the state is first read.
+
+    A walk is a string iff no forbidden factor occurs in its key letters
+    (arrow, 0 direct | 1 inverse): a backtrack, a minimal relation in direct
+    letters, or one read backwards in inverse letters.  A string walk's
+    state is its last min(n, r - 1) key letters, r being the longest
+    factor, or its vertex if it has no letter.  A state's steps are
+    (letter, key letter, target, next state), one per letter that may
+    follow, in key-letter order; every factor that ends in the new letter
+    lies within the state and that letter.  The automaton holds no
+    reference to the presentation, so it forms no reference cycle."""
+
+    def __init__(self, alg: AlgebraPresentation):
+        super().__init__()
+        self.window = alg.max_relation_length - 1
+        # the forbidden factors by their last key letter
+        self.ending: dict[tuple[str, int], list[tuple]] = {}
+        for a in alg.arrows:
+            for bit in (0, 1):
+                self.ending[a.name, bit] = [((a.name, 1 - bit), (a.name, bit))]
+        for r in alg.minimal_relations:
+            self.ending[r[-1], 0].append(tuple((a, 0) for a in r))
+            self.ending[r[0], 1].append(tuple((a, 1) for a in reversed(r)))
+        # (key letter, letter, target) per letter leaving a vertex, in
+        # key-letter order; after a key letter, those of the vertex it ends at
+        leaving: dict = {v: [] for v in alg.vertices}
+        for a in alg.arrows:
+            leaving[a.source].append(((a.name, 0), Letter(a.name, +1), a.target))
+            leaving[a.target].append(((a.name, 1), Letter(a.name, -1), a.source))
+        for options in leaving.values():
+            options.sort()
+        for a in alg.arrows:
+            leaving[a.name, 0], leaving[a.name, 1] = leaving[a.target], leaving[a.source]
+        self.leaving = leaving
+
+    def __missing__(self, state) -> tuple:
+        prefix, last = ((), state) if isinstance(state, str) else (state, state[-1])
+        steps = []
+        for k, letter, target in self.leaving[last]:
+            grown = prefix + (k,)
+            if not any(grown[-len(f):] == f for f in self.ending[k]):
+                steps.append((letter, k, target, grown[-self.window:]))
+        self[state] = steps = tuple(steps)
+        return steps
+
+    def spells_string(self, keys: tuple[tuple[str, int], ...]) -> bool:
+        """Whether the key letters compose and contain no forbidden factor."""
+        state = keys[:1]
+        for k in keys[1:]:
+            # move to the next state of the step that reads k, if there is one
+            for _, step, _, state in self[state]:
+                if step == k:
+                    break
+            else:
+                return False
+        return True
 
 
 def _unspellable(name: str) -> bool:
@@ -77,7 +153,8 @@ class AlgebraPresentation:
     built: its memos, and every memo keyed on it, would silently go stale.
 
     Vertices and arrows keep their file order.  The presentation owns all
-    that is derived from it: its lookup tables, the substring calculus memos
+    that is derived from it: its lookup tables, the
+    :attr:`string_automaton`, the substring calculus memos
     (:attr:`walk_memo` for strings, :attr:`band_memo` for bands) and the
     enumerations (:attr:`memo`).  None of these take part in equality or
     hashing, none refers back to the presentation, and all are freed with it.
@@ -134,44 +211,14 @@ class AlgebraPresentation:
         return {v: tuple(lst) for v, lst in table.items()}
 
     def path_contains_relation(self, path: Sequence[str]) -> bool:
-        """True iff some relation occurs as a contiguous subpath.
-
-        For a monomial ideal this is exactly membership of the path in I.
-        """
-        return self.contains_forbidden(tuple((a, 0) for a in path))
+        """True iff the path is zero in KQ/I: some relation occurs in it as
+        a contiguous subpath (for a monomial ideal, membership in I), or it
+        does not compose."""
+        return not self.string_automaton.spells_string(tuple((a, 0) for a in path))
 
     @cached_property
-    def forbidden_factors(self) -> frozenset[tuple[tuple[str, int], ...]]:
-        """The factors that no string contains, in walk-key letters
-        (arrow, 0 direct | 1 inverse): each backtrack, each minimal relation
-        in direct letters, and each minimal relation read backwards in
-        inverse letters.  A longer relation contains a minimal one, so the
-        longest factor has length :attr:`max_relation_length`."""
-        out = set()
-        for a in self.arrows:
-            out.add(((a.name, 0), (a.name, 1)))
-            out.add(((a.name, 1), (a.name, 0)))
-        for r in self.minimal_relations:
-            out.add(tuple((a, 0) for a in r))
-            out.add(tuple((a, 1) for a in reversed(r)))
-        return frozenset(out)
-
-    def ends_in_forbidden(self, keys: tuple[tuple[str, int], ...]) -> bool:
-        """True iff a forbidden factor is a suffix of the walk-key letters.
-
-        Growing a walk by one letter can only create a forbidden factor
-        that ends at the new letter."""
-        n, forbidden = len(keys), self.forbidden_factors
-        return any(keys[n - k:] in forbidden
-                   for k in range(2, min(n, self.max_relation_length) + 1))
-
-    def contains_forbidden(self, keys: tuple[tuple[str, int], ...]) -> bool:
-        """True iff a forbidden factor occurs anywhere in the walk-key
-        letters; linear in their number."""
-        n, forbidden = len(keys), self.forbidden_factors
-        return any(keys[i:i + k] in forbidden
-                   for k in range(2, self.max_relation_length + 1)
-                   for i in range(n - k + 1))
+    def string_automaton(self) -> StringAutomaton:
+        return StringAutomaton(self)
 
     @cached_property
     def minimal_relations(self) -> tuple[tuple[str, ...], ...]:
@@ -215,7 +262,7 @@ class AlgebraPresentation:
     @cached_property
     def memo(self) -> dict:
         """Results derived from this presentation, keyed by a tag and the
-        arguments: the string automaton, the string walks grown on it
+        arguments: the string walks grown on :attr:`string_automaton`
         (which serve every length bound), and the string, band and brick
         enumerations per length bound."""
         return {}
@@ -276,23 +323,27 @@ class AxiomReport(NamedTuple):
 def _unbounded_path_witness(alg: AlgebraPresentation) -> str | None:
     """Find a relation-free directed cycle, the obstruction to finite dimension.
 
-    States are relation-avoiding paths of length R-1 where R is the longest
-    relation; any unbounded relation-free path must revisit such a window, so
-    the algebra is infinite dimensional iff the window transition graph has a
-    cycle.  Windows with no live successor are pruned until none is left;
-    then the first live successor is followed from the first live window
-    until a window repeats, and that window is the witness.
+    Windows are the string automaton's states of R-1 direct letters, the
+    relation-free paths that long, R being the longest relation.  Any
+    unbounded relation-free path must revisit a window, so the algebra is
+    infinite dimensional iff the windows' direct steps form a cycle.
+    Windows with no live successor are pruned until none is left; then the
+    first live successor is followed from the first live window until a
+    window repeats, and that window is the witness.  Windows and successors
+    come in arrow file order.
     """
-    def grown(s):  # the relation-free extensions of a path by one arrow
-        return [e for b in alg.outgoing[alg.arrow_map[s[-1][0]].target]
-                if not alg.ends_in_forbidden(e := s + ((b.name, 0),))]
+    automaton = alg.string_automaton
+    order = {(a.name, 0): i for i, a in enumerate(alg.arrows)}
 
-    # paths as direct walk-key letters, grown level by level in arrow order
+    def direct(s):  # the next states of s's direct steps, in arrow order
+        return sorted((to for _, k, _, to in automaton[s] if k in order),
+                      key=lambda to: order[to[-1]])
+
+    # a state shorter than R-1 steps to itself grown by the letter
     states = [((a.name, 0),) for a in alg.arrows]
-    for _ in range(max(alg.max_relation_length - 1, 1) - 1):
-        states = [e for s in states for e in grown(s)]
-    # a state followed by a letter is relation-free, so its tail is a state
-    succ = {s: [e[1:] for e in grown(s)] for s in states}
+    for _ in range(alg.max_relation_length - 2):
+        states = [t for s in states for t in direct(s)]
+    succ = {s: direct(s) for s in states}
     live = set(states)
     while dead := {s for s in live if live.isdisjoint(succ[s])}:
         live -= dead

@@ -2,21 +2,15 @@
 
 A walk is a composable word in arrows and inverse arrows.  A string is a
 walk with no immediate backtracking such that neither the walk nor its
-inverse contains a relation as a directed subpath.  In the walk's key
-letters (arrow, 0 direct | 1 inverse) that is one rule: no forbidden factor
-occurs, a factor being a backtrack, a minimal relation in direct letters, or
-a minimal relation read backwards in inverse letters
-(``AlgebraPresentation.forbidden_factors``).  Growing a string by a letter
-need only test the factors that end in it, and those lie in its last r
-key letters, r being the longest forbidden factor.  So strings grow on the
-string automaton, built once per presentation: its state is the last
-r - 1 key letters, and each state lists the letters that may follow with
-their next state.  A walk grown on it gets its key from its parent's, and
+inverse contains a relation as a directed subpath: a walk whose key letters
+(arrow, 0 direct | 1 inverse) run through the presentation's string
+automaton (``AlgebraPresentation.string_automaton``).  Strings grow on it
+a letter at a time: a walk grown on it gets its key from its parent's, and
 tests no factor.  The walks grown for the longest length bound asked so far
-serve every shorter bound.  Bands are primitive
-cyclic strings all of whose powers are strings; they are identified up to
-rotation and inversion.  Nothing reassigns a walk; walks compare, hash and
-sort by their key (``Walk.key``), and enumerations are memoised on ``alg.memo``.
+serve every shorter bound.  Bands are primitive cyclic strings all of whose
+powers are strings; they are identified up to rotation and inversion.
+Nothing reassigns a walk; walks compare, hash and sort by their key
+(``Walk.key``), and enumerations are memoised on ``alg.memo``.
 
 A maximal w-substring carries its own shape, read off its two boundary
 letters.  Whether a word sits as a quotient or a submodule of some host is
@@ -28,22 +22,11 @@ from __future__ import annotations
 from functools import cached_property
 from typing import NamedTuple, Sequence
 
-from .algebra import AlgebraPresentation
+from .algebra import AlgebraPresentation, Letter
 
 
 class WalkError(Exception):
     """Malformed walk: unknown arrow, broken composability, or bad literal."""
-
-
-class Letter(NamedTuple):
-    arrow: str
-    sign: int  # +1 direct, -1 inverse
-
-    def inverse(self) -> "Letter":
-        return Letter(self.arrow, -self.sign)
-
-    def __str__(self) -> str:
-        return self.arrow + ("-" if self.sign < 0 else "")
 
 
 class Walk:
@@ -199,13 +182,14 @@ def parse_walk(alg: AlgebraPresentation, text: str) -> Walk:
 
 
 def is_string(alg: AlgebraPresentation, w: Walk) -> bool:
-    """Conditions (1) and (2): no forbidden factor (backtrack, or relation
-    in a direct or inverse run) in the walk's key letters.  Walks of length
-    0 and 1 have no factor long enough and are always strings."""
+    """Conditions (1) and (2): the walk's key letters run through the
+    string automaton, so no forbidden factor (backtrack, or relation in a
+    direct or inverse run) occurs in them.  Walks of length 0 and 1 have no
+    factor long enough and are always strings."""
     for l in w.letters:
         if l.arrow not in alg.arrow_map:
             raise WalkError(f"unknown arrow {l.arrow!r}")
-    return w.length < 2 or not alg.contains_forbidden(w.key()[1])
+    return w.length < 2 or alg.string_automaton.spells_string(w.key()[1])
 
 
 def canonical_string(w: Walk) -> Walk:
@@ -227,43 +211,6 @@ def _inverse_is_smaller(letters: tuple) -> bool:
     return tuple((arrow, 1 - bit) for arrow, bit in reversed(letters)) < letters
 
 
-def _string_automaton(alg: AlgebraPresentation) -> dict:
-    """The string automaton, built once per presentation.  The state of a
-    string walk with n >= 1 letters is its last min(n, r - 1) key letters,
-    r being ``max_relation_length``; a walk with no letter has its vertex
-    as state.  Each state maps to its steps (letter, key letter, target,
-    next state), one per letter that may follow, in key-letter order.
-    Every forbidden factor has at most r letters, so a state and the new
-    letter hold every factor that ends in it."""
-    automaton = alg.memo.get("string_automaton")
-    if automaton is not None:
-        return automaton
-    keep = alg.max_relation_length - 1
-    # per vertex: (key letter, letter, target) for the letters leaving it
-    leaving: dict[str, list] = {v: [] for v in alg.vertices}
-    for a in alg.arrows:
-        leaving[a.source].append(((a.name, 0), Letter(a.name, +1), a.target))
-        leaving[a.target].append(((a.name, 1), Letter(a.name, -1), a.source))
-    for options in leaving.values():
-        options.sort()
-    automaton = {v: tuple((letter, k, target, (k,)) for k, letter, target in options)
-                 for v, options in leaving.items()}
-    todo = [(state, target) for steps in automaton.values() for *_, target, state in steps]
-    while todo:
-        state, at = todo.pop()
-        if state in automaton:
-            continue
-        steps = []
-        for k, letter, target in leaving[at]:
-            grown = state + (k,)
-            if not alg.ends_in_forbidden(grown):
-                to = grown[-keep:]
-                steps.append((letter, k, target, to))
-                todo.append((to, target))
-        automaton[state] = tuple(steps)
-    return alg.memo.setdefault("string_automaton", automaton)
-
-
 class _StringWalks:
     """String walks grown a level at a time on the string automaton.
     ``walks`` holds every level grown so far in key order (by length, then
@@ -272,7 +219,7 @@ class _StringWalks:
     with its key set, so no walk computes its key or tests a factor."""
 
     def __init__(self, alg: AlgebraPresentation):
-        self.automaton = automaton = _string_automaton(alg)
+        self.automaton = automaton = alg.string_automaton
         self.walks: list[Walk] = sorted(Walk((), (v,)) for v in alg.vertices)
         self.ends = [len(self.walks)]
         first = []

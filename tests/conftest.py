@@ -1,4 +1,5 @@
 import random
+from itertools import groupby
 from pathlib import Path
 
 import pytest
@@ -8,7 +9,6 @@ from mgslab import (
     AlgebraPresentation,
     Arrow,
     Letter,
-    is_string,
     load_algebra,
     make_walk,
     parse_algebra,
@@ -116,14 +116,28 @@ def composable_extensions(alg: AlgebraPresentation, w):
                 yield make_walk(alg, w.letters + (Letter(a.name, sign),))
 
 
+def ref_is_string(alg: AlgebraPresentation, w) -> bool:
+    """The string test without the string automaton: no backtrack, and no
+    relation in a direct run or in an inverse run read backwards."""
+    if any(b == a.inverse() for a, b in zip(w.letters, w.letters[1:])):
+        return False
+    for sign, run in groupby(w.letters, key=lambda l: l.sign):
+        path = [l.arrow for l in run][::sign]
+        for r in alg.relations:
+            if any(tuple(path[i:i + len(r)]) == r for i in range(len(path) - len(r) + 1)):
+                return False
+    return True
+
+
 def brute_force_string_walks(alg: AlgebraPresentation, max_len: int) -> list:
-    """Every composable letter word of length <= max_len that ``is_string``
-    keeps, both orientations.  A prefix of a string is a string, so only
-    strings are grown."""
+    """Every composable letter word of length <= max_len that
+    :func:`ref_is_string` keeps, both orientations.  A prefix of a string
+    is a string, so only strings are grown."""
     level = [make_walk(alg, (), base_vertex=v) for v in alg.vertices]
     out = list(level)
     for _ in range(max_len):
-        level = [x for w in level for x in composable_extensions(alg, w) if is_string(alg, x)]
+        level = [x for w in level for x in composable_extensions(alg, w)
+                 if ref_is_string(alg, x)]
         out += level
     return out
 

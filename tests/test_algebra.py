@@ -13,7 +13,7 @@ from mgslab import (
     vertex_arrow_count,
 )
 
-from conftest import random_alg_text
+from conftest import random_alg_text, random_presentation
 
 
 def test_parse_two_loops(two_loops):
@@ -143,6 +143,56 @@ def test_findim_two_loop_alternation_unbounded():
     text = "vertex 1\narrow a 1 1\narrow b 1 1\nrelation a a\nrelation b b\n"
     report = validate_axioms(parse_algebra(text))
     assert "FinDim" in report.tags()
+
+
+@pytest.mark.parametrize("loops, relation, witness", [
+    ("a b c", "a a a a a a a", "a a a a a a"),
+    ("a b", "a a a a a a a a a a", "a a a a a a a a a"),
+], ids=("3-loops-r7", "2-loops-r10"))
+def test_findim_on_wide_algebras_expands_direct_states_only(loops, relation, witness):
+    """One vertex with k loops and one relation of length r: the witness is
+    the one found before the FinDim check read the string automaton, and
+    the check expands exactly the direct paths of 1 to r - 1 letters, and
+    no automaton state that holds an inverse letter."""
+    text = "vertex 1\n" + "".join(f"arrow {x} 1 1\n" for x in loops.split())
+    alg = parse_algebra(text + f"relation {relation}\n")
+    report = validate_axioms(alg)
+    assert report.violations[-1] == ("FinDim", f"relation-free cycle through {witness}")
+    k, r = len(loops.split()), len(relation.split())
+    states = list(alg.string_automaton)
+    assert len(states) == sum(k ** n for n in range(1, r))
+    assert all(bit == 0 for s in states for _, bit in s)
+
+
+@pytest.mark.parametrize("text, witness", [
+    ("vertex 1\narrow d 1 1\narrow b 1 1\nrelation d d d d\nrelation d d d b\n", "d d b"),
+    ("vertex 1\narrow c 1 1\narrow d 1 1\narrow a 1 1\nrelation a c a\n", "c c"),
+    ("vertex 1\nvertex 2\narrow c 1 1\narrow d 2 1\narrow a 1 1\nrelation c c\n", "c"),
+], ids=("two-loops", "three-loops", "two-vertices"))
+def test_findim_visits_windows_in_arrow_file_order(text, witness):
+    """Arrows named out of alphabetical order: visiting windows or
+    successors in key order instead gives another witness."""
+    report = validate_axioms(parse_algebra(text))
+    assert report.violations[-1] == ("FinDim", f"relation-free cycle through {witness}")
+
+
+def test_path_contains_relation_matches_substring_scan():
+    """Every composable path of length <= 5 on random presentations
+    (relations of length 2-4) holds a relation iff a minimal relation
+    occurs in it as a contiguous subpath."""
+    longest, outcomes = set(), set()
+    for seed in range(150):
+        alg = random_presentation(seed)
+        longest.add(alg.max_relation_length)
+        level = [(a.name,) for a in alg.arrows]
+        for _ in range(4):
+            level = [p + (b.name,) for p in level for b in alg.outgoing[alg.arrow_map[p[-1]].target]]
+            for p in level:
+                expected = any(p[i:i + len(r)] == r for r in alg.minimal_relations
+                               for i in range(len(p) - len(r) + 1))
+                assert alg.path_contains_relation(p) == expected, (alg.normalized_text, p)
+                outcomes.add(expected)
+    assert {2, 3, 4} <= longest and outcomes == {False, True}
 
 
 def test_g2_with_redundant_long_relation():

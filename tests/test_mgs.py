@@ -594,6 +594,7 @@ def test_dropped_presentation_is_freed_without_the_cycle_collector(data_dir):
     gc.disable()
     try:
         alg = load_algebra(data_dir / "a12tilde.alg")
+        assert validate_axioms(alg).is_string_algebra
         pools = build_brick_pools(alg, 6)
         assert enumerate_mgs(alg, pools).sequences
         assert run_lemma_suite(alg, 6, mgs_budget=50_000).total_counterexamples == 0

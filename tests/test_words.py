@@ -1,5 +1,3 @@
-from itertools import groupby
-
 import pytest
 
 from mgslab import (
@@ -22,12 +20,13 @@ from mgslab import (
     parse_walk,
     supported_on,
 )
-from mgslab.words import BandPool, _all_string_walks
+from mgslab.words import BandPool, Walk, _all_string_walks
 
 from conftest import (
     ALGEBRAS,
     brute_force_string_walks,
     random_presentation,
+    ref_is_string,
     string_algebra_sample,
 )
 
@@ -61,6 +60,14 @@ def test_is_string_examples(two_loops):
     assert not is_string(two_loops, parse_walk(two_loops, "b b-"))
     # relation hidden in the inverse direction
     assert not is_string(two_loops, parse_walk(two_loops, "a- a-"))
+
+
+@pytest.mark.parametrize("letters", [("zz",), ("a", "zz"), ("zz", "a")])
+def test_is_string_rejects_an_unknown_arrow(two_loops, letters):
+    """A walk built by hand, past ``make_walk``'s checks, still raises."""
+    w = Walk(tuple(Letter(name, +1) for name in letters), ("1",) * (len(letters) + 1))
+    with pytest.raises(WalkError, match="unknown arrow 'zz'"):
+        is_string(two_loops, w)
 
 
 def test_canonical_string_order(two_loops):
@@ -257,26 +264,13 @@ def _composable_walks(alg, max_len: int) -> list:
     return out
 
 
-def _ref_is_string(alg, w) -> bool:
-    """No backtrack, and no relation in a direct run or in an inverse run
-    read backwards."""
-    if any(b == a.inverse() for a, b in zip(w.letters, w.letters[1:])):
-        return False
-    for sign, run in groupby(w.letters, key=lambda l: l.sign):
-        path = [l.arrow for l in run][::sign]
-        for r in alg.relations:
-            if any(tuple(path[i:i + len(r)]) == r for i in range(len(path) - len(r) + 1)):
-                return False
-    return True
-
-
 def _ref_is_band(alg, w) -> bool:
     if not w.is_cyclic:
         return False
     n = w.length
     primitive = all(w.letters != w.letters[:p] * (n // p) for p in range(1, n) if n % p == 0)
     # six copies hold every window of length <= 4 across a copy boundary
-    return primitive and _ref_is_string(alg, w.power(6))
+    return primitive and ref_is_string(alg, w.power(6))
 
 
 def _ref_is_minimal(w, shorter) -> bool:
@@ -300,7 +294,7 @@ def test_strings_and_bands_match_run_scan_reference_on_random_presentations():
         longest.add(alg.max_relation_length)
         walks = _composable_walks(alg, 4)
         walks_checked += len(walks)
-        strings = [w for w in walks if _ref_is_string(alg, w)]
+        strings = [w for w in walks if ref_is_string(alg, w)]
         assert [w for w in walks if is_string(alg, w)] == strings, alg.normalized_text
         assert enumerate_strings(alg, 4) == tuple(sorted({canonical_string(w) for w in strings}))
         classes = {}  # each rotation of a band to its class's canonical form
@@ -319,7 +313,7 @@ SAMPLE = string_algebra_sample()
 
 def test_automaton_growth_matches_brute_force():
     """The walks grown on the string automaton, up to length 8, against
-    every composable word that ``is_string`` keeps: equal as a set of
+    every composable word that ``ref_is_string`` keeps: equal as a set of
     letters, vertices and keys (the grown walks' keys are set, the brute
     force computes its own), and the canonical representatives in the
     order of ``enumerate_strings``."""
