@@ -2,14 +2,18 @@
 
 Independent of the substring calculus: representations are plain matrices
 over exact rationals and Hom dimensions come from solving the intertwiner
-equations f_t phi_a(A) = phi_a(B) f_s in exact arithmetic.  Each rep caches,
+equations f_t phi_a(A) = phi_a(B) f_s in exact arithmetic.  Each rep holds,
 per arrow, the LCM of its matrix's denominators and the columns and the
 rows of its matrix times that LCM (``ExplicitRep.view``) as three lists:
 the single-entry lines as (line, position, value), the empty lines, and
-the multi-entry lines with their entries.  Equation (r, c) of an arrow
-pairs column c of A_a with row r of B_a; it is scaled by the product of
-the two LCMs, so its coefficients are Python ints.  The solvers walk pairs
-of these lists and never visit an equation whose two lines are empty.
+the multi-entry lines with their entries.  ``to_explicit`` builds the view
+in one pass over the module's nonzero entries and derives the dense
+Fraction matrices (``ExplicitRep.mats``) only when they are read; a rep
+built from matrices reaches the same builder through their nonzeros.
+Equation (r, c) of an arrow pairs column c of A_a with row r of B_a; it
+is scaled by the product of the two LCMs, so its coefficients are Python
+ints.  The solvers walk pairs of these lists and never visit an equation
+whose two lines are empty.
 
 One setup serves every solver (``_frame``): the same-algebra check, which
 tries identity before comparing the quiver tuples, and the offsets of the
@@ -46,14 +50,15 @@ a pivot replaces it by b * row - a * pivot (a, b the two leading
 coefficients over their gcd), divided by its content gcd.  Nonzero
 scalings keep the row space, hence the rank and the pivot columns, and a
 null-space vector is fixed by its free coordinates, so back substitution
-over the integer pivots gives each basis vector x_k of rational
-elimination as an int vector m_k x_k, m_k > 0.
+over the integer pivots from integer free coordinates gives the rational
+null vector with those coordinates as an int vector times some int m > 0.
 
 Injectivity/surjectivity of some intertwiner is decided by maximizing
-matrix ranks at pseudo-random points of the solution space.  A point
-sum c_k (L / m_k) (m_k x_k), L the LCM of the m_k, is L times the rational
-point sum c_k x_k: in ints, with the ranks and verdicts of rational
-sampling.
+matrix ranks at pseudo-random points of the solution space.  Each point
+is one back substitution from random integer free coordinates c_k: m
+times the rational point sum c_k x_k (x_k the basis vector with a 1 at
+the k-th free column), so in ints, with the ranks and verdicts of
+rational sampling.
 
 ``to_explicit`` checks that every relation path acts by zero by carrying
 basis vectors along the sparse columns of the view.
@@ -103,42 +108,72 @@ class ExplicitRep:
         return f"ExplicitRep(alg={alg!r}, dims={self.dims!r}, mats={self.mats!r})"
 
     @cached_property
+    def mats(self) -> tuple[tuple[str, Matrix], ...]:
+        """The dense matrices, sorted by arrow name: read off the view for a
+        rep that ``to_explicit`` built."""
+        dims, mats = self.view[0], []
+        for a, (s, t, den, _, (singles, _, multis)) in zip(self.arrows, self.view[1]):
+            m = [[_ZERO] * dims[s] for _ in range(dims[t])]
+            for r, line in _full(singles, multis):
+                for c, v in line:
+                    m[r][c] = Fraction(v, den)
+            mats.append((a.name, tuple(map(tuple, m))))
+        return tuple(sorted(mats))
+
+    @cached_property
     def view(self):
         """The dims in vertex order and, per arrow in ``arrows`` order, its
         source and target index, the LCM of its matrix's denominators and
         the lines of that matrix times the LCM, by column and by row (see
-        ``_lines``).  Raises OracleError unless each arrow has a matrix of
+        ``_view``).  Raises OracleError unless each arrow has a matrix of
         dims[target] rows of dims[source] entries, and the matrices are named
         for the arrows, each once."""
         dims = dict(self.dims)
         if set(dims) != set(self.vertices):
             raise OracleError("vertex sets differ")
-        mats, out = dict(self.mats), []
+        mats, cells = dict(self.mats), {}
         for a in self.arrows:
             ncols, nrows = dims[a.source], dims[a.target]
             m = mats.get(a.name)
             if m is None or [len(row) for row in m] != [ncols] * nrows:
                 raise OracleError(f"arrow {a.name} needs a {nrows} x {ncols} matrix")
-            den, flat = _scaled(x for row in m for x in row)
-            cols, rows = [[] for _ in range(ncols)], [[] for _ in range(nrows)]
-            for j, v in flat.items():
-                r, c = divmod(j, ncols)
-                rows[r].append((c, v))
-                cols[c].append((r, v))
-            out.append((self.vertices.index(a.source), self.vertices.index(a.target), den,
-                        _lines(cols), _lines(rows)))
+            cells[a.name] = {(r, c): Fraction(x) for r, row in enumerate(m)
+                             for c, x in enumerate(row) if x}
         if len(self.mats) != len(self.arrows):  # every arrow's matrix was found
             raise OracleError("matrix names differ from the arrow names")
-        return tuple(dims[v] for v in self.vertices), tuple(out)
+        return _view(self.vertices, self.arrows, dims, cells)
+
+
+def _view(vertices, arrows, dims, cells):
+    """``ExplicitRep.view`` from the dims by vertex and, per arrow name, the
+    entries {(row, column): value} of its matrix that may be nonzero (ints
+    or Fractions; an arrow with none may be missing)."""
+    out = []
+    for a in arrows:
+        ncols, nrows = dims[a.source], dims[a.target]
+        den, flat = _scaled(sorted((k, v) for k, v in cells.get(a.name, {}).items() if v))
+        cols, rows = [[] for _ in range(ncols)], [[] for _ in range(nrows)]
+        for (r, c), v in flat.items():
+            rows[r].append((c, v))
+            cols[c].append((r, v))
+        out.append((vertices.index(a.source), vertices.index(a.target), den,
+                    _lines(cols), _lines(rows)))
+    return tuple(dims[v] for v in vertices), tuple(out)
 
 
 def _lines(lines):
     """Columns (or rows) as (singles, empties, multis): the (line,
     position, value) of each line with one nonzero, the lines with none,
     and the (line, ((position, value), ...)) of each line with several."""
-    return (tuple((i, *e[0]) for i, e in enumerate(lines) if len(e) == 1),
-            tuple(i for i, e in enumerate(lines) if not e),
-            tuple((i, tuple(e)) for i, e in enumerate(lines) if len(e) > 1))
+    singles, empties, multis = [], [], []
+    for i, e in enumerate(lines):
+        if not e:
+            empties.append(i)
+        elif len(e) == 1:
+            singles.append((i, *e[0]))
+        else:
+            multis.append((i, tuple(e)))
+    return tuple(singles), tuple(empties), tuple(multis)
 
 
 def _full(singles, multis):
@@ -147,17 +182,24 @@ def _full(singles, multis):
     return [(i, ((p, v),)) for i, p, v in singles] + list(multis)
 
 
-def _scaled(values) -> tuple[int, dict[int, int]]:
-    """A row of rationals as (the LCM of its denominators, its nonzeros
-    times that LCM as a sparse dict of ints)."""
-    nz = [(j, Fraction(v)) for j, v in enumerate(values) if v]
-    den = lcm(*(v.denominator for _, v in nz))
-    return den, {j: v.numerator * (den // v.denominator) for j, v in nz}
+def _scaled(nonzeros) -> tuple[int, dict]:
+    """Pairs (key, value) of nonzero ints or Fractions as (the LCM of the
+    denominators, {key: value times that LCM}, all ints)."""
+    den = lcm(*(v.denominator for _, v in nonzeros))
+    return den, {j: v.numerator * (den // v.denominator) for j, v in nonzeros}
 
 
 def matrix_rank(mat) -> int:
+    """The rank of a matrix of ints or rationals; a row of ints is
+    eliminated as it is, any other row is first scaled to ints."""
     pivots: Pivots = {}
-    return sum(_echelon_insert(pivots, _scaled(raw)[1]) for raw in mat)
+    rank = 0
+    for raw in mat:
+        row = {j: x for j, x in enumerate(raw) if x}
+        if any(type(x) is not int for x in row.values()):
+            row = _scaled([(j, Fraction(x)) for j, x in row.items()])[1]
+        rank += _echelon_insert(pivots, row)
+    return rank
 
 
 def _echelon_insert(pivots: Pivots, row: dict[int, int]) -> bool:
@@ -191,31 +233,36 @@ def _echelon_insert(pivots: Pivots, row: dict[int, int]) -> bool:
     return False
 
 
+def _back_substitute(pivots: Pivots, order, x: dict[int, int]) -> tuple[int, dict[int, int]]:
+    """Back substitution over the integer pivots (``order``: their columns,
+    descending) from int free coordinates x: a pair (m, X) of an int m > 0
+    and the sparse int vector X = m y, y the rational null vector that
+    equals x at the free columns."""
+    m = 1
+    for p in order:
+        lead, tail = pivots[p]
+        acc = sum(v * x[c] for c, v in tail.items() if c in x)
+        if acc:
+            g = gcd(acc, lead)
+            if g != lead:
+                m *= lead // g
+                x = {c: lead // g * v for c, v in x.items()}
+            x[p] = -acc // g
+    return m, x
+
+
 def _integer_basis(pivots: Pivots, ncols: int) -> list:
-    """Null-space basis, one vector per free column f, by back substitution
-    over the integer pivots: pairs (m, X) of an int m > 0 and a sparse int
-    vector X = m x, where x is the rational null vector with x_f = 1 and
-    x = 0 at the other free columns."""
+    """Null-space basis, one back substitution per free column f from
+    x_f = 1 and x = 0 at the other free columns (see ``_back_substitute``)."""
     order = sorted(pivots, reverse=True)
-    basis = []
-    for f in (c for c in range(ncols) if c not in pivots):
-        m, x = 1, {f: 1}
-        for p in order:
-            lead, tail = pivots[p]
-            acc = sum(v * x[c] for c, v in tail.items() if c in x)
-            if acc:
-                g = gcd(acc, lead)
-                if g != lead:
-                    m *= lead // g
-                    x = {c: lead // g * v for c, v in x.items()}
-                x[p] = -acc // g
-        basis.append((m, x))
-    return basis
+    return [_back_substitute(pivots, order, {f: 1}) for f in range(ncols) if f not in pivots]
 
 
 def to_explicit(M: StringModuleRep | BandModuleRep) -> ExplicitRep:
     """Expand a string or band module into honest matrices and verify that
-    every relation path acts by zero (a nonzero product is a bug upstream)."""
+    every relation path acts by zero (a nonzero product is a bug upstream).
+    The view is built from the module's nonzero entries; the dense matrices
+    wait until ``mats`` is read."""
     if isinstance(M, StringModuleRep):
         slot = _slots(M.walk.vertices, 1)
         entries = [(a, slot[t - 1], slot[f - 1], 1) for a, ts in M.arrow_actions for f, t in ts]
@@ -223,13 +270,14 @@ def to_explicit(M: StringModuleRep | BandModuleRep) -> ExplicitRep:
         entries = _band_entries(M)
     else:
         raise OracleError(f"cannot expand {type(M).__name__}")
-    dims = M.dims()
-    mats = {a.name: [[_ZERO] * dims[a.source] for _ in range(dims[a.target])]
-            for a in M.alg.arrows}
+    cells = {a.name: {} for a in M.alg.arrows}
     for name, r, c, v in entries:
-        mats[name][r][c] += v
-    rep = ExplicitRep(M.alg, M.dim_vector,
-                      tuple(sorted((name, tuple(map(tuple, m))) for name, m in mats.items())))
+        cell = cells[name]
+        cell[r, c] = cell.get((r, c), 0) + v
+    rep = ExplicitRep.__new__(ExplicitRep)
+    rep.vertices, rep.arrows, rep.relations = M.alg.vertices, M.alg.arrows, M.alg.relations
+    rep.dims = M.dim_vector
+    rep.view = _view(rep.vertices, rep.arrows, M.dims(), cells)
     _check_relations(rep)
     return rep
 
@@ -296,7 +344,7 @@ def _frame(A, B):
     arrows of the two views side by side.  Raises OracleError unless A and
     B live over one algebra."""
     if not (A.vertices is B.vertices and A.arrows is B.arrows and A.relations is B.relations
-            or A._fields()[:3] == B._fields()[:3]):
+            or (A.vertices, A.arrows, A.relations) == (B.vertices, B.arrows, B.relations)):
         raise OracleError("representations live over different algebras")
     (adims, aview), (bdims, bview) = A.view, B.view
     offs, total = [], 0
@@ -462,26 +510,16 @@ def exists_full_rank_hom(A: ExplicitRep, B: ExplicitRep, kind: str, seed: int) -
     if any(g > d for g, d in zip(goals, bigger)):
         return False
     pivots, adims, bdims, offs, total = _hom_system(A, B)
-    basis = _integer_basis(pivots, total)
-    if not basis:
+    free = [c for c in range(total) if c not in pivots]
+    if not free:
         return not any(goals)
     blocks = [(o, da, db, g) for o, da, db, g in zip(offs, adims, bdims, goals) if g]
     import random
 
     rng = random.Random(seed)
-    scale = lcm(*(m for m, _ in basis))
-    return any(_meets(_point([rng.randint(-999, 999) * (scale // m) for m, _ in basis], basis),
+    order = sorted(pivots, reverse=True)
+    return any(_meets(_back_substitute(pivots, order, {f: rng.randint(-999, 999) for f in free})[1],
                       blocks) for _ in range(8))
-
-
-def _point(coeffs, basis) -> dict:
-    """The point sum c_k X_k of the solution space, for an integer basis of
-    pairs (m_k, X_k)."""
-    point = {}
-    for coeff, (_, x) in zip(coeffs, basis):
-        for i, v in x.items():
-            point[i] = point.get(i, 0) + coeff * v
-    return point
 
 
 def _meets(point, blocks) -> bool:

@@ -9,12 +9,14 @@ oracle at sampled band parameters."""
 import random
 from fractions import Fraction
 from itertools import product
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mgslab import (
+    OracleError,
     band_end_dim,
     band_module,
     enumerate_bands,
@@ -25,11 +27,15 @@ from mgslab import (
     hom_dim_string_band,
     hom_solution_basis,
     load_algebra,
+    parse_walk,
     string_module,
     to_explicit,
 )
 from mgslab import lemmas, oracle
+from mgslab.modules import BandModuleRep
 from mgslab.oracle import ExplicitRep, matrix_rank, probe_seed
+
+from conftest import random_gentle_presentation
 
 ALGEBRAS = ("a12tilde", "a2", "double_arrows", "gentle5", "kronecker", "mgs5", "two_loops")
 LAMBDAS = (Fraction(1), Fraction(2), Fraction(1, 2), Fraction(-3), Fraction(-1), Fraction(1, 3))
@@ -358,3 +364,164 @@ def test_hand_built_zero_classes_merge_and_mixed_lines(kronecker, two_loops):
     B = _rep(kronecker, {"1": 2, "2": 1}, {"a": [[0, 0]], "b": [[Fraction(1, 2), third]]})
     _assert_same(A, B)
     _assert_same(B, A)
+
+
+def _dense_mats(M):
+    """The dense Fraction matrices of a string or band module, built entry
+    by entry into zero matrices, sorted by arrow name."""
+    if isinstance(M, BandModuleRep):
+        entries = oracle._band_entries(M)
+    else:
+        slot = oracle._slots(M.walk.vertices, 1)
+        entries = [(a, slot[t - 1], slot[f - 1], 1) for a, ts in M.arrow_actions for f, t in ts]
+    dims = M.dims()
+    mats = {a.name: [[_ZERO] * dims[a.source] for _ in range(dims[a.target])]
+            for a in M.alg.arrows}
+    for name, r, c, v in entries:
+        mats[name][r][c] += v
+    return tuple(sorted((name, tuple(map(tuple, m))) for name, m in mats.items()))
+
+
+@pytest.mark.parametrize("name", ALGEBRAS)
+def test_module_reps_equal_reps_built_from_their_matrices(name, data_dir):
+    # to_explicit builds the view from the nonzero entries and the dense
+    # matrices only when read; ExplicitRep(alg, dims, mats) builds the view
+    # from the matrices: both give one rep
+    alg = load_algebra(data_dir / f"{name}.alg")
+    modules = [string_module(alg, w) for w in enumerate_strings(alg, 6)]
+    modules += [band_module(alg, rec.canonical, lam, k) for rec in enumerate_bands(alg, 6)
+                for lam in (Fraction(1), Fraction(2), Fraction(-1, 2)) for k in (1, 2, 3)]
+    assert modules
+    for M in modules:
+        rep = to_explicit(M)
+        view = rep.view
+        assert "mats" not in rep.__dict__
+        assert repr(rep.mats) == repr(_dense_mats(M))
+        hand = ExplicitRep(alg, rep.dims, rep.mats)
+        assert hand.view == view
+        assert rep == hand and hash(rep) == hash(hand) and repr(rep) == repr(hand)
+
+
+def test_separate_loads_solve_without_dense_matrices(data_dir, kronecker, a2):
+    one, other = (load_algebra(data_dir / "gentle5.alg") for _ in range(2))
+    assert one.arrows is not other.arrows
+    ws = enumerate_strings(one, 3)
+    reps = [to_explicit(string_module(alg, w)) for alg in (one, other) for w in ws]
+    for A, B in zip(reps[:len(ws)], reps[len(ws):]):
+        assert hom_dim_linalg(A, B) == len(hom_solution_basis(B, A))
+        exists_full_rank_hom(A, B, "inj", 1)
+    assert not any("mats" in rep.__dict__ for rep in reps)
+    A = to_explicit(string_module(kronecker, parse_walk(kronecker, "e:1")))
+    B = to_explicit(string_module(a2, parse_walk(a2, "e:1")))
+    with pytest.raises(OracleError, match="different algebras"):
+        hom_dim_linalg(A, B)
+    assert "mats" not in A.__dict__ and "mats" not in B.__dict__
+
+
+def _basis_by_columns(pivots, ncols):
+    """The integer null-space basis as the sampler once built it: per free
+    column f, back substitution from x_f = 1 alone, as (m, m x)."""
+    order = sorted(pivots, reverse=True)
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        m, x = 1, {f: 1}
+        for p in order:
+            lead, tail = pivots[p]
+            acc = sum(v * x[c] for c, v in tail.items() if c in x)
+            if acc:
+                g = gcd(acc, lead)
+                if g != lead:
+                    m *= lead // g
+                    x = {c: lead // g * v for c, v in x.items()}
+                x[p] = -acc // g
+        basis.append((m, x))
+    return basis
+
+
+def _combined_points(A, B, seed):
+    """The 8 probe points sum c_k (L / m_k) X_k over that basis, L the LCM
+    of the m_k, with the draws of exists_full_rank_hom."""
+    pivots, *_, total = oracle._hom_system(A, B)
+    basis = _basis_by_columns(pivots, total)
+    rng = random.Random(seed)
+    scale = lcm(*(m for m, _ in basis))
+    points = []
+    for _ in range(8):
+        point = {}
+        for coeff, (m, x) in zip([rng.randint(-999, 999) * (scale // m) for m, _ in basis], basis):
+            for i, v in x.items():
+                point[i] = point.get(i, 0) + coeff * v
+        points.append(point)
+    return points
+
+
+def _positive_multiple(new, old) -> bool:
+    new = {i: v for i, v in new.items() if v}
+    old = {i: v for i, v in old.items() if v}
+    if new.keys() != old.keys():
+        return False
+    t = Fraction(new[min(old)], old[min(old)]) if old else Fraction(1)
+    return t > 0 and all(new[i] == t * v for i, v in old.items())
+
+
+def _assert_probes_agree(cases, monkeypatch):
+    """Each point exists_full_rank_hom ranks is a positive multiple of the
+    combined-basis point with the same draws, and both give one verdict."""
+    meets, drawn = oracle._meets, []
+    monkeypatch.setattr(oracle, "_meets", lambda point, blocks: (
+        drawn.append((point, blocks)) or meets(point, blocks)))
+    verdicts = set()
+    for A, B, kind, seed in cases:
+        drawn.clear()
+        got = exists_full_rank_hom(A, B, kind, seed)
+        verdicts.add(got)
+        if not drawn:  # decided by the dimensions alone
+            continue
+        old = _combined_points(A, B, seed)
+        blocks = drawn[0][1]
+        assert all(_positive_multiple(point, o) for (point, _), o in zip(drawn, old))
+        hits = [meets(o, blocks) for o in old]
+        assert got == any(hits)
+        assert len(drawn) == (hits.index(True) + 1 if got else 8)
+    assert verdicts == {True, False}
+
+
+def test_probe_points_are_multiples_of_combined_basis_points_on_lemma_probes(data_dir, monkeypatch):
+    # every probe the lemma suite makes at length 10 (the `crosscheck` lemma ops)
+    cases = []
+    probe = lemmas.exists_full_rank_hom
+    monkeypatch.setattr(lemmas, "exists_full_rank_hom",
+                        lambda A, B, kind, seed: cases.append((A, B, kind, seed)) or probe(A, B, kind, seed))
+    for name in ("a12tilde", "two_loops", "kronecker"):
+        lemmas.run_lemma_suite(load_algebra(data_dir / f"{name}.alg"), 10)
+    assert len(cases) == 90
+    monkeypatch.undo()
+    _assert_probes_agree(cases, monkeypatch)
+
+
+def test_probe_points_are_multiples_of_combined_basis_points_on_random_gentle(monkeypatch):
+    rng = random.Random(5)
+    cases = []
+    while len(cases) < 100:
+        alg = random_gentle_presentation(rng)
+        bands = enumerate_bands(alg, 6)
+        if not bands:
+            continue
+        w = rng.choice(enumerate_strings(alg, 4))
+        lam, k = rng.choice((Fraction(1), Fraction(2), Fraction(-1, 2))), rng.randint(1, 3)
+        S = to_explicit(string_module(alg, w))
+        B = to_explicit(band_module(alg, rng.choice(bands).canonical, lam, k))
+        cases += [(S, B, "inj", rng.randrange(2 ** 32)), (B, S, "surj", rng.randrange(2 ** 32))]
+    _assert_probes_agree(cases, monkeypatch)
+
+
+def test_matrix_rank_of_int_rows_equals_fraction_rows():
+    rng = random.Random(3)
+    deficient = 0
+    for _ in range(400):
+        n, m = rng.randint(0, 6), rng.randint(0, 6)
+        mat = [[rng.choice((0, 0, 0, 1, -1, 2, -3, 6)) for _ in range(m)] for _ in range(n)]
+        rank = ref_matrix_rank(mat)
+        assert matrix_rank(mat) == matrix_rank([[Fraction(x) for x in row] for row in mat]) == rank
+        deficient += rank < min(n, m)
+    assert deficient
