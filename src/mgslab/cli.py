@@ -138,6 +138,12 @@ def _count(text: str) -> int:
     return value
 
 
+# the --band-len of the mgs commands
+_BAND_LEN_HELP = ("longest band whose band bricks enter the insertion pool"
+                  " (default: the string length); a shorter bound can pass"
+                  " a non-maximal chain as complete")
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="mgslab")
     sub = p.add_subparsers(dest="cmd", required=True)
@@ -190,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def pool_args(spp):
         spp.add_argument("--max-string-len", type=_count, required=True)
-        spp.add_argument("--band-len", type=_count, default=None)
+        spp.add_argument("--band-len", type=_count, default=None, help=_BAND_LEN_HELP)
 
     ge = gsub.add_parser("enumerate", help="enumerate complete sequences")
     alg_arg(ge)
@@ -207,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     alg_arg(gx)
     gx.add_argument("--method", choices=("simples", "gentle"), required=True)
     gx.add_argument("--max-string-len", type=_count, default=8)
-    gx.add_argument("--band-len", type=_count, default=None)
+    gx.add_argument("--band-len", type=_count, default=None, help=_BAND_LEN_HELP)
     gx.add_argument("--budget", type=_count, default=None)
 
     sp = sub.add_parser("lemmas", help="lemma property suite")
@@ -215,7 +221,8 @@ def build_parser() -> argparse.ArgumentParser:
     lr = lsub.add_parser("run")
     alg_arg(lr)
     lr.add_argument("--max-len", type=_count, required=True)
-    lr.add_argument("--band-len", type=_count, default=None)
+    lr.add_argument("--band-len", type=_count, default=None,
+                    help="longest band the band lemmas sweep (default: --max-len)")
     lr.add_argument("--budget", type=_count, default=500_000)
 
     return p
@@ -411,7 +418,7 @@ def _cmd_lemmas(alg, args):
         alg, args.max_len, band_bound=args.band_len, mgs_budget=args.budget
     )
     payload = report.payload()
-    return payload, {"max_len": args.max_len, "band_bound": args.band_len}
+    return payload, {"max_len": args.max_len, "band_bound": report.bounds["band_bound"]}
 
 
 def _loaded(*names: str) -> tuple:

@@ -190,13 +190,18 @@ def build_brick_pools(alg: AlgebraPresentation, max_string_len: int,
                       lambdas=None, band_bound: int | None = None) -> BrickPools:
     """Member pool: string bricks minus everything supported on the square
     of a band.  Insertion pool: all string bricks plus the band bricks
-    M(w, lambda, 1) over the enumerated bands.
+    M(w, lambda, 1) over the enumerated bands up to ``band_bound``, which
+    defaults to ``max_string_len``.  A shorter bound can leave out a band
+    brick that refines a chain, which then passes as complete: alternating
+    A~_{2,2} at length 6 gives 120,276 sequences under band bound 3 against
+    100 under 6.  That no needed band brick is longer than the longest
+    member is a hypothesis that the tests check, not a theorem.
 
     ``lambdas`` is accepted and ignored: no band parameter is sampled, as
     the calculus gives every lambda at once.  The benchmark's verifier
     (``perfbench/check.py``) still passes it."""
     if band_bound is None:
-        band_bound = max_string_len // 2
+        band_bound = max_string_len
     infos = enumerate_bricks(alg, max_string_len)
     member, excluded = [], []
     for info in infos:
@@ -326,13 +331,14 @@ class _Searcher:
     candidate that survived the scan would have cut the prefix first, so
     the list never repeats one and holds at most one entry per candidate.
 
-    A stack frame is ``(prefix, used, need, blocked, dead)``, ``need``
-    being the number of required entries placed.  A node is counted when it
-    is popped; its children are pushed highest bit first, so the lowest bit
-    is tried first and the sequences come out in walk order.  No entry
-    repeats, so a prefix, and the stack, is at most m deep, with at most m
-    frames per depth.  A budget of b nodes raises ``BudgetExhausted`` on
-    popping node b + 1.
+    A stack frame is ``(prefix, used, blocked, dead)``.  Of the required
+    entries, only the next one is ever opened, so those in ``used`` were
+    placed in order, and their count, ``(used & required_mask).bit_count()``,
+    names the next.  A node is counted when it is popped; its children are
+    pushed highest bit first, so the lowest bit is tried first and the
+    sequences come out in walk order.  No entry repeats, so a prefix, and
+    the stack, is at most m deep, with at most m frames per depth.  A budget
+    of b nodes raises ``BudgetExhausted`` on popping node b + 1.
     """
 
     # the dead-prefix rule; the tests' unpruned reference switches it off
@@ -368,7 +374,6 @@ class _Searcher:
                 raise ValueError(f"required entry {w} is listed twice")
             required.append(self.index[c])
             required_mask |= bit
-        n_required = len(required)
         found: list[tuple[int, ...]] = []
         all_mask = (1 << self.m) - 1
         # a still-owed simple or required entry must stay appendable
@@ -382,9 +387,9 @@ class _Searcher:
         all_cands = self.all_cands
         nodes = pruned = 0
         budget_cap = budget if budget is not None else float("inf")
-        stack = [((), 0, 0, 0, 0)]
+        stack = [((), 0, 0, 0)]
         while stack:
-            prefix, used, need, blocked, dead = stack.pop()
+            prefix, used, blocked, dead = stack.pop()
             nodes += 1
             if nodes > budget_cap:
                 raise BudgetExhausted(self._sequences(found), nodes, pruned)
@@ -416,23 +421,22 @@ class _Searcher:
                     continue
             top = len(stack)
             rest = open_ids
+            if required_mask:
+                # of the required entries, open only the next one
+                need = (used & required_mask).bit_count()
+                rest &= ~required_mask | (1 << required[need] if need < len(required) else 0)
             while rest:
                 i = rest.bit_length() - 1
                 high = 1 << i
                 rest ^= high
-                next_need = need
-                if high & required_mask:
-                    if need >= n_required or required[need] != i:
-                        continue
-                    next_need = need + 1
                 now_blocked = blocked | blocks[i]
-                stack.append((prefix + (i,), used | high, next_need, now_blocked,
+                stack.append((prefix + (i,), used | high, now_blocked,
                               dead | (needs[i] & now_blocked)))
             # a leaf: every simple is used, as an unused one is blocked, and
             # cut above, or open, and appended.  So the leaf is complete iff
             # no candidate is live; with the dead-prefix rule on, a leaf
             # with a live candidate was cut already
-            if (len(stack) == top and prefix and need == n_required
+            if (len(stack) == top and prefix and used & required_mask == required_mask
                     and not all_cands & ~dead):
                 found.append(prefix)
                 if stop_at_first:

@@ -154,6 +154,43 @@ def test_mgs_enumerate_hexagon_record(capsys, tmp_path, bound):
     assert doc["payload"]["nodes"] == 12
 
 
+AFFINE_A = "vertex 1\nvertex 2\nvertex 3\nvertex 4\n"
+
+
+@pytest.mark.parametrize("arrows, count", [
+    ("arrow a 1 2\narrow b 3 2\narrow c 3 4\narrow d 1 4\n", 100),  # alternating A~_{2,2}
+    ("arrow a 1 2\narrow b 2 3\narrow c 3 4\narrow d 1 4\n", 75),  # A~_{3,1}
+], ids=["alternating-A22", "A31"])
+def test_default_band_bound_keeps_affine_counts(capsys, tmp_path, arrows, count):
+    """Green mutation gives these counts.  Under a band bound of half the
+    string length, a band brick that refines some chains was missing from
+    the insertion pool, and the counts read 120,276 and 5,753."""
+    alg = tmp_path / "affine.alg"
+    alg.write_text(AFFINE_A + arrows)
+    code, doc = run_cli(capsys, "mgs", "enumerate", "--algebra", str(alg),
+                        "--max-string-len", "6")
+    assert code == 0
+    assert doc["payload"]["count"] == count
+    assert doc["payload"]["nodes"] < 5000
+    assert doc["certificate"] == {"max_string_len": 6, "band_bound": 6}
+
+
+@pytest.mark.parametrize("argv", [
+    ("mgs", "enumerate", "--algebra", str(DATA / "a12tilde.alg"), "--max-string-len", "4"),
+    ("mgs", "check", "--algebra", str(DATA / "kronecker.alg"), "--max-string-len", "4",
+     "--sequence", str(DATA / "kronecker_band_witness.txt")),
+    ("mgs", "exists", "--algebra", str(DATA / "a12tilde.alg"), "--method", "gentle",
+     "--max-string-len", "4"),
+    ("lemmas", "run", "--algebra", str(DATA / "a12tilde.alg"), "--max-len", "4",
+     "--budget", "50000"),
+], ids=["enumerate", "check", "exists", "lemmas"])
+def test_certificates_name_the_band_bound_used(capsys, argv):
+    main(list(argv))
+    out = capsys.readouterr().out
+    assert '"band_bound": null' not in out
+    assert json.loads(out)["certificate"]["band_bound"] == 4
+
+
 def test_mgs_exists_simples(capsys):
     code, doc = run_cli(capsys, "mgs", "exists", "--algebra",
                         str(DATA / "a12tilde.alg"), "--method", "simples",

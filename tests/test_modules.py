@@ -337,7 +337,7 @@ def _reference_pools(alg, max_len: int) -> tuple:
     """build_brick_pools with the default band bound, from dim End = 1 and
     ``supported_on``: member strings, insertion strings, band bricks and
     excluded (brick, first band whose square supports it)."""
-    bands = [rec.canonical for rec in enumerate_bands(alg, max_len // 2)]
+    bands = [rec.canonical for rec in enumerate_bands(alg, max_len)]
     bricks = tuple(w for w in enumerate_strings(alg, max_len) if hom_dim(alg, w, w) == 1)
     squares = {w: next((b for b in bands if supported_on(w, b, 2)), None) for w in bricks}
     return (tuple(w for w in bricks if squares[w] is None), bricks,

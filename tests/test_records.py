@@ -55,7 +55,7 @@ def test_reprs(a12tilde):
         f"Verdict(kind='refinable', witness_brick={E2}, witness_is_band=False,"
         " witness_position=0, missing_simples=('2', '3'), banned_entries=(),"
         " band_square_blockers=(), pool_descriptor={'max_string_len': 3,"
-        " 'band_bound': 1})")
+        " 'band_bound': 3})")
 
 
 def test_equal_presentations_stay_equal_after_memos_fill():
