@@ -17,7 +17,7 @@ whose two lines are empty.
 
 One setup serves every solver (``_frame``): the same-algebra check, which
 tries identity before comparing the quiver tuples, and the offsets of the
-unknowns.  ``hom_dim_linalg`` then counts the solutions in one walk over
+unknowns.  One kernel (``_solve``) then solves the pair in one walk over
 the arrows, skipping an arrow s -> t when dim A(s) or dim B(t) is 0 (it
 has no equations).  At each arrow it takes its equations in two stages.
 
@@ -30,7 +30,8 @@ has no equations).  At each arrow it takes its equations in two stages.
    is forced to zero.  A one-term equation (a single-entry line against
    an empty one) forces the class of its unknown to zero.  A single-entry
    column against a single-entry row merges the two classes with the
-   ratio it fixes, or, if they are already one class whose ratios
+   ratio it fixes, under the larger root (so a root is the largest
+   unknown of its class), or, if they are already one class whose ratios
    disagree (a loop arrow, or a band against itself at another lambda),
    forces that class to zero.  A zero class stays zero through later
    merges, since every ratio is nonzero, so the order of the equations
@@ -41,24 +42,27 @@ has no equations).  At each arrow it takes its equations in two stages.
    of size k >= 2 puts two nonzeros in a column) are kept until the walk
    ends, then rewritten over the class roots, x_p = rho_p x_root, with the
    zero classes dropped; they only constrain the free roots.  They are
-   scaled to ints and eliminated, and dim Hom is the number of free
-   classes minus their rank.
+   scaled to ints and eliminated, and dim Hom (``hom_dim_linalg``) is the
+   number of free classes minus their rank.
 
-The elimination, also behind ``matrix_rank`` and ``hom_solution_basis``
-(which work on the full system), is fraction free: reducing a row against
-a pivot replaces it by b * row - a * pivot (a, b the two leading
-coefficients over their gcd), divided by its content gcd.  Nonzero
-scalings keep the row space, hence the rank and the pivot columns, and a
-null-space vector is fixed by its free coordinates, so back substitution
-over the integer pivots from integer free coordinates gives the rational
-null vector with those coordinates as an int vector times some int m > 0.
+The elimination, also behind ``matrix_rank``, is fraction free: reducing
+a row against a pivot replaces it by b * row - a * pivot (a, b the two
+leading coefficients over their gcd), divided by its content gcd.  That
+keeps the row space, so back substitution over the integer pivots from
+int free coordinates gives the rational null vector with those
+coordinates times some int m > 0.
 
-Injectivity/surjectivity of some intertwiner is decided by maximizing
-matrix ranks at pseudo-random points of the solution space.  Each point
-is one back substitution from random integer free coordinates c_k: m
-times the rational point sum c_k x_k (x_k the basis vector with a 1 at
-the k-th free column), so in ints, with the ranks and verdicts of
-rational sampling.
+``hom_solution_basis`` and ``exists_full_rank_hom`` lift int values at
+the free roots (the roots of free classes that are not stage-2 pivots)
+to a solution (``_null_space``): back substitution gives the other
+roots, x_p = rho_p x_root the rest, and the LCM of the ratios'
+denominators makes it ints.  A solution's values at the unknowns >= j
+are fixed by those at the roots >= j, so the free roots are the free
+columns of the whole system's echelon form (pivot = least column), and
+the basis vector with a 1 at one of them is the one its elimination
+gives.  Full rank is decided by maximizing matrix ranks at 8 points from
+random int values c_k: m times sum c_k x_k (x_k the basis vector of the
+k-th free root), so with the ranks and verdicts of rational sampling.
 
 ``to_explicit`` checks that every relation path acts by zero by carrying
 basis vectors along the sparse columns of the view.
@@ -233,31 +237,6 @@ def _echelon_insert(pivots: Pivots, row: dict[int, int]) -> bool:
     return False
 
 
-def _back_substitute(pivots: Pivots, order, x: dict[int, int]) -> tuple[int, dict[int, int]]:
-    """Back substitution over the integer pivots (``order``: their columns,
-    descending) from int free coordinates x: a pair (m, X) of an int m > 0
-    and the sparse int vector X = m y, y the rational null vector that
-    equals x at the free columns."""
-    m = 1
-    for p in order:
-        lead, tail = pivots[p]
-        acc = sum(v * x[c] for c, v in tail.items() if c in x)
-        if acc:
-            g = gcd(acc, lead)
-            if g != lead:
-                m *= lead // g
-                x = {c: lead // g * v for c, v in x.items()}
-            x[p] = -acc // g
-    return m, x
-
-
-def _integer_basis(pivots: Pivots, ncols: int) -> list:
-    """Null-space basis, one back substitution per free column f from
-    x_f = 1 and x = 0 at the other free columns (see ``_back_substitute``)."""
-    order = sorted(pivots, reverse=True)
-    return [_back_substitute(pivots, order, {f: 1}) for f in range(ncols) if f not in pivots]
-
-
 def to_explicit(M: StringModuleRep | BandModuleRep) -> ExplicitRep:
     """Expand a string or band module into honest matrices and verify that
     every relation path acts by zero (a nonzero product is a bug upstream).
@@ -354,21 +333,18 @@ def _frame(A, B):
     return adims, bdims, offs, total, zip(aview, bview)
 
 
-def _rows(ot, os_, ns, nt, fa, fb, acols, brows, multi_only=False):
+def _rows(ot, os_, ns, nt, fa, fb, acols, brows):
     """The integer row {index: coefficient} of each equation (r, c) of an
-    arrow s -> t but those whose two lines are empty: the index of
-    f_t[r][0] joins the nonzeros of column c of A_a (times fa) and the
-    index of f_s[0][c] those of row r of B_a (times fb).  Here ot and os_
-    are offs[t] and offs[s], ns and nt are dim A(s) and dim A(t) (see
+    arrow s -> t with a line of several nonzeros: the index of f_t[r][0]
+    joins the nonzeros of column c of A_a (times fa) and the index of
+    f_s[0][c] those of row r of B_a (times fb).  Here ot and os_ are
+    offs[t] and offs[s], ns and nt are dim A(s) and dim A(t) (see
     ``_frame``), acols and brows the lines of A_a and B_a in the views,
-    and fa * aden = fb * bden (the solvers pass fa = bden, fb = aden).
-    With multi_only, only the equations with a line of several nonzeros."""
+    and fa * aden = fb * bden (``_solve`` passes fa = bden, fb = aden)."""
     (asing, aempty, amulti), (bsing, bempty, bmulti) = acols, brows
-    acols, brows = _full(asing, amulti), _full(bsing, bmulti)
-    for c, aline in acols + [(c, ()) for c in aempty]:
-        for r, bline in brows + [(r, ()) for r in bempty] if aline else brows:
-            if multi_only and len(aline) < 2 and len(bline) < 2:
-                continue
+    brows = _full(bsing, bmulti) + [(r, ()) for r in bempty]
+    for c, aline in _full(asing, amulti) + [(c, ()) for c in aempty]:
+        for r, bline in brows if len(aline) > 1 else bmulti:
             row = {ot + r * nt + m: fa * v for m, v in aline}
             for m, v in bline:
                 key = os_ + m * ns + c
@@ -378,18 +354,6 @@ def _rows(ot, os_, ns, nt, fa, fb, acols, brows, multi_only=False):
                 else:  # a loop: f_v[r][c] on both sides cancels
                     del row[key]
             yield row
-
-
-def _hom_system(A: ExplicitRep, B: ExplicitRep):
-    """Echelon pivots of the integer system for {f_v} with f_t A_a = B_a f_s
-    per arrow a (see ``_rows``)."""
-    adims, bdims, offs, total, arrows = _frame(A, B)
-    pivots: Pivots = {}
-    for (s, t, aden, acols, _), (_, _, bden, _, brows) in arrows:
-        if adims[s] and bdims[t]:
-            for row in _rows(offs[t], offs[s], adims[s], adims[t], bden, aden, acols, brows):
-                _echelon_insert(pivots, row)
-    return pivots, adims, bdims, offs, total
 
 
 def _find(parent, ratio, p):
@@ -405,9 +369,10 @@ def _find(parent, ratio, p):
     return p, f
 
 
-def hom_dim_linalg(A: ExplicitRep, B: ExplicitRep) -> int:
-    """Dimension of Hom(A, B): the free stage-1 classes minus the rank of
-    the stage-2 rows (see the module docstring)."""
+def _solve(A: ExplicitRep, B: ExplicitRep):
+    """Both stages for the pair (see the module docstring): dim Hom, the
+    echelon pivots of the stage-2 rows over the class roots, the lists
+    parent, ratio and zero, and the offsets of the unknowns (``_frame``)."""
     adims, bdims, offs, total, arrows = _frame(A, B)
     parent = list(range(total))
     ratio = [1] * total  # x_p / x_parent[p], written only when not 1
@@ -439,7 +404,7 @@ def hom_dim_linalg(A: ExplicitRep, B: ExplicitRep) -> int:
                         zero[p] = True
                         free -= 1
         if amulti or bmulti:
-            later += _rows(ot, os_, ns, nt, bden, aden, acols, brows, True)
+            later += _rows(ot, os_, ns, nt, bden, aden, acols, brows)
         for r, q0, bv in bsing:
             base_t, base_s, rhs0 = ot + r * nt, os_ + q0 * ns, aden * bv
             for c, p0, av in asing:
@@ -450,15 +415,18 @@ def hom_dim_linalg(A: ExplicitRep, B: ExplicitRep) -> int:
                 rq, fq = parent[q], ratio[q]
                 if parent[rq] != rq:
                     rq, fq = _find(parent, ratio, q)
-                lhs, rhs = bden * av * fp, rhs0 * fq
+                lhs, rhs = bden * av * fp, rhs0 * fq  # lhs x_rp = rhs x_rq
                 if rp != rq:
-                    parent[rp] = rq
+                    if rq > rp:  # the larger unknown stays a root
+                        rp, rq = rq, rp
+                        lhs, rhs = rhs, lhs
+                    parent[rq] = rp
                     if lhs != rhs:
-                        ratio[rp] = Fraction(rhs, lhs)
-                    if not zero[rp]:
+                        ratio[rq] = Fraction(lhs, rhs)
+                    if not zero[rq]:
                         free -= 1
-                    elif not zero[rq]:
-                        zero[rq] = True
+                    elif not zero[rp]:
+                        zero[rp] = True
                         free -= 1
                 elif lhs != rhs and not zero[rp]:
                     zero[rp] = True
@@ -472,17 +440,54 @@ def hom_dim_linalg(A: ExplicitRep, B: ExplicitRep) -> int:
                 row[root] = row.get(root, 0) + v * f
         den = lcm(*(v.denominator for v in row.values()))
         free -= _echelon_insert(pivots, {p: int(v * den) for p, v in row.items() if v})
-    return free
+    return free, pivots, parent, ratio, zero, offs
+
+
+def hom_dim_linalg(A: ExplicitRep, B: ExplicitRep) -> int:
+    """Dimension of Hom(A, B): the free stage-1 classes minus the rank of
+    the stage-2 rows (see the module docstring)."""
+    return _solve(A, B)[0]
+
+
+def _null_space(A: ExplicitRep, B: ExplicitRep):
+    """The free roots of the pair, ascending, the offsets of the unknowns,
+    and ``point``: int values x at the free roots to a pair (m, X) of an
+    int m > 0 and the int vector X = m y, y the solution equal to x there,
+    by back substitution and the lift (see the module docstring)."""
+    _, pivots, parent, ratio, zero, offs = _solve(A, B)
+    # (p, root, rho_p); x never holds a zero class's root, so the class lifts to 0
+    lifts = [(p, *_find(parent, ratio, p)) for p in range(len(parent))]
+    den = lcm(*(f.denominator for _, _, f in lifts))
+    lifts = [(p, root, int(f * den)) for p, root, f in lifts]
+    order = sorted(pivots, reverse=True)
+
+    def point(x):
+        m = 1
+        for p in order:
+            lead, tail = pivots[p]
+            acc = sum(v * x[c] for c, v in tail.items() if c in x)
+            if acc:
+                g = gcd(acc, lead)
+                if g != lead:
+                    m *= lead // g
+                    x = {c: lead // g * v for c, v in x.items()}
+                x[p] = -acc // g
+        return m * den, {p: v for p, root, f in lifts if (v := f * x.get(root, 0))}
+
+    free = [p for p, root, _ in lifts if p == root and not zero[p] and p not in pivots]
+    return free, offs, point
 
 
 def hom_solution_basis(A: ExplicitRep, B: ExplicitRep):
-    """Basis of the intertwiner space as per-vertex matrices."""
-    pivots, adims, bdims, offs, total = _hom_system(A, B)
+    """Basis of the intertwiner space as per-vertex matrices: per free
+    root, ascending, the solution with a 1 there and 0 at the others."""
+    free, offs, point = _null_space(A, B)
+    adims, bdims = A.view[0], B.view[0]
     return [
         {v: tuple(tuple(Fraction(x.get(o + r * da + c, 0), m) for c in range(da))
                   for r in range(db))
          for v, da, db, o in zip(A.vertices, adims, bdims, offs)}
-        for m, x in _integer_basis(pivots, total)
+        for m, x in (point({f: 1}) for f in free)
     ]
 
 
@@ -497,29 +502,24 @@ def probe_seed(alg: AlgebraPresentation, *context: str) -> int:
 
 def exists_full_rank_hom(A: ExplicitRep, B: ExplicitRep, kind: str, seed: int) -> bool:
     """Whether some intertwiner is injective (kind='inj') or surjective
-    (kind='surj') at every vertex.
-
-    Ranks are evaluated at 8 pseudo-random points of the solution space
-    (see the module docstring); max rank is generic, so repetition bounds
-    false negatives.
-    """
+    (kind='surj') at every vertex: ranks at 8 pseudo-random points of the
+    solution space (see the module docstring); max rank is generic, so
+    repetition bounds false negatives."""
     if kind not in ("inj", "surj"):
         raise ValueError("kind must be 'inj' or 'surj'")
     adims, bdims = A.view[0], B.view[0]
     goals, bigger = (adims, bdims) if kind == "inj" else (bdims, adims)
     if any(g > d for g, d in zip(goals, bigger)):
         return False
-    pivots, adims, bdims, offs, total = _hom_system(A, B)
-    free = [c for c in range(total) if c not in pivots]
+    free, offs, point = _null_space(A, B)
     if not free:
         return not any(goals)
     blocks = [(o, da, db, g) for o, da, db, g in zip(offs, adims, bdims, goals) if g]
     import random
 
     rng = random.Random(seed)
-    order = sorted(pivots, reverse=True)
-    return any(_meets(_back_substitute(pivots, order, {f: rng.randint(-999, 999) for f in free})[1],
-                      blocks) for _ in range(8))
+    return any(_meets(point({f: rng.randint(-999, 999) for f in free})[1], blocks)
+               for _ in range(8))
 
 
 def _meets(point, blocks) -> bool:

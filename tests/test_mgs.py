@@ -389,10 +389,12 @@ def test_complete_from_prefix_ex43_fails_both_orders(double_arrows):
 
 
 # The first completion of each `mgs exists` order, with the search's nodes and
-# pruned subtrees, recorded while the search still placed simples by a
-# separate simple-order rule.  Every case gives the same at bounds 8 and 10.
+# pruned subtrees, the orders built from the band pool at the pools' band
+# bound as `mgs exists` builds them.  Every case gives the same at bounds 8
+# and 10; the gentle5 simples row is the `completed` that `mgs exists
+# --method simples` prints there.
 FIRST_COMPLETIONS = [
-    ("gentle5", "simples", ("e:3", "e:4", "e:1", "b1", "e:2", "e:5"), 8, 1),
+    ("gentle5", "simples", ("e:2", "b2", "e:3", "g1", "e:4", "e:1", "e:5"), 13, 2),
     ("gentle5", "gentle", ("e:4", "e:1", "e:3", "e:5", "b1 g2-", "b1", "g2", "e:2"), 14, 5),
     ("mgs5", "simples", ("e:2", "e:1", "b2", "e:3", "e:4", "e:5"), 8, 1),
     ("mgs5", "gentle", ("e:2", "e:1", "b2", "e:3", "e:4", "e:5"), 8, 1),
@@ -410,10 +412,9 @@ FIRST_COMPLETIONS = [
 @pytest.mark.parametrize("name, method, expected, nodes, pruned", FIRST_COMPLETIONS)
 def test_complete_from_prefix_pinned(request, name, method, expected, nodes, pruned, bound):
     alg = request.getfixturevalue(name)
-    pool = band_pool(alg, bound // 2)
-    construction = simple_order_socle_first if method == "simples" else domestic_gentle_order
-    order = construction(alg, pool).order
     pools = build_brick_pools(alg, bound)
+    construction = simple_order_socle_first if method == "simples" else domestic_gentle_order
+    order = construction(alg, band_pool(alg, pools.band_bound)).order
     seq = complete_from_prefix(alg, pools, order)
     assert (seq if seq is None else tuple(map(str, seq))) == expected
     result = _Searcher(pools, HomTable(alg)).run(
@@ -530,14 +531,14 @@ def test_band_brick_refines_and_prunes(a12tilde):
 ])
 def test_pruning_keeps_first_prefix_completion(request, name, max_len, method):
     alg = request.getfixturevalue(name)
-    pool = band_pool(alg, max_len // 2)
+    pools = build_brick_pools(alg, max_len)
+    pool = band_pool(alg, pools.band_bound)
     if method == "simples":
         order = simple_order_socle_first(alg, pool).order
     else:
         order = domestic_gentle_order(alg, pool).order
     pruned, reference = pruned_and_reference(
-        alg, build_brick_pools(alg, max_len), require_subsequence=simples(alg, order),
-        stop_at_first=True)
+        alg, pools, require_subsequence=simples(alg, order), stop_at_first=True)
     assert pruned.sequences == reference.sequences
 
 

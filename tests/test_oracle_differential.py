@@ -9,7 +9,6 @@ oracle at sampled band parameters."""
 import random
 from fractions import Fraction
 from itertools import product
-from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -63,7 +62,7 @@ def _ref_echelon_insert(pivots, row):
     return False
 
 
-def _ref_hom_system(A, B):
+def _ref_system(A, B):
     """Dense loops over every equation (r, c) of every arrow, in Fractions."""
     adims, bdims = dict(A.dims), dict(B.dims)
     offsets, total = {}, 0
@@ -97,7 +96,7 @@ def _ref_hom_system(A, B):
 
 
 def ref_hom_dim(A, B):
-    rows, total, *_ = _ref_hom_system(A, B)
+    rows, total, *_ = _ref_system(A, B)
     pivots = {}
     return total - sum(_ref_echelon_insert(pivots, row) for row in rows)
 
@@ -109,7 +108,7 @@ def ref_matrix_rank(mat):
 
 
 def ref_hom_solution_basis(A, B):
-    rows, total, offsets, adims, bdims = _ref_hom_system(A, B)
+    rows, total, offsets, adims, bdims = _ref_system(A, B)
     pivots = {}
     for row in rows:
         _ref_echelon_insert(pivots, row)
@@ -154,11 +153,11 @@ def _assert_same(A, B):
     basis, ref = hom_solution_basis(A, B), ref_hom_solution_basis(A, B)
     assert basis == ref
     assert len(basis) == dim
-    # integer back substitution: m x for each reference vector x, m > 0
-    pivots, adims, bdims, offs, total = oracle._hom_system(A, B)
-    scaled = oracle._integer_basis(pivots, total)
-    assert len(scaled) == len(ref)
-    for (m, x), want in zip(scaled, ref):
+    # the kernel's integer points: m x for each reference vector x, m > 0
+    free, offs, point = oracle._null_space(A, B)
+    adims, bdims = A.view[0], B.view[0]
+    assert len(free) == len(ref)
+    for (m, x), want in zip((point({f: 1}) for f in free), ref):
         assert type(m) is int and m > 0
         assert all(type(e) is int and e for e in x.values())
         assert x == {
@@ -418,39 +417,22 @@ def test_separate_loads_solve_without_dense_matrices(data_dir, kronecker, a2):
     assert "mats" not in A.__dict__ and "mats" not in B.__dict__
 
 
-def _basis_by_columns(pivots, ncols):
-    """The integer null-space basis as the sampler once built it: per free
-    column f, back substitution from x_f = 1 alone, as (m, m x)."""
-    order = sorted(pivots, reverse=True)
-    basis = []
-    for f in (c for c in range(ncols) if c not in pivots):
-        m, x = 1, {f: 1}
-        for p in order:
-            lead, tail = pivots[p]
-            acc = sum(v * x[c] for c, v in tail.items() if c in x)
-            if acc:
-                g = gcd(acc, lead)
-                if g != lead:
-                    m *= lead // g
-                    x = {c: lead // g * v for c, v in x.items()}
-                x[p] = -acc // g
-        basis.append((m, x))
-    return basis
-
-
 def _combined_points(A, B, seed):
-    """The 8 probe points sum c_k (L / m_k) X_k over that basis, L the LCM
-    of the m_k, with the draws of exists_full_rank_hom."""
-    pivots, *_, total = oracle._hom_system(A, B)
-    basis = _basis_by_columns(pivots, total)
+    """The 8 probe points sum c_k x_k over the reference basis, in
+    Fractions, with the draws of exists_full_rank_hom, as {index: value}
+    over the unknowns."""
+    _, _, offsets, adims, bdims = _ref_system(A, B)
+    basis = ref_hom_solution_basis(A, B)
     rng = random.Random(seed)
-    scale = lcm(*(m for m, _ in basis))
     points = []
     for _ in range(8):
         point = {}
-        for coeff, (m, x) in zip([rng.randint(-999, 999) * (scale // m) for m, _ in basis], basis):
-            for i, v in x.items():
-                point[i] = point.get(i, 0) + coeff * v
+        for coeff, vec in zip([rng.randint(-999, 999) for _ in basis], basis):
+            for v, mat in vec.items():
+                for r, row in enumerate(mat):
+                    for c, x in enumerate(row):
+                        i = offsets[v] + r * adims[v] + c
+                        point[i] = point.get(i, 0) + coeff * x
         points.append(point)
     return points
 
@@ -465,22 +447,24 @@ def _positive_multiple(new, old) -> bool:
 
 
 def _assert_probes_agree(cases, monkeypatch):
-    """Each point exists_full_rank_hom ranks is a positive multiple of the
-    combined-basis point with the same draws, and both give one verdict."""
+    """The basis equals the reference basis, each point exists_full_rank_hom
+    ranks is a positive multiple of the combined reference-basis point with
+    the same draws, and both give one verdict."""
     meets, drawn = oracle._meets, []
     monkeypatch.setattr(oracle, "_meets", lambda point, blocks: (
         drawn.append((point, blocks)) or meets(point, blocks)))
     verdicts = set()
     for A, B, kind, seed in cases:
+        assert hom_solution_basis(A, B) == ref_hom_solution_basis(A, B)
         drawn.clear()
         got = exists_full_rank_hom(A, B, kind, seed)
         verdicts.add(got)
         if not drawn:  # decided by the dimensions alone
             continue
-        old = _combined_points(A, B, seed)
+        ref = _combined_points(A, B, seed)
         blocks = drawn[0][1]
-        assert all(_positive_multiple(point, o) for (point, _), o in zip(drawn, old))
-        hits = [meets(o, blocks) for o in old]
+        assert all(_positive_multiple(point, r) for (point, _), r in zip(drawn, ref))
+        hits = [meets(r, blocks) for r in ref]
         assert got == any(hits)
         assert len(drawn) == (hits.index(True) + 1 if got else 8)
     assert verdicts == {True, False}
@@ -512,6 +496,27 @@ def test_probe_points_are_multiples_of_combined_basis_points_on_random_gentle(mo
         S = to_explicit(string_module(alg, w))
         B = to_explicit(band_module(alg, rng.choice(bands).canonical, lam, k))
         cases += [(S, B, "inj", rng.randrange(2 ** 32)), (B, S, "surj", rng.randrange(2 ** 32))]
+    _assert_probes_agree(cases, monkeypatch)
+
+
+def test_probe_points_are_multiples_of_combined_basis_points_on_band_pairs(data_dir, monkeypatch):
+    # band against band, a band against itself at another lambda among them:
+    # the probe points lift over non-unit ratios, past classes forced to
+    # zero and through stage-2 rows (k = 2)
+    rng = random.Random(7)
+    cases, stage2, ratios, zeros = [], 0, 0, 0
+    for name in [n for n in ALGEBRAS if n != "a2"]:
+        alg = load_algebra(data_dir / f"{name}.alg")
+        bands = [to_explicit(band_module(alg, rec.canonical, lam, k))
+                 for rec in enumerate_bands(alg, 4)
+                 for lam in (Fraction(1), Fraction(2), Fraction(-1, 2)) for k in (1, 2)]
+        for A, B in product(bands, repeat=2):
+            _, pivots, parent, ratio, zero, _ = oracle._solve(A, B)
+            stage2 += bool(pivots)
+            ratios += any(f != 1 for f in ratio)
+            zeros += any(zero)
+            cases += [(A, B, kind, rng.randrange(2 ** 32)) for kind in ("inj", "surj")]
+    assert stage2 and ratios and zeros
     _assert_probes_agree(cases, monkeypatch)
 
 
