@@ -7,10 +7,9 @@ The names below are re-exported from their modules on first access
 _EXPORTS = {
     "algebra": """AlgebraError AlgebraParseError AlgebraPresentation Arrow AxiomReport
         Letter load_algebra parse_algebra validate_axioms vertex_arrow_count""",
-    "words": """BandPool BandRecord Walk WalkError band_equivalent band_pool
-        canonical_rotation canonical_string enumerate_bands enumerate_strings
-        is_band is_directed is_minimal_band is_string make_walk
-        maximal_w_substrings parse_walk supported_on""",
+    "words": """Walk WalkError band_equivalent canonical_rotation canonical_string
+        enumerate_bands enumerate_strings is_band is_directed is_minimal_band
+        is_string make_walk maximal_w_substrings parse_walk supported_on""",
     "modules": """BandModuleRep BrickInfo ModuleError StringModuleRep band_end_dim
         band_module band_top_socle enumerate_bricks hom_classes hom_dim hom_dim_band_string
         hom_dim_string_band is_brick string_module top_socle""",

@@ -41,68 +41,69 @@ class Arrow(NamedTuple):
 
 class Letter(NamedTuple):
     arrow: str
-    sign: int  # +1 direct, -1 inverse
+    bit: int  # 0 direct, 1 inverse
 
     def inverse(self) -> "Letter":
-        return Letter(self.arrow, -self.sign)
+        return Letter(self.arrow, 1 - self.bit)
 
     def __str__(self) -> str:
-        return self.arrow + ("-" if self.sign < 0 else "")
+        return self.arrow + ("-" if self.bit else "")
 
 
 class StringAutomaton(dict):
     """Maps each state to its steps, computed when the state is first read.
 
-    A walk is a string iff no forbidden factor occurs in its key letters
-    (arrow, 0 direct | 1 inverse): a backtrack, a minimal relation in direct
-    letters, or one read backwards in inverse letters.  A string walk's
-    state is its last min(n, r - 1) key letters, r being the longest
-    factor, or its vertex if it has no letter.  A state's steps are
-    (letter, key letter, target, next state), one per letter that may
-    follow, in key-letter order; every factor that ends in the new letter
+    A walk is a string iff no forbidden factor occurs in its letters: a
+    backtrack, a minimal relation in direct letters, or one read backwards
+    in inverse letters.  A string walk's state is its last min(n, r - 1)
+    letters, r being the longest factor, or its vertex if it has no letter.
+    A state's steps are (letter, target, next state), one per letter that
+    may follow, in letter order; every factor that ends in the new letter
     lies within the state and that letter.  The automaton holds no
     reference to the presentation, so it forms no reference cycle."""
 
     def __init__(self, alg: AlgebraPresentation):
         super().__init__()
         self.window = alg.max_relation_length - 1
-        # the forbidden factors by their last key letter
-        self.ending: dict[tuple[str, int], list[tuple]] = {}
+        # the forbidden factors by their last letter
+        self.ending: dict[Letter, list[tuple[Letter, ...]]] = {}
         for a in alg.arrows:
             for bit in (0, 1):
-                self.ending[a.name, bit] = [((a.name, 1 - bit), (a.name, bit))]
+                letter = Letter(a.name, bit)
+                self.ending[letter] = [(letter.inverse(), letter)]
         for r in alg.minimal_relations:
-            self.ending[r[-1], 0].append(tuple((a, 0) for a in r))
-            self.ending[r[0], 1].append(tuple((a, 1) for a in reversed(r)))
-        # (key letter, letter, target) per letter leaving a vertex, in
-        # key-letter order; after a key letter, those of the vertex it ends at
+            self.ending[r[-1], 0].append(tuple(Letter(a, 0) for a in r))
+            self.ending[r[0], 1].append(tuple(Letter(a, 1) for a in reversed(r)))
+        # (letter, target) per letter leaving a vertex, in letter order;
+        # after a letter, those of the vertex it ends at
         leaving: dict = {v: [] for v in alg.vertices}
         for a in alg.arrows:
-            leaving[a.source].append(((a.name, 0), Letter(a.name, +1), a.target))
-            leaving[a.target].append(((a.name, 1), Letter(a.name, -1), a.source))
+            leaving[a.source].append((Letter(a.name, 0), a.target))
+            leaving[a.target].append((Letter(a.name, 1), a.source))
         for options in leaving.values():
             options.sort()
         for a in alg.arrows:
-            leaving[a.name, 0], leaving[a.name, 1] = leaving[a.target], leaving[a.source]
+            leaving[Letter(a.name, 0)] = leaving[a.target]
+            leaving[Letter(a.name, 1)] = leaving[a.source]
         self.leaving = leaving
 
     def __missing__(self, state) -> tuple:
         prefix, last = ((), state) if isinstance(state, str) else (state, state[-1])
         steps = []
-        for k, letter, target in self.leaving[last]:
-            grown = prefix + (k,)
-            if not any(grown[-len(f):] == f for f in self.ending[k]):
-                steps.append((letter, k, target, grown[-self.window:]))
+        for letter, target in self.leaving[last]:
+            grown = prefix + (letter,)
+            if not any(grown[-len(f):] == f for f in self.ending[letter]):
+                steps.append((letter, target, grown[-self.window:]))
         self[state] = steps = tuple(steps)
         return steps
 
-    def spells_string(self, keys: tuple[tuple[str, int], ...]) -> bool:
-        """Whether the key letters compose and contain no forbidden factor."""
-        state = keys[:1]
-        for k in keys[1:]:
-            # move to the next state of the step that reads k, if there is one
-            for _, step, _, state in self[state]:
-                if step == k:
+    def spells_string(self, letters: tuple[Letter, ...]) -> bool:
+        """Whether the letters compose and contain no forbidden factor."""
+        state = letters[:1]
+        for letter in letters[1:]:
+            # move to the next state of the step that reads letter, if there is one
+            for step, _, state in self[state]:
+                if step == letter:
                     break
             else:
                 return False
@@ -214,7 +215,7 @@ class AlgebraPresentation:
         """True iff the path is zero in KQ/I: some relation occurs in it as
         a contiguous subpath (for a monomial ideal, membership in I), or it
         does not compose."""
-        return not self.string_automaton.spells_string(tuple((a, 0) for a in path))
+        return not self.string_automaton.spells_string(tuple(Letter(a, 0) for a in path))
 
     @cached_property
     def string_automaton(self) -> StringAutomaton:
@@ -333,14 +334,14 @@ def _unbounded_path_witness(alg: AlgebraPresentation) -> str | None:
     come in arrow file order.
     """
     automaton = alg.string_automaton
-    order = {(a.name, 0): i for i, a in enumerate(alg.arrows)}
+    order = {a.name: i for i, a in enumerate(alg.arrows)}
 
     def direct(s):  # the next states of s's direct steps, in arrow order
-        return sorted((to for _, k, _, to in automaton[s] if k in order),
-                      key=lambda to: order[to[-1]])
+        return sorted((to for letter, _, to in automaton[s] if not letter.bit),
+                      key=lambda to: order[to[-1].arrow])
 
     # a state shorter than R-1 steps to itself grown by the letter
-    states = [((a.name, 0),) for a in alg.arrows]
+    states = [(Letter(a.name, 0),) for a in alg.arrows]
     for _ in range(alg.max_relation_length - 2):
         states = [t for s in states for t in direct(s)]
     succ = {s: direct(s) for s in states}

@@ -247,12 +247,12 @@ def _cmd_strings(alg, args):
 
 
 def _cmd_bands(alg, args):
-    from .words import enumerate_bands
+    from .words import enumerate_bands, is_minimal_band
 
-    records = enumerate_bands(alg, args.max_len)
     return {
         "max_len": args.max_len,
-        "bands": [{"band": str(r.canonical), "minimal": r.is_minimal} for r in records],
+        "bands": [{"band": str(w), "minimal": is_minimal_band(alg, w)}
+                  for w in enumerate_bands(alg, args.max_len)],
     }, None
 
 
@@ -347,7 +347,7 @@ def _cmd_mgs(alg, args):
         is_weakly_fho,
         simple_order_socle_first,
     )
-    from .words import band_pool
+    from .words import enumerate_bands
 
     if args.mgs_cmd == "enumerate":
         pools = _pools_for(alg, args)
@@ -386,9 +386,9 @@ def _cmd_mgs(alg, args):
         return payload, pools.descriptor(), code
     # exists
     pools = _pools_for(alg, args)
-    pool = band_pool(alg, pools.band_bound)
+    bands = enumerate_bands(alg, pools.band_bound)
     if args.method == "simples":
-        res = simple_order_socle_first(alg, pool)
+        res = simple_order_socle_first(alg, bands)
         payload = {
             "method": "simples",
             "hypothesis_holds": res.hypothesis_holds,
@@ -399,7 +399,7 @@ def _cmd_mgs(alg, args):
         }
         order = res.order
     else:
-        res = domestic_gentle_order(alg, pool)
+        res = domestic_gentle_order(alg, bands)
         payload = {
             "method": "gentle",
             "chunks": [list(c) for c in res.chunks],

@@ -12,7 +12,7 @@ def render_diagram(w: Walk) -> list[str]:
         return [w.vertices[0]]
     heights = [0]
     for letter in w.letters:
-        heights.append(heights[-1] + (1 if letter.sign > 0 else -1))
+        heights.append(heights[-1] + (-1 if letter.bit else 1))
     base = min(heights)
     heights = [h - base for h in heights]
 
@@ -29,10 +29,7 @@ def render_diagram(w: Walk) -> list[str]:
 
     for i, v in enumerate(labels):
         put(2 * heights[i], cell * i, v)
-    for i, letter in enumerate(w.letters):
-        h = heights[i]
-        if letter.sign > 0:
-            put(2 * h + 1, cell * i + 1, "\\" + letter.arrow)
-        else:
-            put(2 * heights[i + 1] + 1, cell * i + 1, "/" + letter.arrow)
+    # a letter sits below its upper end: its start if direct, its end if inverse
+    for i, (arrow, bit) in enumerate(w.letters):
+        put(2 * heights[i + bit] + 1, cell * i + 1, "\\/"[bit] + arrow)
     return [("".join(row)).rstrip() for row in grid]

@@ -28,6 +28,7 @@ from .words import (
     enumerate_strings,
     is_band,
     is_directed,
+    is_minimal_band,
     is_string,
     maximal_w_substrings,
     periodic_factor,
@@ -113,8 +114,8 @@ def run_lemma_suite(alg: AlgebraPresentation, max_string_len: int,
     pools = build_brick_pools(alg, max_string_len)
     strings = enumerate_strings(alg, max_string_len)
     bricks = [info.walk for info in enumerate_bricks(alg, max_string_len)]
-    band_records = enumerate_bands(alg, band_bound)
-    bands = [r.canonical for r in band_records]
+    bands = enumerate_bands(alg, band_bound)
+    minimal = [w for w in bands if is_minimal_band(alg, w)]
 
     report = LemmaSuiteReport({"max_string_len": max_string_len, "band_bound": band_bound,
                                "lambdas": [str(l) for l in _LAMBDAS]})
@@ -123,8 +124,7 @@ def run_lemma_suite(alg: AlgebraPresentation, max_string_len: int,
         report.notes.append("no bands within bounds; band lemmas are vacuous")
 
     # --- sweep 1: each band w and each brick gamma supported on w
-    for rec in band_records:
-        w = rec.canonical
+    for w in bands:
         for gamma in bricks:
             # gamma is supported on w iff it has a maximal w-substring
             maximal = maximal_w_substrings(gamma, w)
@@ -177,7 +177,7 @@ def run_lemma_suite(alg: AlgebraPresentation, max_string_len: int,
             # dual-host instances: k = 1 maximal substrings over a minimal
             # band that are also quotients/submodules of a second brick
             chk = report.dual_host_shaped
-            if rec.is_minimal:
+            if w in minimal:
                 for m in maximal:
                     if m.power != 1:
                         continue
@@ -213,7 +213,7 @@ def run_lemma_suite(alg: AlgebraPresentation, max_string_len: int,
             chk.counterexamples.append(f"band root {root} missing from enumerated pool")
 
     # --- sweep 2: each minimal band w and each string u^k v over it
-    for w in (r.canonical for r in band_records if r.is_minimal):
+    for w in minimal:
         for u, k, v, walk in _band_power_prefix_strings(w, max_string_len):
             brick = is_brick(alg, walk)
 

@@ -68,12 +68,7 @@ from .modules import (
     hom_dim_string_band,
     is_brick,
 )
-from .words import (
-    BandPool,
-    Walk,
-    canonical_string,
-    enumerate_bands,
-)
+from .words import Walk, canonical_string, enumerate_bands
 
 
 class BudgetExhausted(Exception):
@@ -209,8 +204,7 @@ def build_brick_pools(alg: AlgebraPresentation, max_string_len: int,
             excluded.append((info.walk, info.band_square_supports[0]))
         else:
             member.append(info.walk)
-    bands = tuple(rec.canonical for rec in enumerate_bands(alg, band_bound)
-                  if band_end_dim(alg, rec.canonical) == 1)
+    bands = tuple(b for b in enumerate_bands(alg, band_bound) if band_end_dim(alg, b) == 1)
     return BrickPools(
         member=tuple(member),
         insertion_strings=tuple(info.walk for info in infos),
@@ -493,7 +487,8 @@ class SocleFirstResult(NamedTuple):
     order: tuple[str, ...]
 
 
-def simple_order_socle_first(alg: AlgebraPresentation, pool: BandPool) -> SocleFirstResult:
+def simple_order_socle_first(alg: AlgebraPresentation,
+                             bands: tuple[Walk, ...]) -> SocleFirstResult:
     """Check that no simple sits in the top of one band module and the socle
     of another, and order the simples socle-appearing first.
 
@@ -503,7 +498,7 @@ def simple_order_socle_first(alg: AlgebraPresentation, pool: BandPool) -> SocleF
     """
     tops: dict[str, Walk] = {}
     socles: dict[str, Walk] = {}
-    for w in pool.bands:
+    for w in bands:
         t, s = band_top_socle(w)
         for v in t:
             tops.setdefault(v, w)
@@ -518,33 +513,33 @@ def simple_order_socle_first(alg: AlgebraPresentation, pool: BandPool) -> SocleF
     return SocleFirstResult(not witnesses, witnesses, tuple(socle_simples + rest))
 
 
-def _run(w: Walk, i: int, step: int, sign: int):
+def _run(w: Walk, i: int, step: int, bit: int):
     """The arrows of the band's letters from letter i on, read cyclically
-    in steps of step while their sign holds, and the vertex the run stops at."""
+    in steps of step while their bit holds, and the vertex the run stops at."""
     d = w.length
     arrows = []
-    while w.letters[i].sign == sign:
+    while w.letters[i].bit == bit:
         arrows.append(w.letters[i].arrow)
         i = (i + step) % d
     return arrows, w.vertices[(i + (step < 0)) % d]
 
 
 def _pick_run(alg: AlgebraPresentation, band: Walk, vertex: str,
-              arrow: str | None, sign: int):
-    """The least relation-free path of the band from a peak (sign +1) or
-    into a valley (sign -1) at vertex, as (arrows in composition order,
+              arrow: str | None, bit: int):
+    """The least relation-free path of the band from a peak (bit 0) or
+    into a valley (bit 1) at vertex, as (arrows in composition order,
     other end): a descent composed after arrow, or an ascent before it."""
     options = []
-    for p in band_turns(band, sign):
+    for p in band_turns(band, bit):
         if band.vertices[p] != vertex:
             continue
-        for arrows, end in (_run(band, p, +1, sign), _run(band, p - 1, -1, -sign)):
-            path = tuple(arrows if sign > 0 else reversed(arrows))  # never empty
+        for arrows, end in (_run(band, p, +1, bit), _run(band, p - 1, -1, 1 - bit)):
+            path = tuple(reversed(arrows) if bit else arrows)  # never empty
             if arrow is None or not alg.path_contains_relation(
-                    (arrow, path[0]) if sign > 0 else (path[-1], arrow)):
+                    (path[-1], arrow) if bit else (arrow, path[0])):
                 options.append((path, end))
     if not options:
-        way = "descent from" if sign > 0 else "ascent into"
+        way = "ascent into" if bit else "descent from"
         raise TheoremCounterexample(f"no relation-free {way} {vertex} in band {band}")
     return min(options)
 
@@ -554,10 +549,11 @@ class GentleOrderResult(NamedTuple):
     order: tuple[str, ...]
 
 
-def domestic_gentle_order(alg: AlgebraPresentation, pool: BandPool) -> GentleOrderResult:
+def domestic_gentle_order(alg: AlgebraPresentation,
+                          bands: tuple[Walk, ...]) -> GentleOrderResult:
     """The constructive simple ordering for domestic gentle algebras.
 
-    Over the bands with no simple in both top and socle, in pool order: a
+    Over the bands with no simple in both top and socle, in the given order: a
     chain starts at the least top simple of the first band left and follows
     relation-free descents, each from a simple on top of a band to a socle
     simple, with a nonzero junction, until no band has its simple on top.
@@ -572,19 +568,19 @@ def domestic_gentle_order(alg: AlgebraPresentation, pool: BandPool) -> GentleOrd
     if not report.is_gentle:
         raise ValueError("construction requires a gentle algebra")
 
-    top_socle = {w: band_top_socle(w) for w in pool.bands}
-    remaining = [w for w in pool.bands if not set(top_socle[w][0]) & set(top_socle[w][1])]
+    top_socle = {w: band_top_socle(w) for w in bands}
+    remaining = [w for w in bands if not set(top_socle[w][0]) & set(top_socle[w][1])]
 
-    def walk(chain: list, vertex: str, arrow: str | None, sign: int):
-        """Grow the chain by descents at its end (sign +1) or by ascents at
-        its start (sign -1); returns the first path taken."""
+    def walk(chain: list, vertex: str, arrow: str | None, bit: int):
+        """Grow the chain by descents at its end (bit 0) or by ascents at
+        its start (bit 1); returns the first path taken."""
         first = None
-        while cands := [w for w in remaining if vertex in top_socle[w][0 if sign > 0 else 1]]:
-            path, vertex = _pick_run(alg, cands[0], vertex, arrow, sign)
+        while cands := [w for w in remaining if vertex in top_socle[w][bit]]:
+            path, vertex = _pick_run(alg, cands[0], vertex, arrow, bit)
             if vertex in chain:
                 raise TheoremCounterexample(f"simple {vertex} repeats along the chain {chain}")
-            chain.insert(len(chain) if sign > 0 else 0, vertex)
-            arrow = path[-1] if sign > 0 else path[0]
+            chain.insert(0 if bit else len(chain), vertex)
+            arrow = path[0] if bit else path[-1]
             first = first or path
         return first
 
@@ -595,8 +591,8 @@ def domestic_gentle_order(alg: AlgebraPresentation, pool: BandPool) -> GentleOrd
         chain = [a1]
         # a1 is on top of the first band left; the ascents compose before
         # the chain's first descent
-        first = walk(chain, a1, None, +1)
-        walk(chain, a1, first[0], -1)
+        first = walk(chain, a1, None, 0)
+        walk(chain, a1, first[0], 1)
         ordered_chunk = tuple(reversed(chain))
         if set(ordered_chunk) & used_simples:
             raise TheoremCounterexample(

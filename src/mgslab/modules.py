@@ -25,8 +25,8 @@ from typing import NamedTuple
 from .algebra import AlgebraPresentation
 from .words import (
     Walk,
-    band_pool,
     canonical_string,
+    enumerate_bands,
     enumerate_strings,
     is_band,
     is_string,
@@ -79,7 +79,7 @@ def string_module(alg: AlgebraPresentation, w: Walk) -> StringModuleRep:
         dims[v] += 1
     actions: dict[str, list[tuple[int, int]]] = {}
     for i, letter in enumerate(w.letters, start=1):
-        actions.setdefault(letter.arrow, []).append((i, i + 1) if letter.sign > 0 else (i + 1, i))
+        actions.setdefault(letter.arrow, []).append((i + 1, i) if letter.bit else (i, i + 1))
     return StringModuleRep(
         alg,
         w,
@@ -114,30 +114,29 @@ def top_socle(M: StringModuleRep) -> tuple[tuple[str, ...], tuple[str, ...]]:
                  for counts in _class_counts(M.alg, M.walk))
 
 
-def band_turns(w: Walk, sign: int) -> list[int]:
-    """Cyclic peak (sign +1) or valley (sign -1) positions, 0-based, of a
-    band: letter p has the sign, letter p-1 the opposite one."""
+def band_turns(w: Walk, bit: int) -> list[int]:
+    """Cyclic peak (bit 0) or valley (bit 1) positions, 0-based, of a band:
+    letter p has the bit, letter p-1 the other one."""
     return [p for p in range(w.length)
-            if w.letters[p - 1].sign == -sign and w.letters[p].sign == sign]
+            if w.letters[p - 1].bit != bit and w.letters[p].bit == bit]
 
 
 def band_top_socle(w: Walk) -> tuple[tuple[str, ...], tuple[str, ...]]:
     """Top and socle of M(w, lambda, 1), read from the band's cyclic peaks
     and valleys; independent of lambda."""
-    return tuple(tuple(sorted(w.vertices[p] for p in band_turns(w, sign)))
-                 for sign in (+1, -1))
+    return tuple(tuple(sorted(w.vertices[p] for p in band_turns(w, bit))) for bit in (0, 1))
 
 
 def _scan(letters: tuple, vertices: tuple[str, ...], spans: list) -> tuple[dict, dict]:
     """(quotient, submodule) occurrence counts per word class up to
-    inversion, over the spans (i, j) of a host given by its key letters
-    and vertices: host letters i..j-1 (0-based), or vertex i when i = j.
+    inversion, over the spans (i, j) of a host given by its letters and
+    vertices: host letters i..j-1 (0-based), or vertex i when i = j.
     A key is read from the host letters and their inverse: host letters
     i..j-1, inverted, are letters d-j..d-i-1.
 
     An occurrence is quotient-shaped when its left boundary letter is
     inverse and its right one direct, submodule-shaped for the opposite
-    signs; a missing boundary, past either end of the host, fits both."""
+    bits; a missing boundary, past either end of the host, fits both."""
     d = len(letters)
     inverse = tuple((arrow, 1 - bit) for arrow, bit in reversed(letters))
     sides = (2, *(bit for _, bit in letters), 2)  # 2 stands for a missing letter
@@ -178,7 +177,7 @@ def _string_counts(alg: AlgebraPresentation, w: Walk) -> tuple[dict, dict]:
     """The scan of :func:`_class_counts` for a walk known to be a string,
     memoised for it and its canonical form.  Both orientations share the
     counts of the canonical one: inverting the host swaps the boundary
-    letters and their signs."""
+    letters and their bits."""
     memo = alg.walk_memo
     c = canonical_string(w)
     counts = memo.get(c)
@@ -186,7 +185,7 @@ def _string_counts(alg: AlgebraPresentation, w: Walk) -> tuple[dict, dict]:
         d = c.length
         spans = [(p, p) for p in range(d + 1)]
         spans += [(i, j) for i in range(d) for j in range(i + 1, d + 1)]
-        counts = memo[c] = _scan(c.key()[1] if d else (), c.vertices, spans)
+        counts = memo[c] = _scan(c.letters, c.vertices, spans)
     memo[w] = counts
     return counts
 
@@ -205,7 +204,7 @@ def _band_counts(alg: AlgebraPresentation, band: Walk, max_len: int) -> tuple[di
     # a period of starts, the longest word and the letter on either side
     copies = max_len // n + 3
     spans = [(i, i + m) for i in range(n, 2 * n) for m in range(max_len + 1)]
-    quotient, submodule = _scan(band.key()[1] * copies, band.vertices[:-1] * copies, spans)
+    quotient, submodule = _scan(band.letters * copies, band.vertices[:-1] * copies, spans)
     memo[band] = (max_len, quotient, submodule)
     return quotient, submodule
 
@@ -272,10 +271,9 @@ def _short_witness(w: Walk) -> bool:
     """Whether some word of length <= 2, shorter than the string w, has a
     quotient-shaped and a submodule-shaped occurrence in w (the shapes of
     :func:`_scan`).  A word of length 0 is its vertex, of length 1 its
-    arrow, of length 2 the smaller of its key letters and their inverse.
+    arrow, of length 2 the smaller of its letters and their inverse.
     Scans w as given: inverting the host keeps every occurrence's shape."""
-    d = w.length
-    letters = w.key()[1] if d else ()
+    d, letters = w.length, w.letters
     sides = (2, *(bit for _, bit in letters), 2)  # 2 stands for a missing letter
     words = w.vertices
     for m in range(min(d, 3)):
@@ -329,9 +327,9 @@ def enumerate_bricks(alg: AlgebraPresentation, max_len: int) -> tuple[BrickInfo,
     key = ("bricks", max_len)
     if key in alg.memo:
         return alg.memo[key]
-    pool = band_pool(alg, max_len // 2)
+    bands = enumerate_bands(alg, max_len // 2)
     strings = enumerate_strings(alg, max_len)  # strings, so left unchecked
     brickhood = pmap(lambda w: _string_is_brick(alg, w), strings)
     return alg.memo.setdefault(key, tuple(
-        BrickInfo(w, tuple(b for b in pool.bands if supported_on(w, b, 2)))
+        BrickInfo(w, tuple(b for b in bands if supported_on(w, b, 2)))
         for w, ok in zip(strings, brickhood) if ok))

@@ -281,10 +281,10 @@ def _band_entries(M: BandModuleRep):
     entries = []
     for i, letter in enumerate(w.letters):
         src, dst = i, (i + 1) % d
-        if letter.sign < 0:
+        if letter.bit:
             src, dst = dst, src
         last = i == d - 1
-        diag = (lam if letter.sign > 0 else 1 / lam) if last else 1
+        diag = (1 / lam if letter.bit else lam) if last else 1
         r0, c0 = slot[dst], slot[src]
         for j in range(k):
             entries.append((letter.arrow, r0 + j, c0 + j, diag))

@@ -1,16 +1,17 @@
 """Walks, strings, and bands over an algebra presentation.
 
-A walk is a composable word in arrows and inverse arrows.  A string is a
-walk with no immediate backtracking such that neither the walk nor its
-inverse contains a relation as a directed subpath: a walk whose key letters
-(arrow, 0 direct | 1 inverse) run through the presentation's string
-automaton (``AlgebraPresentation.string_automaton``).  Strings grow on it
-a letter at a time: a walk grown on it gets its key from its parent's, and
-tests no factor.  The walks grown for the longest length bound asked so far
-serve every shorter bound.  Bands are primitive cyclic strings all of whose
-powers are strings; they are identified up to rotation and inversion.
-Nothing reassigns a walk; walks compare, hash and sort by their key
-(``Walk.key``), and enumerations are memoised on ``alg.memo``.
+A walk is a composable word in arrows and inverse arrows, each letter an
+(arrow, bit) pair, bit 0 direct and 1 inverse.  A string is a walk with no
+immediate backtracking such that neither the walk nor its inverse contains
+a relation as a directed subpath: a walk whose letters run through the
+presentation's string automaton (``AlgebraPresentation.string_automaton``).
+Strings grow on it a letter at a time, testing no factor.  The walks grown
+for the longest length bound asked so far serve every shorter bound.  Bands
+are primitive cyclic strings all of whose powers are strings; they are
+identified up to rotation and inversion, and ``enumerate_bands`` gives one
+canonical walk per class.  Nothing reassigns a walk; walks compare, hash
+and sort by their key (``Walk.key``), and enumerations are memoised on
+``alg.memo``.
 
 A maximal w-substring carries its own shape, read off its two boundary
 letters.  Whether a word sits as a quotient or a submodule of some host is
@@ -36,17 +37,17 @@ class Walk:
     is the trivial path e_i at ``vertices[0]``.  Nothing may reassign either
     field: the key, hash and rotations cached on the walk would go stale.
 
-    ``==``, ``hash`` and ``<`` compare ``key()``, computed once per walk
-    (or set by the string growth, which builds it from the parent's):
-    the length, then (arrow, 0 if direct else 1) per letter; a length-0 walk
-    is keyed (0, (vertex,)).  Within one presentation the letters determine
+    ``==``, ``hash`` and ``<`` compare ``key()``, set when the walk is
+    built: the length, then the letters themselves; a length-0 walk is
+    keyed (0, (vertex,)).  Within one presentation the letters determine
     the vertices, so equal keys mean equal letters and vertices.  The hash
-    of the key is computed once too, so a memo lookup does not hash the
-    nested key tuple again.
+    of the key is computed once, so a memo lookup does not hash the nested
+    key tuple again.
     """
 
     def __init__(self, letters: tuple[Letter, ...], vertices: tuple[str, ...]):
         self.letters, self.vertices = letters, vertices
+        self._key = (len(letters), letters) if letters else (0, vertices[:1])
 
     def __repr__(self) -> str:
         return f"Walk(letters={self.letters!r}, vertices={self.vertices!r})"
@@ -102,13 +103,6 @@ class Walk:
         verts = self.vertices[shift:-1] + self.vertices[: shift + 1]
         return Walk(letters, verts)
 
-    @cached_property
-    def _key(self) -> tuple:
-        if self.letters:
-            return (self.length,
-                    tuple((l.arrow, 0 if l.sign > 0 else 1) for l in self.letters))
-        return (0, (self.vertices[0],))
-
     def key(self) -> tuple:
         return self._key
 
@@ -142,7 +136,7 @@ def letter_endpoints(alg: AlgebraPresentation, letter: Letter) -> tuple[str, str
     a = alg.arrow_map.get(letter.arrow)
     if a is None:
         raise WalkError(f"unknown arrow {letter.arrow!r}")
-    return (a.source, a.target) if letter.sign > 0 else (a.target, a.source)
+    return (a.target, a.source) if letter.bit else (a.source, a.target)
 
 
 def make_walk(alg: AlgebraPresentation, letters: Sequence[Letter], base_vertex: str | None = None) -> Walk:
@@ -175,34 +169,34 @@ def parse_walk(alg: AlgebraPresentation, text: str) -> Walk:
     letters = []
     for tok in text.split():
         if tok.endswith("-"):
-            letters.append(Letter(tok[:-1], -1))
+            letters.append(Letter(tok[:-1], 1))
         else:
-            letters.append(Letter(tok, +1))
+            letters.append(Letter(tok, 0))
     return make_walk(alg, letters)
 
 
 def is_string(alg: AlgebraPresentation, w: Walk) -> bool:
-    """Conditions (1) and (2): the walk's key letters run through the
-    string automaton, so no forbidden factor (backtrack, or relation in a
+    """Conditions (1) and (2): the walk's letters run through the string
+    automaton, so no forbidden factor (backtrack, or relation in a
     direct or inverse run) occurs in them.  Walks of length 0 and 1 have no
     factor long enough and are always strings."""
     for l in w.letters:
         if l.arrow not in alg.arrow_map:
             raise WalkError(f"unknown arrow {l.arrow!r}")
-    return w.length < 2 or alg.string_automaton.spells_string(w.key()[1])
+    return w.length < 2 or alg.string_automaton.spells_string(w.letters)
 
 
 def canonical_string(w: Walk) -> Walk:
     """Representative of the class {w, w^-1}: the smaller in walk order.
-    Both have the same length, so the key letters decide, and w^-1 is
-    built only when it is the representative."""
+    Both have the same length, so the letters decide, and w^-1 is built
+    only when it is the representative."""
     if not w.letters:
         return w
-    return w.inverse() if _inverse_is_smaller(w.key()[1]) else w
+    return w.inverse() if _inverse_is_smaller(w.letters) else w
 
 
-def _inverse_is_smaller(letters: tuple) -> bool:
-    """Whether the inverse walk's key letters are smaller.  Its first
+def _inverse_is_smaller(letters: tuple[Letter, ...]) -> bool:
+    """Whether the inverse walk's letters are smaller.  Its first
     letter, the last one inverted, mostly decides."""
     arrow, bit = letters[-1]
     first = (arrow, 1 - bit)
@@ -214,20 +208,16 @@ def _inverse_is_smaller(letters: tuple) -> bool:
 class _StringWalks:
     """String walks grown a level at a time on the string automaton.
     ``walks`` holds every level grown so far in key order (by length, then
-    key letters), ``ends[n]`` counts those of length <= n, and ``frontier``
-    pairs each walk of the last level with its state.  Each child is built
-    with its key set, so no walk computes its key or tests a factor."""
+    letters), ``ends[n]`` counts those of length <= n, and ``frontier``
+    pairs each walk of the last level with its state.  No child tests a
+    factor."""
 
     def __init__(self, alg: AlgebraPresentation):
         self.automaton = automaton = alg.string_automaton
         self.walks: list[Walk] = sorted(Walk((), (v,)) for v in alg.vertices)
         self.ends = [len(self.walks)]
-        first = []
-        for v in alg.vertices:
-            for letter, k, target, state in automaton[v]:
-                w = Walk((letter,), (v, target))
-                w._key = (1, (k,))
-                first.append((w, state))
+        first = [(Walk((letter,), (v, target)), state)
+                 for v in alg.vertices for letter, target, state in automaton[v]]
         self.frontier = sorted(first, key=lambda pair: pair[0])
         self._close_level()
 
@@ -240,15 +230,9 @@ class _StringWalks:
         automaton = self.automaton
         # a level's children come in key order, as the level shares a length
         while len(self.ends) <= max_len and self.frontier:
-            grown = []
-            for w, state in self.frontier:
-                letters, vertices, keys = w.letters, w.vertices, w._key[1]
-                n = len(letters) + 1
-                for letter, k, target, to in automaton[state]:
-                    child = Walk(letters + (letter,), vertices + (target,))
-                    child._key = (n, keys + (k,))
-                    grown.append((child, to))
-            self.frontier = grown
+            self.frontier = [(Walk(w.letters + (letter,), w.vertices + (target,)), to)
+                             for w, state in self.frontier
+                             for letter, target, to in automaton[state]]
             self._close_level()
         if max_len < 0:
             return ()
@@ -268,7 +252,7 @@ def _all_string_walks(alg: AlgebraPresentation, max_len: int) -> tuple[Walk, ...
 def enumerate_strings(alg: AlgebraPresentation, max_len: int) -> tuple[Walk, ...]:
     """All strings of length <= max_len, one canonical representative per
     {w, w^-1} class, ordered by length then canonical word: the string
-    walks whose key letters are no greater than their inverse's, kept in
+    walks whose letters are no greater than their inverse's, kept in
     the walks' key order.  No string equals its inverse, which would need
     a backtrack in its middle."""
     key = ("strings", max_len)
@@ -276,7 +260,7 @@ def enumerate_strings(alg: AlgebraPresentation, max_len: int) -> tuple[Walk, ...
         return alg.memo[key]
     return alg.memo.setdefault(key, tuple(
         w for w in _all_string_walks(alg, max_len)
-        if not w.letters or not _inverse_is_smaller(w._key[1])))
+        if not w.letters or not _inverse_is_smaller(w.letters)))
 
 
 def primitive_root(w: Walk) -> Walk:
@@ -317,38 +301,19 @@ def band_equivalent(w: Walk, other: Walk) -> bool:
     return canonical_rotation(w) == canonical_rotation(other)
 
 
-class BandPool(NamedTuple):
-    """Bands enumerated to a stated length bound."""
-
-    bands: tuple[Walk, ...]
-    max_length: int
-
-
-class BandRecord(NamedTuple):
-    canonical: Walk
-    is_minimal: bool
-
-
-def is_minimal_band(alg: AlgebraPresentation, w: Walk, pool: BandPool) -> bool:
+def is_minimal_band(alg: AlgebraPresentation, w: Walk) -> bool:
     """No rotation/inversion of w contains v^k, k >= 2, for a shorter band v.
 
-    The pool must cover all bands of length <= floor(len(w)/2).  A power
-    v^k with k >= 2 contains v^2, and any factor of a rotation of w shows
-    up in the doubled word w w.
+    A power v^k with k >= 2 contains v^2, so v is at most half as long as
+    w, and any factor of a rotation of w shows up in the doubled word w w.
     """
-    needed = w.length // 2
-    if pool.max_length < needed:
-        raise ValueError(
-            f"band pool bound {pool.max_length} is too small, need {needed}"
-        )
     doubled = w.power(2)
-    return not any(supported_on(doubled, v, 2)
-                   for v in pool.bands if v.length <= needed)
+    return not any(supported_on(doubled, v, 2) for v in enumerate_bands(alg, w.length // 2))
 
 
-def enumerate_bands(alg: AlgebraPresentation, max_len: int) -> tuple[BandRecord, ...]:
-    """All bands of length <= max_len, one per rotation/inversion class,
-    each with its minimality flag, in deterministic order."""
+def enumerate_bands(alg: AlgebraPresentation, max_len: int) -> tuple[Walk, ...]:
+    """All bands of length <= max_len, one canonical walk per
+    rotation/inversion class, in walk order."""
     key = ("bands", max_len)
     if key in alg.memo:
         return alg.memo[key]
@@ -357,18 +322,7 @@ def enumerate_bands(alg: AlgebraPresentation, max_len: int) -> tuple[BandRecord,
     for w in _all_string_walks(alg, max_len):
         if w.is_cyclic and w not in canonical and is_band(alg, w):
             canonical.update(dict.fromkeys(w.rotations, canonical_rotation(w)))
-    ordered = sorted(set(canonical.values()))
-    records = []
-    for w in ordered:
-        pool = BandPool(
-            tuple(b for b in ordered if b.length <= w.length // 2), w.length // 2
-        )
-        records.append(BandRecord(w, is_minimal_band(alg, w, pool)))
-    return alg.memo.setdefault(key, tuple(records))
-
-
-def band_pool(alg: AlgebraPresentation, max_len: int) -> BandPool:
-    return BandPool(tuple(r.canonical for r in enumerate_bands(alg, max_len)), max_len)
+    return alg.memo.setdefault(key, tuple(sorted(set(canonical.values()))))
 
 
 def _run(letters: Sequence[Letter], i: int, u: Walk) -> int:
@@ -398,7 +352,7 @@ class MaximalWSubstring(NamedTuple):
     """Letters start..end (1-based, inclusive) of the host, the word they
     spell as u^k v, and its shape: a quotient when the host letter just
     left of it is inverse and the one just right direct, a submodule for
-    the opposite signs, a missing letter fitting either."""
+    the opposite bits, a missing letter fitting either."""
 
     word: Walk
     start: int
@@ -423,18 +377,19 @@ def maximal_w_substrings(gamma: Walk, w: Walk) -> list[MaximalWSubstring]:
         if u is None or (p and letters[p - 1] == u.letters[-1]):
             continue
         run = _run(letters, p, u)
-        left = letters[p - 1].sign if p else 0
-        right = letters[p + run].sign if p + run < d else 0
+        # 2 stands for a missing letter, as in modules._scan
+        left = letters[p - 1].bit if p else 2
+        right = letters[p + run].bit if p + run < d else 2
         sub = gamma.sub(p + 1, p + run)
         k = run // lw
         out.append(MaximalWSubstring(sub, p + 1, p + run, u, k, sub.sub(k * lw + 1, run),
-                                     left != 1 and right != -1,
-                                     left != -1 and right != 1))
+                                     left != 0 and right != 1,
+                                     left != 1 and right != 0))
     return out
 
 
 def is_directed(w: Walk) -> bool:
-    """All letters share one sign; undefined (rejected) for length 0."""
+    """All letters share one bit; undefined (rejected) for length 0."""
     if w.length == 0:
         raise ValueError("directedness is undefined for length-0 walks")
-    return len({l.sign for l in w.letters}) == 1
+    return len({l.bit for l in w.letters}) == 1

@@ -111,9 +111,9 @@ def composable_extensions(alg: AlgebraPresentation, w):
     """w grown by each letter, direct or inverse, of the arrow list that
     composes with it, built by ``make_walk``."""
     for a in alg.arrows:
-        for sign, source in ((+1, a.source), (-1, a.target)):
+        for bit, source in ((0, a.source), (1, a.target)):
             if source == w.target:
-                yield make_walk(alg, w.letters + (Letter(a.name, sign),))
+                yield make_walk(alg, w.letters + (Letter(a.name, bit),))
 
 
 def ref_is_string(alg: AlgebraPresentation, w) -> bool:
@@ -121,8 +121,8 @@ def ref_is_string(alg: AlgebraPresentation, w) -> bool:
     relation in a direct run or in an inverse run read backwards."""
     if any(b == a.inverse() for a, b in zip(w.letters, w.letters[1:])):
         return False
-    for sign, run in groupby(w.letters, key=lambda l: l.sign):
-        path = [l.arrow for l in run][::sign]
+    for bit, run in groupby(w.letters, key=lambda l: l.bit):
+        path = [l.arrow for l in run][::-1 if bit else 1]
         for r in alg.relations:
             if any(tuple(path[i:i + len(r)]) == r for i in range(len(path) - len(r) + 1)):
                 return False

@@ -10,7 +10,6 @@ from fractions import Fraction
 
 from mgslab import (
     band_module,
-    band_pool,
     canonical_rotation,
     enumerate_bands,
     enumerate_strings,
@@ -96,8 +95,8 @@ def test_criterion_02_strings_bands(two_loops, gentle5, kronecker):
         w22w1 = w2.power(2).concat(w1)
         for w in (w1, w2, w2w1, w22w1):
             assert is_band(gentle5, w)
-        assert not is_minimal_band(gentle5, w22w1, band_pool(gentle5, 4))
-        assert is_minimal_band(gentle5, w2w1, band_pool(gentle5, 3))
+        assert not is_minimal_band(gentle5, w22w1)
+        assert is_minimal_band(gentle5, w2w1)
 
         kron_bands = enumerate_bands(kronecker, 6)
         assert len(kron_bands) == 1
@@ -153,8 +152,8 @@ def test_criterion_05_sec4_mgs_reproduction(mgs5):
         entry7 = seq[6]
         band = parse_walk(mgs5, "b2 d b1-")
         assert supported_on(entry7, band, 1)
-        for rec in enumerate_bands(mgs5, 6):
-            assert not supported_on(entry7, rec.canonical, 2)
+        for b in enumerate_bands(mgs5, 6):
+            assert not supported_on(entry7, b, 2)
     report(5, "bundled 14-term sequence reproduced and certified complete", t)
 
 
@@ -184,7 +183,7 @@ def test_criterion_07_double_arrows_nonexistence(double_arrows):
         result = enumerate_mgs(double_arrows, pools, budget=10_000_000)
         assert result.sequences == ()
 
-        res = simple_order_socle_first(double_arrows, band_pool(double_arrows, 5))
+        res = simple_order_socle_first(double_arrows, enumerate_bands(double_arrows, 5))
         assert not res.hypothesis_holds
         by_simple = {s: (top, socle) for s, top, socle in res.witnesses}
         assert by_simple["1"] == ("a1 a2-", "b1 b2-")
@@ -226,10 +225,8 @@ def test_criterion_08_lemma_suite(gentle5, a12tilde):
 def test_criterion_09_corollary_4_4_evidence(kronecker, a12tilde):
     with timer(600.0) as t:
         for alg, lo, hi in ((kronecker, 6, 8), (a12tilde, 8, 10)):
-            # band pools saturate well below lo: raising the bound changes nothing
-            assert {r.canonical.key() for r in enumerate_bands(alg, lo)} == {
-                r.canonical.key() for r in enumerate_bands(alg, hi)
-            }
+            # the bands saturate well below lo: raising the bound changes nothing
+            assert enumerate_bands(alg, lo) == enumerate_bands(alg, hi)
             low = set(enumerate_mgs(alg, build_brick_pools(alg, lo)).sequences)
             high = set(enumerate_mgs(alg, build_brick_pools(alg, hi)).sequences)
             assert low == high and low

@@ -8,7 +8,6 @@ import weakref
 import pytest
 
 from mgslab import (
-    band_pool,
     enumerate_bands,
     enumerate_bricks,
     enumerate_strings,
@@ -269,68 +268,68 @@ def test_enumerate_mgs_deterministic(a12tilde):
 
 
 def test_simple_order_socle_first_a12(a12tilde):
-    res = simple_order_socle_first(a12tilde, band_pool(a12tilde, 4))
+    res = simple_order_socle_first(a12tilde, enumerate_bands(a12tilde, 4))
     assert res.hypothesis_holds
     assert res.order == ("2", "1", "3")
 
 
 def test_simple_order_socle_first_double_arrows(double_arrows):
-    res = simple_order_socle_first(double_arrows, band_pool(double_arrows, 5))
+    res = simple_order_socle_first(double_arrows, enumerate_bands(double_arrows, 5))
     assert not res.hypothesis_holds
     by_simple = {s: (t, so) for s, t, so in res.witnesses}
     assert by_simple["1"] == ("a1 a2-", "b1 b2-")
 
 
 def test_simple_order_socle_first_no_bands(a2):
-    res = simple_order_socle_first(a2, band_pool(a2, 3))
+    res = simple_order_socle_first(a2, enumerate_bands(a2, 3))
     assert res.hypothesis_holds
     assert res.witnesses == ()
     assert res.order == ("1", "2")
 
 
 def test_domestic_gentle_order_kronecker(kronecker):
-    res = domestic_gentle_order(kronecker, band_pool(kronecker, 3))
+    res = domestic_gentle_order(kronecker, enumerate_bands(kronecker, 3))
     assert res.chunks == (("2", "1"),)
     assert res.order == ("2", "1")
 
 
 def test_domestic_gentle_order_a12(a12tilde):
-    res = domestic_gentle_order(a12tilde, band_pool(a12tilde, 4))
+    res = domestic_gentle_order(a12tilde, enumerate_bands(a12tilde, 4))
     assert res.chunks == (("2", "1"),)
     assert res.order == ("2", "1", "3")
 
 
 def test_domestic_gentle_order_a2(a2):
-    res = domestic_gentle_order(a2, band_pool(a2, 3))
+    res = domestic_gentle_order(a2, enumerate_bands(a2, 3))
     assert res.chunks == ()
     assert res.order == ("1", "2")
 
 
 def test_domestic_gentle_order_rejects_non_gentle(double_arrows):
     with pytest.raises(ValueError, match="gentle"):
-        domestic_gentle_order(double_arrows, band_pool(double_arrows, 5))
+        domestic_gentle_order(double_arrows, enumerate_bands(double_arrows, 5))
 
 
 def test_domestic_gentle_order_counterexample_path():
     alg = parse_algebra(NON_DOMESTIC_GENTLE)
     assert validate_axioms(alg).is_gentle
-    assert [len(band_pool(alg, n).bands) for n in (4, 8, 12)] == [2, 10, 47]
+    assert [len(enumerate_bands(alg, n)) for n in (4, 8, 12)] == [2, 10, 47]
     with pytest.raises(TheoremCounterexample) as exc:
-        domestic_gentle_order(alg, band_pool(alg, 4))
+        domestic_gentle_order(alg, enumerate_bands(alg, 4))
     assert str(exc.value) == "simple 1 repeats along the chain ['1', '4']"
 
 
 def _construction_results(alg, bound):
-    """Both constructions on the band pool at this bound: each a result
+    """Both constructions on the bands up to this bound: each a result
     record, or a counterexample's type and message."""
-    pool = band_pool(alg, bound)
+    bands = enumerate_bands(alg, bound)
     out = {}
     try:
-        res = domestic_gentle_order(alg, pool)
+        res = domestic_gentle_order(alg, bands)
         out["gentle"] = {"chunks": [list(c) for c in res.chunks], "order": list(res.order)}
     except TheoremCounterexample as exc:
         out["gentle"] = {"error": type(exc).__name__, "message": str(exc)}
-    res = simple_order_socle_first(alg, pool)
+    res = simple_order_socle_first(alg, bands)
     out["simples"] = {"hypothesis_holds": res.hypothesis_holds,
                       "witnesses": [list(w) for w in res.witnesses],
                       "order": list(res.order)}
@@ -365,7 +364,7 @@ def test_constructions_match_recorded_sweep(data_dir):
 
 def test_complete_from_prefix_a12(a12tilde):
     pools = build_brick_pools(a12tilde, 8)
-    order = simple_order_socle_first(a12tilde, band_pool(a12tilde, 4)).order
+    order = simple_order_socle_first(a12tilde, enumerate_bands(a12tilde, 4)).order
     seq = complete_from_prefix(a12tilde, pools, order)
     assert seq is not None
     assert is_complete_relative(a12tilde, seq, pools).kind == "complete"
@@ -389,22 +388,35 @@ def test_complete_from_prefix_ex43_fails_both_orders(double_arrows):
 
 
 # The first completion of each `mgs exists` order, with the search's nodes and
-# pruned subtrees, the orders built from the band pool at the pools' band
+# pruned subtrees, the orders built from the bands up to the pools' band
 # bound as `mgs exists` builds them.  Every case gives the same at bounds 8
 # and 10; the gentle5 simples row is the `completed` that `mgs exists
-# --method simples` prints there.
+# --method simples` prints there.  Each row's id is written out, frozen at
+# the values first recorded, so re-recording `nodes` or `pruned` does not
+# rename the test.
 FIRST_COMPLETIONS = [
-    ("gentle5", "simples", ("e:2", "b2", "e:3", "g1", "e:4", "e:1", "e:5"), 13, 2),
-    ("gentle5", "gentle", ("e:4", "e:1", "e:3", "e:5", "b1 g2-", "b1", "g2", "e:2"), 14, 5),
-    ("mgs5", "simples", ("e:2", "e:1", "b2", "e:3", "e:4", "e:5"), 8, 1),
-    ("mgs5", "gentle", ("e:2", "e:1", "b2", "e:3", "e:4", "e:5"), 8, 1),
-    ("a12tilde", "simples", ("e:2", "e:1", "b1", "e:3"), 6, 1),
-    ("a12tilde", "gentle", ("e:2", "e:1", "b1", "e:3"), 6, 1),
-    ("two_loops", "simples", ("e:2", "e:1"), 3, 0),
-    ("two_loops", "gentle", ("e:2", "e:1"), 3, 0),
-    ("kronecker", "simples", ("e:2", "e:1"), 3, 0),
-    ("kronecker", "gentle", ("e:2", "e:1"), 3, 0),
-    ("double_arrows", "simples", None, 15, 5),
+    pytest.param("gentle5", "simples", ("e:2", "b2", "e:3", "g1", "e:4", "e:1", "e:5"), 13, 2,
+                 id="gentle5-simples-expected0-13-2"),
+    pytest.param("gentle5", "gentle", ("e:4", "e:1", "e:3", "e:5", "b1 g2-", "b1", "g2", "e:2"), 14, 5,
+                 id="gentle5-gentle-expected1-14-5"),
+    pytest.param("mgs5", "simples", ("e:2", "e:1", "b2", "e:3", "e:4", "e:5"), 8, 1,
+                 id="mgs5-simples-expected2-8-1"),
+    pytest.param("mgs5", "gentle", ("e:2", "e:1", "b2", "e:3", "e:4", "e:5"), 8, 1,
+                 id="mgs5-gentle-expected3-8-1"),
+    pytest.param("a12tilde", "simples", ("e:2", "e:1", "b1", "e:3"), 6, 1,
+                 id="a12tilde-simples-expected4-6-1"),
+    pytest.param("a12tilde", "gentle", ("e:2", "e:1", "b1", "e:3"), 6, 1,
+                 id="a12tilde-gentle-expected5-6-1"),
+    pytest.param("two_loops", "simples", ("e:2", "e:1"), 3, 0,
+                 id="two_loops-simples-expected6-3-0"),
+    pytest.param("two_loops", "gentle", ("e:2", "e:1"), 3, 0,
+                 id="two_loops-gentle-expected7-3-0"),
+    pytest.param("kronecker", "simples", ("e:2", "e:1"), 3, 0,
+                 id="kronecker-simples-expected8-3-0"),
+    pytest.param("kronecker", "gentle", ("e:2", "e:1"), 3, 0,
+                 id="kronecker-gentle-expected9-3-0"),
+    pytest.param("double_arrows", "simples", None, 15, 5,
+                 id="double_arrows-simples-None-15-5"),
 ]
 
 
@@ -414,7 +426,7 @@ def test_complete_from_prefix_pinned(request, name, method, expected, nodes, pru
     alg = request.getfixturevalue(name)
     pools = build_brick_pools(alg, bound)
     construction = simple_order_socle_first if method == "simples" else domestic_gentle_order
-    order = construction(alg, band_pool(alg, pools.band_bound)).order
+    order = construction(alg, enumerate_bands(alg, pools.band_bound)).order
     seq = complete_from_prefix(alg, pools, order)
     assert (seq if seq is None else tuple(map(str, seq))) == expected
     result = _Searcher(pools, HomTable(alg)).run(
@@ -532,11 +544,11 @@ def test_band_brick_refines_and_prunes(a12tilde):
 def test_pruning_keeps_first_prefix_completion(request, name, max_len, method):
     alg = request.getfixturevalue(name)
     pools = build_brick_pools(alg, max_len)
-    pool = band_pool(alg, pools.band_bound)
+    bands = enumerate_bands(alg, pools.band_bound)
     if method == "simples":
-        order = simple_order_socle_first(alg, pool).order
+        order = simple_order_socle_first(alg, bands).order
     else:
-        order = domestic_gentle_order(alg, pool).order
+        order = domestic_gentle_order(alg, bands).order
     pruned, reference = pruned_and_reference(
         alg, pools, require_subsequence=simples(alg, order), stop_at_first=True)
     assert pruned.sequences == reference.sequences

@@ -243,9 +243,10 @@ def test_hom_dim_matches_oracle_gentle5_sample(gentle5):
 def _reference_class_counts(w, bound=None):
     """Occurrence class counts built per located occurrence, letters i..j
     of the host (1-based; j = i-1 for the length-0 one at i): a sub-walk,
-    its boundary letters' signs and its canonical key each time; the
-    reference for the key slices.  A quotient has no direct letter on its
-    left and no inverse one on its right, a submodule the opposite.
+    its boundary letters' bits (2 for a missing one) and its canonical key
+    each time; the reference for the key slices.  A quotient has no direct
+    letter on its left and no inverse one on its right, a submodule the
+    opposite.
 
     The host of a string is its canonical form, every sub-walk counted.
     With a bound, w is a band and the host a power of it long enough that
@@ -263,12 +264,12 @@ def _reference_class_counts(w, bound=None):
         spans = [(i, i + m - 1) for i in range(n + 1, 2 * n + 1) for m in range(bound + 1)]
     quotient, submodule = {}, {}
     for i, j in spans:
-        left = host.letters[i - 2].sign if i >= 2 else 0
-        right = host.letters[j].sign if j < d else 0
+        left = host.letters[i - 2].bit if i >= 2 else 2
+        right = host.letters[j].bit if j < d else 2
         key = canonical_string(host.sub(i, j)).key()
-        if left != +1 and right != -1:
+        if left != 0 and right != 1:
             quotient[key] = quotient.get(key, 0) + 1
-        if left != -1 and right != +1:
+        if left != 1 and right != 0:
             submodule[key] = submodule.get(key, 0) + 1
     return quotient, submodule
 
@@ -286,7 +287,7 @@ def test_class_counts_match_per_occurrence_reference(data_dir, name):
         # a fresh presentation: a band memo filled at a larger bound also
         # serves the longer words
         alg = load_algebra(data_dir / f"{name}.alg")
-        bands = [b for rec in enumerate_bands(alg, 8) for b in rec.canonical.rotations]
+        bands = [u for b in enumerate_bands(alg, 8) for u in b.rotations]
         for b in bands:  # every rotation of either orientation
             assert ([list(counts.items()) for counts in _band_counts(alg, b, bound)]
                     == [list(counts.items()) for counts in _reference_class_counts(b, bound)])
@@ -337,7 +338,7 @@ def _reference_pools(alg, max_len: int) -> tuple:
     """build_brick_pools with the default band bound, from dim End = 1 and
     ``supported_on``: member strings, insertion strings, band bricks and
     excluded (brick, first band whose square supports it)."""
-    bands = [rec.canonical for rec in enumerate_bands(alg, max_len)]
+    bands = enumerate_bands(alg, max_len)
     bricks = tuple(w for w in enumerate_strings(alg, max_len) if hom_dim(alg, w, w) == 1)
     squares = {w: next((b for b in bands if supported_on(w, b, 2)), None) for w in bricks}
     return (tuple(w for w in bricks if squares[w] is None), bricks,

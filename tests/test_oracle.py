@@ -159,8 +159,8 @@ def test_band_end_dims(gentle5):
 
 def test_band_k2_never_brick(gentle5, a12tilde, kronecker, double_arrows):
     for alg in (gentle5, a12tilde, kronecker, double_arrows):
-        for rec in enumerate_bands(alg, 6):
-            B = to_explicit(band_module(alg, rec.canonical, F(2), 2))
+        for b in enumerate_bands(alg, 6):
+            B = to_explicit(band_module(alg, b, F(2), 2))
             assert end_dim(B) >= 2
 
 

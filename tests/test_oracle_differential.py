@@ -194,8 +194,8 @@ def test_loop_strings_at_crosscheck_bound(data_dir):
 @pytest.mark.parametrize("name", [n for n in ALGEBRAS if n != "a2"])  # a2 has no bands
 def test_band_modules_match_reference(name, data_dir, monkeypatch):
     alg = load_algebra(data_dir / f"{name}.alg")
-    bands = [to_explicit(band_module(alg, rec.canonical, lam, k))
-             for rec in enumerate_bands(alg, 4) for lam in LAMBDAS for k in (1, 2, 3)]
+    bands = [to_explicit(band_module(alg, b, lam, k))
+             for b in enumerate_bands(alg, 4) for lam in LAMBDAS for k in (1, 2, 3)]
     strings = [to_explicit(string_module(alg, w)) for w in enumerate_strings(alg, 2)]
     assert bands
     for B in bands:
@@ -223,7 +223,7 @@ def test_band_calculus_matches_the_oracle_at_every_sampled_lambda(name, data_dir
     # do not depend on lambda: the calculus reads no lambda and must equal
     # the oracle at each sampled value, brick or not
     alg = load_algebra(data_dir / f"{name}.alg")
-    bands = [rec.canonical for rec in enumerate_bands(alg, 8)]
+    bands = enumerate_bands(alg, 8)
     strings = [(w, to_explicit(string_module(alg, w))) for w in enumerate_strings(alg, 8)]
     assert bands
     for b in bands:
@@ -298,16 +298,16 @@ def test_sampled_full_rank_matches_rational_sampling_on_string_band_pairs(name, 
     alg = load_algebra(data_dir / f"{name}.alg")
     strings = [(w, to_explicit(string_module(alg, w))) for w in enumerate_strings(alg, 3)]
     verdicts = set()
-    for rec in enumerate_bands(alg, 4):
+    for b in enumerate_bands(alg, 4):
         for lam, k in product((Fraction(2), Fraction(-1, 3)), (1, 2, 3)):
-            B = to_explicit(band_module(alg, rec.canonical, lam, k))
+            B = to_explicit(band_module(alg, b, lam, k))
             for w, S in strings:
                 for X, Y in ((S, B), (B, S)):
                     for kind in ("inj", "surj"):
-                        seed = probe_seed(alg, str(w), str(rec.canonical), str(lam), str(k), kind)
+                        seed = probe_seed(alg, str(w), str(b), str(lam), str(k), kind)
                         got = exists_full_rank_hom(X, Y, kind, seed)
                         assert got == ref_exists_full_rank_hom(X, Y, kind, seed), (
-                            str(w), str(rec.canonical), lam, k, kind)
+                            str(w), str(b), lam, k, kind)
                         verdicts.add((kind, got))
     assert verdicts == {(kind, v) for kind in ("inj", "surj") for v in (True, False)}
 
@@ -388,7 +388,7 @@ def test_module_reps_equal_reps_built_from_their_matrices(name, data_dir):
     # from the matrices: both give one rep
     alg = load_algebra(data_dir / f"{name}.alg")
     modules = [string_module(alg, w) for w in enumerate_strings(alg, 6)]
-    modules += [band_module(alg, rec.canonical, lam, k) for rec in enumerate_bands(alg, 6)
+    modules += [band_module(alg, b, lam, k) for b in enumerate_bands(alg, 6)
                 for lam in (Fraction(1), Fraction(2), Fraction(-1, 2)) for k in (1, 2, 3)]
     assert modules
     for M in modules:
@@ -494,7 +494,7 @@ def test_probe_points_are_multiples_of_combined_basis_points_on_random_gentle(mo
         w = rng.choice(enumerate_strings(alg, 4))
         lam, k = rng.choice((Fraction(1), Fraction(2), Fraction(-1, 2))), rng.randint(1, 3)
         S = to_explicit(string_module(alg, w))
-        B = to_explicit(band_module(alg, rng.choice(bands).canonical, lam, k))
+        B = to_explicit(band_module(alg, rng.choice(bands), lam, k))
         cases += [(S, B, "inj", rng.randrange(2 ** 32)), (B, S, "surj", rng.randrange(2 ** 32))]
     _assert_probes_agree(cases, monkeypatch)
 
@@ -507,8 +507,8 @@ def test_probe_points_are_multiples_of_combined_basis_points_on_band_pairs(data_
     cases, stage2, ratios, zeros = [], 0, 0, 0
     for name in [n for n in ALGEBRAS if n != "a2"]:
         alg = load_algebra(data_dir / f"{name}.alg")
-        bands = [to_explicit(band_module(alg, rec.canonical, lam, k))
-                 for rec in enumerate_bands(alg, 4)
+        bands = [to_explicit(band_module(alg, b, lam, k))
+                 for b in enumerate_bands(alg, 4)
                  for lam in (Fraction(1), Fraction(2), Fraction(-1, 2)) for k in (1, 2)]
         for A, B in product(bands, repeat=2):
             _, pivots, parent, ratio, zero, _ = oracle._solve(A, B)

@@ -10,7 +10,6 @@ from mgslab import (
     AlgebraParseError,
     AlgebraPresentation,
     Arrow,
-    enumerate_bands,
     enumerate_bricks,
     load_algebra,
     parse_algebra,
@@ -28,22 +27,22 @@ def _walk(letters, vertices):
 
 
 E1, E2, E3 = (_walk("", f"('{v}',)") for v in "123")
-A = _walk("Letter(arrow='a', sign=1),", "('1', '2')")
-B1 = _walk("Letter(arrow='b1', sign=1),", "('1', '3')")
-B2 = _walk("Letter(arrow='b2', sign=1),", "('3', '2')")
-A_B2 = _walk("Letter(arrow='a', sign=1), Letter(arrow='b2', sign=-1)", "('1', '2', '3')")
-A_B1 = _walk("Letter(arrow='a', sign=-1), Letter(arrow='b1', sign=1)", "('2', '1', '3')")
-B1_B2 = _walk("Letter(arrow='b1', sign=1), Letter(arrow='b2', sign=1)", "('1', '3', '2')")
+A = _walk("Letter(arrow='a', bit=0),", "('1', '2')")
+B1 = _walk("Letter(arrow='b1', bit=0),", "('1', '3')")
+B2 = _walk("Letter(arrow='b2', bit=0),", "('3', '2')")
+A_B2 = _walk("Letter(arrow='a', bit=0), Letter(arrow='b2', bit=1)", "('1', '2', '3')")
+A_B1 = _walk("Letter(arrow='a', bit=1), Letter(arrow='b1', bit=0)", "('2', '1', '3')")
+B1_B2 = _walk("Letter(arrow='b1', bit=0), Letter(arrow='b2', bit=0)", "('1', '3', '2')")
 STRINGS = f"({E1}, {E2}, {E3}, {A}, {B1}, {B2}, {A_B2}, {A_B1}, {B1_B2})"
-BAND = ("Walk(letters=(Letter(arrow='a', sign=1), Letter(arrow='b2', sign=-1),"
-        " Letter(arrow='b1', sign=-1)), vertices=('1', '2', '3', '1'))")
+BAND = ("Walk(letters=(Letter(arrow='a', bit=0), Letter(arrow='b2', bit=1),"
+        " Letter(arrow='b1', bit=1)), vertices=('1', '2', '3', '1'))")
 
 
 def test_reprs(a12tilde):
     w = parse_walk(a12tilde, "b1 b2 a-")
-    assert repr(w) == ("Walk(letters=(Letter(arrow='b1', sign=1), Letter(arrow='b2', sign=1),"
-                       " Letter(arrow='a', sign=-1)), vertices=('1', '3', '2', '1'))")
-    assert repr(w.letters[2]) == "Letter(arrow='a', sign=-1)"
+    assert repr(w) == ("Walk(letters=(Letter(arrow='b1', bit=0), Letter(arrow='b2', bit=0),"
+                       " Letter(arrow='a', bit=1)), vertices=('1', '3', '2', '1'))")
+    assert repr(w.letters[2]) == "Letter(arrow='a', bit=1)"
     pools = build_brick_pools(a12tilde, 2, band_bound=3)
     assert repr(pools) == (
         f"BrickPools(member={STRINGS}, insertion_strings={STRINGS},"
@@ -84,11 +83,10 @@ def test_named_tuple_records_are_immutable(a12tilde):
     pools = build_brick_pools(a12tilde, 6)
     verdict = is_complete_relative(a12tilde, (w,), pools)
     records = [
-        (w.letters[0], "sign"),
+        (w.letters[0], "bit"),
         (a12tilde.arrows[0], "name"),
         (pools, "member"),
         (verdict, "kind"),
-        (enumerate_bands(a12tilde, 3)[0], "canonical"),
         (enumerate_bricks(a12tilde, 3)[0], "walk"),
         (enumerate_mgs(a12tilde, pools), "nodes"),
     ]
@@ -96,8 +94,8 @@ def test_named_tuple_records_are_immutable(a12tilde):
         with pytest.raises(AttributeError):
             setattr(record, field, None)
     letter = w.letters[0]
-    arrow, sign = letter
-    assert (arrow, sign) == ("b1", 1) and letter == ("b1", 1)
+    arrow, bit = letter
+    assert (arrow, bit) == ("b1", 0) and letter == ("b1", 0)
 
 
 VALIDATION_CASES = [

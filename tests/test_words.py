@@ -4,7 +4,6 @@ from mgslab import (
     Letter,
     WalkError,
     band_equivalent,
-    band_pool,
     canonical_rotation,
     canonical_string,
     enumerate_bands,
@@ -20,7 +19,7 @@ from mgslab import (
     parse_walk,
     supported_on,
 )
-from mgslab.words import BandPool, Walk, _all_string_walks
+from mgslab.words import Walk, _all_string_walks
 
 from conftest import (
     ALGEBRAS,
@@ -65,7 +64,7 @@ def test_is_string_examples(two_loops):
 @pytest.mark.parametrize("letters", [("zz",), ("a", "zz"), ("zz", "a")])
 def test_is_string_rejects_an_unknown_arrow(two_loops, letters):
     """A walk built by hand, past ``make_walk``'s checks, still raises."""
-    w = Walk(tuple(Letter(name, +1) for name in letters), ("1",) * (len(letters) + 1))
+    w = Walk(tuple(Letter(name, 0) for name in letters), ("1",) * (len(letters) + 1))
     with pytest.raises(WalkError, match="unknown arrow 'zz'"):
         is_string(two_loops, w)
 
@@ -119,9 +118,9 @@ def test_band_covered_loop_rejected(two_loops):
 
 
 def test_enumerate_bands_kronecker(kronecker):
-    records = enumerate_bands(kronecker, 6)
-    assert [str(r.canonical) for r in records] == ["a b-"]
-    assert records[0].is_minimal
+    bands = enumerate_bands(kronecker, 6)
+    assert [str(b) for b in bands] == ["a b-"]
+    assert is_minimal_band(kronecker, bands[0])
 
 
 def test_enumerate_bands_a2_empty(a2):
@@ -129,15 +128,14 @@ def test_enumerate_bands_a2_empty(a2):
 
 
 def test_enumerate_bands_gentle5(gentle5):
-    records = enumerate_bands(gentle5, 9)
     by_len = {}
-    for r in records:
-        by_len.setdefault(r.canonical.length, []).append(r)
+    for b in enumerate_bands(gentle5, 9):
+        by_len.setdefault(b.length, []).append(b)
     assert len(by_len[3]) == 2          # the two 3-cycles
     assert len(by_len[6]) == 1          # their composite
     assert len(by_len[9]) == 2          # both length-9 composites
-    assert all(r.is_minimal for r in by_len[3] + by_len[6])
-    assert all(not r.is_minimal for r in by_len[9])
+    assert all(is_minimal_band(gentle5, b) for b in by_len[3] + by_len[6])
+    assert not any(is_minimal_band(gentle5, b) for b in by_len[9])
 
 
 def test_band_equivalent(gentle5):
@@ -159,18 +157,9 @@ def test_band_equivalent_classes_share_canonical_rotation(gentle5):
 def test_is_minimal_band(gentle5):
     w1 = parse_walk(gentle5, "b1- a1 g1-")
     w2 = parse_walk(gentle5, "b2 a2- g2")
-    pool = band_pool(gentle5, 4)
-    assert is_minimal_band(gentle5, w2, pool)
+    assert is_minimal_band(gentle5, w2)
     big = w2.power(2).concat(w1)
-    assert not is_minimal_band(gentle5, big, band_pool(gentle5, 4))
-
-
-def test_is_minimal_band_pool_too_small(gentle5):
-    w1 = parse_walk(gentle5, "b1- a1 g1-")
-    w2 = parse_walk(gentle5, "b2 a2- g2")
-    big = w2.power(2).concat(w1)
-    with pytest.raises(ValueError, match="too small"):
-        is_minimal_band(gentle5, big, BandPool((), 1))
+    assert not is_minimal_band(gentle5, big)
 
 
 def test_length_one_band_minimal():
@@ -179,7 +168,7 @@ def test_length_one_band_minimal():
     alg = parse_algebra("vertex 1\narrow a 1 1\narrow b 1 1\nrelation a a\nrelation b b\nrelation b a\nrelation a b\n")
     # no band exists here at all; build a synthetic minimality call instead
     w = parse_walk(alg, "a")
-    assert is_minimal_band(alg, w, BandPool((), 0))
+    assert is_minimal_band(alg, w)
 
 
 def test_supported_on(gentle5):
@@ -227,6 +216,29 @@ def test_is_directed(gentle5):
         is_directed(parse_walk(gentle5, "e:1"))
 
 
+def test_one_letter_format(gentle5):
+    """A letter is (arrow, bit), and a walk's key holds its letters tuple
+    itself, whether parsed, grown on the string automaton or inverted; the
+    automaton steps on the same letters."""
+    w = parse_walk(gentle5, "g2 b2 a2- g2 b1-")
+    grown = enumerate_strings(gentle5, 4)[-1]
+    for x in (w, grown, w.inverse(), grown.inverse()):
+        length, letters = x.key()
+        assert length == x.length and letters is x.letters
+    letter = Letter("a", 1)
+    arrow, bit = letter
+    assert (arrow, bit) == ("a", 1) and str(letter) == "a-"
+    assert letter.inverse() == Letter("a", 0) and str(letter.inverse()) == "a"
+    assert w.letters[2] == Letter("a2", 1) and w.inverse().letters[2] == Letter("a2", 0)
+    for v in gentle5.vertices:
+        steps = gentle5.string_automaton[v]
+        assert steps
+        for step in steps:
+            letter, target, state = step
+            assert len(step) == 3 and type(letter) is Letter
+            assert target in gentle5.vertices and state == (letter,)
+
+
 def test_walk_power_and_rotation(gentle5):
     w2 = parse_walk(gentle5, "b2 a2- g2")
     assert w2.power(2).length == 6
@@ -258,8 +270,8 @@ def _composable_walks(alg, max_len: int) -> list:
     out = list(level)
     for _ in range(max_len):
         level = [make_walk(alg, w.letters + (letter,)) for w in level
-                 for letter in ([Letter(a.name, +1) for a in alg.outgoing[w.target]]
-                                + [Letter(a.name, -1) for a in alg.incoming[w.target]])]
+                 for letter in ([Letter(a.name, 0) for a in alg.outgoing[w.target]]
+                                + [Letter(a.name, 1) for a in alg.incoming[w.target]])]
         out += level
     return out
 
@@ -304,7 +316,8 @@ def test_strings_and_bands_match_run_scan_reference_on_random_presentations():
         bands = sorted(set(classes.values()))
         expected = [(w, _ref_is_minimal(w, [v for v in bands if 2 * v.length <= w.length]))
                     for w in bands]
-        assert [tuple(r) for r in enumerate_bands(alg, 4)] == expected, alg.normalized_text
+        assert [(w, is_minimal_band(alg, w)) for w in enumerate_bands(alg, 4)] == expected, \
+            alg.normalized_text
     assert {2, 3, 4} <= longest and walks_checked > 10_000
 
 
