@@ -4,9 +4,10 @@ Every subcommand prints a single JSON document: command echo, a content
 fingerprint of the normalized algebra, the payload, and a certificate block
 naming pool bounds where one applies.  All numbers are exact (integers, or
 rationals as strings).  Exit codes: 0 success (and, for ``mgs check``, a
-complete-relative verdict); 2 usage error; 3 algebra or input error;
-4 budget exhausted (partial payload still printed); 141 the reader closed
-standard output early (128 + SIGPIPE), with nothing on standard error.
+complete-relative verdict); 1 negative verdict or theorem-check failure;
+2 usage error; 3 algebra or input error; 4 budget exhausted (partial
+payload still printed); 141 the reader closed standard output early
+(128 + SIGPIPE), with nothing on standard error.
 
 A handler imports the modules it uses when it runs, so ``validate`` loads
 the presentation and its axioms only, not the Hom machinery.
@@ -27,6 +28,7 @@ EXIT_USAGE = 2
 EXIT_INPUT = 3
 EXIT_BUDGET = 4
 EXIT_PIPE = 141
+PIPE_BUF = 4096  # the largest write that Linux keeps whole on a pipe
 
 
 def _walks(ws) -> list[str]:
@@ -67,10 +69,18 @@ def _verdict_payload(v) -> dict:
 
 
 def _write(doc: dict) -> None:
-    # streamed, so a large payload is never held as one string
+    # the encoder's pieces are gathered and written in slices of PIPE_BUF
+    # (4,096) characters, then the remainder with the newline.  The document
+    # is ASCII, so each slice is one atomic pipe write: it lands whole or
+    # raises BrokenPipeError, on buffered and unbuffered stdout alike
+    pending = ""
     try:
-        json.dump(doc, sys.stdout, sort_keys=True, indent=2)
-        sys.stdout.write("\n")
+        for piece in json.JSONEncoder(sort_keys=True, indent=2).iterencode(doc):
+            pending += piece
+            while len(pending) >= PIPE_BUF:
+                sys.stdout.write(pending[:PIPE_BUF])
+                pending = pending[PIPE_BUF:]
+        sys.stdout.write(pending + "\n")
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader is gone: send what is still buffered to devnull, so

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from mgslab import cli
 from mgslab.cli import main
 
 from conftest import DATA, NON_DOMESTIC_GENTLE
@@ -424,18 +425,72 @@ def test_mgs_does_not_load_the_oracle(argv):
     assert "mgslab.oracle" not in loaded
 
 
-def test_closed_stdout_exits_141_quietly():
-    # the reader takes a few bytes of a large document and goes away
+MGS5_ENUMERATE = ["mgs", "enumerate", "--algebra", str(DATA / "mgs5.alg"),
+                  "--max-string-len", "8"]
+
+
+def _buffering_env(unbuffered: bool) -> dict:
+    """_child_env() with PYTHONUNBUFFERED set to 1 or removed."""
+    env = _child_env()
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    else:
+        env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_closed_stdout_exits_141_quietly(unbuffered):
+    # the reader takes a few bytes of a large document and goes away; on
+    # unbuffered stdout a single large write would lose the error and exit 0
     proc = subprocess.Popen(
-        [sys.executable, "-m", "mgslab.cli", "mgs", "enumerate", "--algebra",
-         str(DATA / "mgs5.alg"), "--max-string-len", "8"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env())
+        [sys.executable, "-m", "mgslab.cli", *MGS5_ENUMERATE],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_buffering_env(unbuffered))
     assert proc.stdout.read(100)
     proc.stdout.close()
     err = proc.stderr.read()
     proc.stderr.close()
     assert proc.wait() == 141
     assert err == b""
+
+
+class _Recorder:
+    """A text stream that keeps each write."""
+
+    def __init__(self):
+        self.pieces = []
+
+    def write(self, text):
+        self.pieces.append(text)
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("argv, max_writes", [
+    (MGS5_ENUMERATE, 134),
+    (["validate", "--algebra", str(DATA / "no-such.alg")], 1),
+], ids=["mgs5-enumerate", "error"])
+def test_write_goes_out_in_pipe_buf_slices(capsys, monkeypatch, argv, max_writes):
+    main(argv)
+    doc = json.loads(capsys.readouterr().out)
+    rec = _Recorder()
+    monkeypatch.setattr(sys, "stdout", rec)
+    cli._write(doc)
+    # each slice fits one atomic pipe write (PIPE_BUF bytes): ASCII and at
+    # most 4,096 characters; the bytes are those of json.dumps
+    assert all(len(p) <= 4096 and p.isascii() for p in rec.pieces)
+    assert "".join(rec.pieces) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    assert len(rec.pieces) <= max_writes
+
+
+def test_enumerate_bytes_do_not_depend_on_buffering():
+    outs = [subprocess.run([sys.executable, "-m", "mgslab.cli", *MGS5_ENUMERATE],
+                           capture_output=True, env=_buffering_env(unbuffered),
+                           check=True).stdout
+            for unbuffered in (True, False)]
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["payload"]["count"] == 2691
 
 
 G5 = str(DATA / "gentle5.alg")
