@@ -439,10 +439,8 @@ def _buffering_env(unbuffered: bool) -> dict:
     return env
 
 
-@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
-def test_closed_stdout_exits_141_quietly(unbuffered):
-    # the reader takes a few bytes of a large document and goes away; on
-    # unbuffered stdout a single large write would lose the error and exit 0
+def _assert_closed_stdout_exits_141_quietly(unbuffered: bool) -> None:
+    # the reader takes a few bytes of a large document and goes away
     proc = subprocess.Popen(
         [sys.executable, "-m", "mgslab.cli", *MGS5_ENUMERATE],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_buffering_env(unbuffered))
@@ -452,6 +450,15 @@ def test_closed_stdout_exits_141_quietly(unbuffered):
     proc.stderr.close()
     assert proc.wait() == 141
     assert err == b""
+
+
+def test_closed_stdout_exits_141_quietly():
+    _assert_closed_stdout_exits_141_quietly(unbuffered=False)
+
+
+def test_closed_stdout_exits_141_quietly_unbuffered():
+    # on unbuffered stdout a single large write would lose the error and exit 0
+    _assert_closed_stdout_exits_141_quietly(unbuffered=True)
 
 
 class _Recorder:
