@@ -15,6 +15,7 @@ states only, builds none that holds an inverse letter.
 
 from __future__ import annotations
 
+import sys
 from functools import cached_property
 from typing import NamedTuple, Sequence
 
@@ -270,41 +271,77 @@ class AlgebraPresentation:
 
     @cached_property
     def fingerprint(self) -> str:
-        import hashlib
+        return sha256(self.normalized_text.encode()).hexdigest()
 
-        return hashlib.sha256(self.normalized_text.encode()).hexdigest()
+
+def sha256(data: bytes):
+    """``hashlib.sha256(data)`` without loading OpenSSL: CPython's built-in
+    SHA-256 (``_sha2`` from 3.12, ``_sha256`` before), as its own ``random``
+    module takes SHA-512, or hashlib's on a build without it.  The import
+    runs when called, so importing mgslab loads no hash module."""
+    try:
+        if sys.version_info >= (3, 12):
+            from _sha2 import sha256 as new
+        else:
+            from _sha256 import sha256 as new
+    except ImportError:
+        from hashlib import sha256 as new
+    return new(data)
+
+
+_KINDS = ("vertex", "arrow", "relation")
 
 
 def parse_algebra(text: str) -> AlgebraPresentation:
     """Parse the line-oriented algebra file format.
 
     Grammar: ``vertex <id>`` | ``arrow <name> <src> <dst>`` |
-    ``relation <name1> <name2> ...``; ``#`` starts a comment.  A line that
-    the presentation would refuse raises its message with the line number.
+    ``relation <name1> <name2> ...``; ``#`` starts a comment.  A line may
+    refer only to what earlier lines declare; a line that the presentation
+    would refuse raises its message with the line number.  The presentation
+    admits each item once.  The lines are admitted again, in file order,
+    only to name the line of an error, or when a vertex line follows an
+    arrow line or an arrow line follows a relation line.
     """
-    items: dict[str, list] = {"vertex": [], "arrow": [], "relation": []}
+    items: dict[str, list] = {kind: [] for kind in _KINDS}
+    lines: list[tuple[int, str, object]] = []  # (line number, kind, item)
+    try:
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            kind, *args = line.split()
+            if kind not in items:
+                raise AlgebraParseError(f"unknown directive {kind!r}", lineno)
+            if kind == "vertex" and len(args) != 1:
+                raise AlgebraParseError("vertex takes exactly one identifier", lineno)
+            if kind == "arrow" and len(args) != 3:
+                raise AlgebraParseError("arrow takes name, source, target", lineno)
+            item = args[0] if kind == "vertex" else Arrow(*args) if kind == "arrow" else tuple(args)
+            items[kind].append(item)
+            lines.append((lineno, kind, item))
+        if not items["vertex"]:
+            raise AlgebraParseError("presentation has no vertices")
+        alg = AlgebraPresentation(*(tuple(v) for v in items.values()))
+    except AlgebraError:
+        _admit_lines(lines)  # reports an earlier line the presentation refuses
+        raise
+    kinds = [kind for _, kind, _ in lines]
+    if kinds != sorted(kinds, key=_KINDS.index):
+        _admit_lines(lines)  # refuses a line that refers to a later one
+    return alg
+
+
+def _admit_lines(lines: list[tuple[int, str, object]]) -> None:
+    """Admit parsed (line number, kind, item) triples in file order and
+    raise AlgebraParseError at the first line refused."""
     vset: set[str] = set()
     amap: dict[str, Arrow] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        kind, *args = line.split()
-        if kind not in items:
-            raise AlgebraParseError(f"unknown directive {kind!r}", lineno)
-        if kind == "vertex" and len(args) != 1:
-            raise AlgebraParseError("vertex takes exactly one identifier", lineno)
-        if kind == "arrow" and len(args) != 3:
-            raise AlgebraParseError("arrow takes name, source, target", lineno)
-        item = args[0] if kind == "vertex" else Arrow(*args) if kind == "arrow" else tuple(args)
+    for lineno, kind, item in lines:
         try:
             _admit(kind, item, vset, amap)
         except AlgebraError as exc:
             raise AlgebraParseError(str(exc), lineno) from None
-        items[kind].append(item)
-    if not vset:
-        raise AlgebraParseError("presentation has no vertices")
-    return AlgebraPresentation(*(tuple(v) for v in items.values()))
 
 
 def load_algebra(path) -> AlgebraPresentation:

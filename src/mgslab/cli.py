@@ -9,8 +9,14 @@ complete-relative verdict); 1 negative verdict or theorem-check failure;
 payload still printed); 141 the reader closed standard output early
 (128 + SIGPIPE), with nothing on standard error.
 
-A handler imports the modules it uses when it runs, so ``validate`` loads
-the presentation and its axioms only, not the Hom machinery.
+A cold command pays for little besides its own work.  A handler imports
+the modules it uses when it runs, so ``validate`` loads the presentation
+and its axioms only, not the Hom machinery.  Only the argparse parsers on
+the command's path are built (:func:`build_parser`); help, and argv
+that names no complete path or that those parsers refuse, are parsed again
+by the whole tree, so every help text and usage error is the whole tree's.
+The algebra fingerprint is hashed with CPython's built-in SHA-256
+(:func:`mgslab.algebra.sha256`), so no command loads hashlib and OpenSSL.
 """
 
 from __future__ import annotations
@@ -154,88 +160,134 @@ _BAND_LEN_HELP = ("longest band whose band bricks enter the insertion pool"
                   " a non-maximal chain as complete")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="mgslab")
-    sub = p.add_subparsers(dest="cmd", required=True)
+class _PathRefused(Exception):
+    """A usage error met by a parser built for one command path only."""
+
+
+class _PathParser(argparse.ArgumentParser):
+    """A parser of one command path, which leaves every usage error to the
+    whole tree: its own help and usage lines would name only that path."""
+
+    def error(self, message):
+        raise _PathRefused(message)
+
+
+def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser | None:
+    """The argument parser of every command, or, given argv, of the command
+    path its leading words name: at each level only the subparser named
+    (for ``mgs check``, 3 parsers instead of 17).  Returns None if argv's
+    leading words name no complete path.  The path parser raises
+    ``_PathRefused`` instead of reporting a usage error."""
+    words = None if argv is None else tuple(argv[:2])
+    unnamed = 0  # subcommand groups in which the words name no subparser
+
+    def group(parser, dest):
+        nonlocal unnamed
+        unnamed += 1
+        return parser.add_subparsers(dest=dest, required=True)
+
+    def add(sub, *path, **kwargs):
+        # the subparser of command path, unless argv names another
+        nonlocal unnamed
+        if words is not None:
+            if words[:len(path)] != path:
+                return None
+            unnamed -= 1
+        return sub.add_parser(path[-1], **kwargs)
+
+    p = (argparse.ArgumentParser if words is None else _PathParser)(prog="mgslab")
+    sub = group(p, "cmd")
 
     def alg_arg(sp):
         sp.add_argument("--algebra", required=True, help="algebra file")
 
-    sp = sub.add_parser("validate", help="string/gentle axiom report")
-    alg_arg(sp)
+    if sp := add(sub, "validate", help="string/gentle axiom report"):
+        alg_arg(sp)
 
-    sp = sub.add_parser("strings", help="enumerate strings up to a length")
-    alg_arg(sp)
-    sp.add_argument("--max-len", type=_count, required=True)
+    if sp := add(sub, "strings", help="enumerate strings up to a length"):
+        alg_arg(sp)
+        sp.add_argument("--max-len", type=_count, required=True)
 
-    sp = sub.add_parser("bands", help="enumerate band classes up to a length")
-    alg_arg(sp)
-    sp.add_argument("--max-len", type=_count, required=True)
+    if sp := add(sub, "bands", help="enumerate band classes up to a length"):
+        alg_arg(sp)
+        sp.add_argument("--max-len", type=_count, required=True)
 
-    sp = sub.add_parser("module", help="string or band module representations")
-    msub = sp.add_subparsers(dest="module_cmd", required=True)
-    ms = msub.add_parser("show", help="string module with ASCII diagram")
-    alg_arg(ms)
-    ms.add_argument("walk")
-    mb = msub.add_parser("band", help="band module M(w, lambda, k)")
-    alg_arg(mb)
-    mb.add_argument("walk")
-    mb.add_argument("--lam", default="1")
-    mb.add_argument("--k", type=int, default=1)
+    if sp := add(sub, "module", help="string or band module representations"):
+        msub = group(sp, "module_cmd")
+        if ms := add(msub, "module", "show", help="string module with ASCII diagram"):
+            alg_arg(ms)
+            ms.add_argument("walk")
+        if mb := add(msub, "module", "band", help="band module M(w, lambda, k)"):
+            alg_arg(mb)
+            mb.add_argument("walk")
+            mb.add_argument("--lam", default="1")
+            mb.add_argument("--k", type=int, default=1)
 
-    sp = sub.add_parser("hom", help="Hom dimension, combinatorial and oracle")
-    alg_arg(sp)
-    sp.add_argument("source")
-    sp.add_argument("target")
+    if sp := add(sub, "hom", help="Hom dimension, combinatorial and oracle"):
+        alg_arg(sp)
+        sp.add_argument("source")
+        sp.add_argument("target")
 
-    sp = sub.add_parser("bricks", help="enumerate string bricks")
-    alg_arg(sp)
-    sp.add_argument("--max-len", type=_count, required=True)
+    if sp := add(sub, "bricks", help="enumerate string bricks"):
+        alg_arg(sp)
+        sp.add_argument("--max-len", type=_count, required=True)
 
-    sp = sub.add_parser("oracle", help="linear-algebra oracle")
-    osub = sp.add_subparsers(dest="oracle_cmd", required=True)
-    oh = osub.add_parser("hom", help="intertwiner-space dimension")
-    alg_arg(oh)
-    oh.add_argument("source")
-    oh.add_argument("target")
-    oh.add_argument("--band1", default=None, help="treat source as band, M(w, LAM, 1)")
-    oh.add_argument("--band2", default=None, help="treat target as band, M(w, LAM, 1)")
+    if sp := add(sub, "oracle", help="linear-algebra oracle"):
+        osub = group(sp, "oracle_cmd")
+        if oh := add(osub, "oracle", "hom", help="intertwiner-space dimension"):
+            alg_arg(oh)
+            oh.add_argument("source")
+            oh.add_argument("target")
+            oh.add_argument("--band1", default=None, help="treat source as band, M(w, LAM, 1)")
+            oh.add_argument("--band2", default=None, help="treat target as band, M(w, LAM, 1)")
 
-    sp = sub.add_parser("mgs", help="maximal green sequences")
-    gsub = sp.add_subparsers(dest="mgs_cmd", required=True)
+    if sp := add(sub, "mgs", help="maximal green sequences"):
+        gsub = group(sp, "mgs_cmd")
 
-    def pool_args(spp):
-        spp.add_argument("--max-string-len", type=_count, required=True)
-        spp.add_argument("--band-len", type=_count, default=None, help=_BAND_LEN_HELP)
+        def pool_args(spp):
+            spp.add_argument("--max-string-len", type=_count, required=True)
+            spp.add_argument("--band-len", type=_count, default=None, help=_BAND_LEN_HELP)
 
-    ge = gsub.add_parser("enumerate", help="enumerate complete sequences")
-    alg_arg(ge)
-    pool_args(ge)
-    ge.add_argument("--budget", type=_count, default=None)
-    ge.add_argument("--contains", default=None,
-                    help="sequence file; restrict to sequences containing"
-                         " these entries in this relative order")
-    gc = gsub.add_parser("check", help="verify a sequence file")
-    alg_arg(gc)
-    pool_args(gc)
-    gc.add_argument("--sequence", required=True)
-    gx = gsub.add_parser("exists", help="existence constructions")
-    alg_arg(gx)
-    gx.add_argument("--method", choices=("simples", "gentle"), required=True)
-    gx.add_argument("--max-string-len", type=_count, default=8)
-    gx.add_argument("--band-len", type=_count, default=None, help=_BAND_LEN_HELP)
-    gx.add_argument("--budget", type=_count, default=None)
+        if ge := add(gsub, "mgs", "enumerate", help="enumerate complete sequences"):
+            alg_arg(ge)
+            pool_args(ge)
+            ge.add_argument("--budget", type=_count, default=None)
+            ge.add_argument("--contains", default=None,
+                            help="sequence file; restrict to sequences containing"
+                                 " these entries in this relative order")
+        if gc := add(gsub, "mgs", "check", help="verify a sequence file"):
+            alg_arg(gc)
+            pool_args(gc)
+            gc.add_argument("--sequence", required=True)
+        if gx := add(gsub, "mgs", "exists", help="existence constructions"):
+            alg_arg(gx)
+            gx.add_argument("--method", choices=("simples", "gentle"), required=True)
+            gx.add_argument("--max-string-len", type=_count, default=8)
+            gx.add_argument("--band-len", type=_count, default=None, help=_BAND_LEN_HELP)
+            gx.add_argument("--budget", type=_count, default=None)
 
-    sp = sub.add_parser("lemmas", help="lemma property suite")
-    lsub = sp.add_subparsers(dest="lemmas_cmd", required=True)
-    lr = lsub.add_parser("run")
-    alg_arg(lr)
-    lr.add_argument("--max-len", type=_count, required=True)
-    lr.add_argument("--band-len", type=_count, default=None,
-                    help="longest band the band lemmas sweep (default: --max-len)")
-    lr.add_argument("--budget", type=_count, default=500_000)
+    if sp := add(sub, "lemmas", help="lemma property suite"):
+        lsub = group(sp, "lemmas_cmd")
+        if lr := add(lsub, "lemmas", "run"):
+            alg_arg(lr)
+            lr.add_argument("--max-len", type=_count, required=True)
+            lr.add_argument("--band-len", type=_count, default=None,
+                            help="longest band the band lemmas sweep (default: --max-len)")
+            lr.add_argument("--budget", type=_count, default=500_000)
 
-    return p
+    return p if words is None or not unnamed else None
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """Parse argv with the parsers of its command path only.  Help, and any
+    argv that names no complete path or that those parsers refuse, go to
+    the whole tree, which prints every help text and usage error."""
+    if not {"-h", "--help"} & set(argv) and (parser := build_parser(argv)):
+        try:
+            return parser.parse_args(argv)
+        except _PathRefused:
+            pass
+    return build_parser().parse_args(argv)
 
 
 def _cmd_validate(alg, args):
@@ -445,9 +497,8 @@ def _loaded(*names: str) -> tuple:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
-        args = parser.parse_args(_attach_negative_values(argv))
+        args = _parse(_attach_negative_values(argv))
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
 

@@ -74,7 +74,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 
-from .algebra import AlgebraPresentation
+from .algebra import AlgebraPresentation, sha256
 from .modules import BandModuleRep, StringModuleRep
 
 Matrix = tuple[tuple[Fraction, ...], ...]
@@ -494,9 +494,7 @@ def hom_solution_basis(A: ExplicitRep, B: ExplicitRep):
 def probe_seed(alg: AlgebraPresentation, *context: str) -> int:
     """Deterministic seed for rank probes, derived from the algebra
     fingerprint so reruns cannot change results."""
-    import hashlib
-
-    h = hashlib.sha256(("|".join((alg.fingerprint,) + context)).encode())
+    h = sha256(("|".join((alg.fingerprint,) + context)).encode())
     return int.from_bytes(h.digest()[:8], "big")
 
 

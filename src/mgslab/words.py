@@ -48,6 +48,7 @@ class Walk:
     def __init__(self, letters: tuple[Letter, ...], vertices: tuple[str, ...]):
         self.letters, self.vertices = letters, vertices
         self._key = (len(letters), letters) if letters else (0, vertices[:1])
+        self._hash = None  # hash(self._key), set on first use
 
     def __repr__(self) -> str:
         return f"Walk(letters={self.letters!r}, vertices={self.vertices!r})"
@@ -116,12 +117,11 @@ class Walk:
     def __eq__(self, other) -> bool:
         return isinstance(other, Walk) and self._key == other._key
 
-    @cached_property
-    def _hash(self) -> int:
-        return hash(self._key)
-
     def __hash__(self) -> int:
-        return self._hash
+        h = self._hash
+        if h is None:
+            h = self._hash = hash(self._key)
+        return h
 
     def __lt__(self, other: "Walk") -> bool:
         return self._key < other._key

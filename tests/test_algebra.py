@@ -8,6 +8,7 @@ from mgslab import (
     AlgebraParseError,
     AlgebraPresentation,
     Arrow,
+    algebra,
     parse_algebra,
     validate_axioms,
     vertex_arrow_count,
@@ -259,6 +260,79 @@ def test_fingerprint_stable(gentle5):
 def test_presentation_rejects_unknown_vertex():
     with pytest.raises(AlgebraParseError, match="unknown vertex"):
         parse_algebra("vertex 1\narrow a 1 9\n")
+
+
+def _parse_line_by_line(text: str):
+    """Reference reading of a file: each line admitted as it is read, so a
+    line may refer only to earlier lines.  The outcome is the presentation's
+    items, or the line number and message of the first line refused."""
+    items = {"vertex": [], "arrow": [], "relation": []}
+    vset, amap = set(), {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        words = raw.split("#", 1)[0].split()
+        if not words:
+            continue
+        kind, *args = words
+        if kind not in items or (kind == "vertex" and len(args) != 1) or (
+                kind == "arrow" and len(args) != 3):
+            return ("syntax", lineno)
+        item = args[0] if kind == "vertex" else Arrow(*args) if kind == "arrow" else tuple(args)
+        try:
+            algebra._admit(kind, item, vset, amap)
+        except AlgebraError as exc:
+            return (f"line {lineno}: {exc}", lineno)
+        items[kind].append(item)
+    if not vset:
+        return ("syntax", None)
+    return tuple(tuple(v) for v in items.values())
+
+
+def _parse_outcome(text: str):
+    try:
+        alg = parse_algebra(text)
+    except AlgebraParseError as exc:
+        message = str(exc)
+        syntax = any(m in message for m in ("directive", "takes", "no vertices"))
+        return ("syntax" if syntax else message, exc.line)
+    return (alg.vertices, alg.arrows, alg.relations)
+
+
+def test_parse_matches_line_by_line_admission():
+    # the presentation admits the items; file order only decides which line
+    # is reported, and whether a line refers to a later one.  Shuffled and
+    # doubly broken files reach both.
+    rng = random.Random(5)
+    for _ in range(400):
+        lines = random_alg_text(rng).splitlines()
+        variants = [lines, rng.sample(lines, len(lines))]
+        broken = list(lines)
+        broken.insert(rng.randrange(len(lines) + 1), rng.choice(("frobnicate", "vertex")))
+        variants.append(broken)
+        for variant in variants:
+            text = "\n".join(variant) + "\n"
+            assert _parse_outcome(text) == _parse_line_by_line(text), text
+
+
+def test_parse_admits_each_item_once(monkeypatch, data_dir):
+    calls = []
+    admit = algebra._admit
+    monkeypatch.setattr(algebra, "_admit", lambda *args: calls.append(args) or admit(*args))
+    for path in sorted(data_dir.glob("*.alg")):
+        calls.clear()
+        alg = parse_algebra(path.read_text())
+        assert len(calls) == len(alg.vertices) + len(alg.arrows) + len(alg.relations)
+
+
+def test_parse_refuses_a_line_that_refers_to_a_later_one():
+    with pytest.raises(AlgebraParseError, match="unknown vertex '2'") as exc:
+        parse_algebra("vertex 1\narrow a 1 2\nvertex 2\n")
+    assert exc.value.line == 2
+    with pytest.raises(AlgebraParseError, match="unknown arrow 'b'") as exc:
+        parse_algebra("vertex 1\narrow a 1 1\nrelation a b\narrow b 1 1\n")
+    assert exc.value.line == 3
+    # a later line of an earlier kind is read when nothing refers ahead
+    alg = parse_algebra("vertex 1\narrow a 1 1\nvertex 2\nrelation a a\narrow b 1 2\n")
+    assert (alg.vertices, [a.name for a in alg.arrows]) == (("1", "2"), ["a", "b"])
 
 
 def axiom_sweep(seed=1, count=300):

@@ -302,9 +302,7 @@ def test_bad_module_or_sequence_input_exit_three(capsys, argv, message):
 
 
 A12 = str(DATA / "a12tilde.alg")
-
-
-@pytest.mark.parametrize("argv", [
+USAGE_ERRORS = [
     ("mgs",),
     ("mgs", "enumerate", "--algebra", A12, "--max-string-len", "-3"),
     ("strings", "--algebra", A12, "--max-len", "-1"),
@@ -317,7 +315,11 @@ A12 = str(DATA / "a12tilde.alg")
     ("mgs", "check", "--algebra", A12, "--max-string-len", "6", "--sequence",
      str(DATA / "mgs5_sequence.txt"), "--lambda", "-1/2,2"),
     ("mgs", "exists", "--algebra", A12, "--method", "simples", "--lambda", "2"),
-], ids=["missing-subcommand", "enumerate-negative-string-len", "strings-negative-len",
+]
+
+
+@pytest.mark.parametrize("argv", USAGE_ERRORS, ids=[
+        "missing-subcommand", "enumerate-negative-string-len", "strings-negative-len",
         "bands-negative-len", "lemmas-negative-len", "exists-negative-band-len",
         "enumerate-negative-budget", "enumerate-lambda", "check-lambda", "exists-lambda"])
 def test_usage_error_exit_two(capsys, argv):
@@ -517,3 +519,151 @@ def test_spaced_negative_rational_band_parameter(capsys, argv, option, value):
     code, joined = run_cli(capsys, *argv, f"{option}={value}")
     assert code == 0
     assert (doc["payload"], doc["certificate"]) == (joined["payload"], joined["certificate"])
+
+
+MGS5 = str(DATA / "mgs5.alg")
+MGS5_SEQUENCE = str(DATA / "mgs5_sequence.txt")
+COLD_MGS = [
+    ["mgs", "check", "--algebra", MGS5, "--max-string-len", "8", "--sequence", MGS5_SEQUENCE],
+    ["mgs", "exists", "--algebra", MGS5, "--method", "simples"],
+    ["mgs", "enumerate", "--algebra", str(DATA / "a2.alg"), "--max-string-len", "4"],
+]
+
+
+def _has_builtin_sha256() -> bool:
+    import importlib.util
+
+    return any(importlib.util.find_spec(m) for m in ("_sha2", "_sha256"))
+
+
+@pytest.mark.skipif(not _has_builtin_sha256(), reason="no built-in SHA-256 module")
+@pytest.mark.parametrize("argv", COLD_MGS, ids=["check", "exists", "enumerate"])
+def test_cold_mgs_command_loads_no_openssl(argv):
+    # the fingerprint every command prints is hashed without hashlib, whose
+    # import loads OpenSSL's _hashlib (3.5-4.3 ms of a cold op)
+    loaded = _modules_after(
+        "import mgslab.cli\n"
+        f"code = mgslab.cli.main({argv!r})\n"
+        "assert code in (0, 1), code")
+    assert "mgslab.mgs" in loaded
+    assert not {"hashlib", "_hashlib"} & loaded
+
+
+@pytest.mark.parametrize("name", ["a12tilde", "a2", "double_arrows", "gentle5",
+                                  "kronecker", "mgs5", "two_loops"])
+def test_fingerprint_is_the_sha256_of_the_normalized_text(name):
+    import hashlib
+
+    from mgslab import load_algebra
+
+    alg = load_algebra(DATA / f"{name}.alg")
+    assert alg.fingerprint == hashlib.sha256(alg.normalized_text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("context", [(), ("x",), ("band-embedding", "b2 a2- g2", "b2", "3")])
+def test_probe_seed_is_the_sha256_prefix_of_its_context(context):
+    import hashlib
+
+    from mgslab import load_algebra
+    from mgslab.oracle import probe_seed
+
+    alg = load_algebra(DATA / "gentle5.alg")
+    digest = hashlib.sha256("|".join((alg.fingerprint, *context)).encode()).digest()
+    assert probe_seed(alg, *context) == int.from_bytes(digest[:8], "big")
+
+
+A2 = str(DATA / "a2.alg")
+# one valid argv per leaf command path
+LEAF_ARGVS = [
+    ["validate", "--algebra", A2],
+    ["strings", "--algebra", A2, "--max-len", "3"],
+    ["bands", "--algebra", A2, "--max-len", "3"],
+    ["module", "show", "--algebra", A2, "a"],
+    ["module", "band", "--algebra", G5, "b2 a2- g2", "--lam=-1/2", "--k", "2"],
+    ["hom", "--algebra", A2, "a", "e:1"],
+    ["bricks", "--algebra", A2, "--max-len", "3"],
+    ["oracle", "hom", "--algebra", G5, "b2 a2- g2", "g2", "--band1", "2"],
+    ["mgs", "enumerate", "--algebra", A2, "--max-string-len", "4", "--budget", "9",
+     "--contains", MGS5_SEQUENCE],
+    ["mgs", "check", "--algebra", A2, "--max-string-len", "4", "--band-len", "2",
+     "--sequence", MGS5_SEQUENCE],
+    ["mgs", "exists", "--algebra", A2, "--method", "gentle"],
+    ["lemmas", "run", "--algebra", A2, "--max-len", "3", "--budget", "7"],
+]
+
+
+def _path_id(argv) -> str:
+    return " ".join(w for w in argv[:2] if not w.startswith("-"))
+
+
+@pytest.mark.parametrize("argv", LEAF_ARGVS, ids=_path_id)
+def test_path_parser_reads_argv_as_the_whole_tree_does(argv):
+    path_parser = cli.build_parser(argv)
+    assert path_parser is not None
+    assert path_parser.parse_args(argv) == cli.build_parser().parse_args(argv)
+
+
+@pytest.mark.parametrize("argv", [[], ["-h"], ["mgs"], ["mgs", "-h"], ["mgs", "bogus"],
+                                  ["bogus"], ["--algebra", A2, "validate"]])
+def test_no_path_parser_without_a_complete_command_path(argv):
+    assert cli.build_parser(argv) is None
+
+
+def _full_tree_result(argv: list[str], capsys) -> tuple:
+    """Exit code, stdout and stderr of the whole tree's parse of argv."""
+    try:
+        cli.build_parser().parse_args(argv)
+        code = 0
+    except SystemExit as exc:
+        code = 2 if exc.code not in (0, None) else 0
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+@pytest.mark.parametrize("argv", [
+    *map(list, USAGE_ERRORS),
+    ["bogus", "--algebra", A12],
+    ["mgs", "bogus", "--algebra", A12],
+    ["mgs", "check", "--algebra", A12, "--max-string-len", "6", "--sequence",
+     MGS5_SEQUENCE, "extra"],
+    ["validate", "--algebra", A12, "--bogus"],
+    ["mgs", "check"],
+    ["mgs", "check", "-h"],
+    ["mgs", "check", "--he"],
+    ["oracle", "hom", "--help"],
+    ["lemmas", "-h"],
+    ["-h"],
+    [],
+], ids=lambda argv: " ".join(argv).replace(str(DATA) + os.sep, "") or "empty")
+def test_help_and_usage_errors_match_the_whole_tree(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    want = _full_tree_result(argv, capsys)
+    code = main(argv)
+    assert (code, *capsys.readouterr()) == want
+    # help goes to stdout with exit 0, a usage error to stderr with exit 2
+    assert want[0] == (0 if want[1] else 2)
+
+
+def test_unrecognized_argument_is_reported_with_the_top_level_usage(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert main(["validate", "--algebra", A12, "--bogus"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: mgslab [-h]\n")
+    assert "{validate,strings,bands,module,hom,bricks,oracle,mgs,lemmas}" in err
+    assert err.endswith("mgslab: error: unrecognized arguments: --bogus\n")
+
+
+def test_mgs_check_builds_three_parsers(capsys, monkeypatch):
+    import argparse
+
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert main(COLD_MGS[0]) == 0
+    assert json.loads(capsys.readouterr().out)["payload"]["weakly_fho"]
+    assert len(built) <= 3
