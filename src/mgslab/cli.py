@@ -17,6 +17,14 @@ that names no complete path or that those parsers refuse, are parsed again
 by the whole tree, so every help text and usage error is the whole tree's.
 The algebra fingerprint is hashed with CPython's built-in SHA-256
 (:func:`mgslab.algebra.sha256`), so no command loads hashlib and OpenSSL.
+Nor does a cold command tear the interpreter down: :func:`run`, the entry
+of ``python -m mgslab.cli`` and of the ``mgslab`` script, flushes standard
+output and standard error once :func:`main` returns and ends the process
+with ``os._exit``, skipping module and interpreter finalization.  The
+document and every exit code above stay as they are; help that meets a
+closed pipe in that flush exits 141 too.  An exception that leaves
+:func:`main` (the 141 of a closed pipe met while writing, a crash) exits
+the usual way.  :func:`main` is the in-process API and returns the code.
 """
 
 from __future__ import annotations
@@ -548,5 +556,20 @@ def main(argv=None) -> int:
     return code
 
 
+def run() -> None:
+    """The process entry of ``python -m mgslab.cli`` and of the ``mgslab``
+    script: :func:`main`, then flush standard output and standard error, then
+    end the process with ``os._exit``, so that no interpreter finalization
+    runs once the document is out.  A flush that meets a closed pipe exits
+    141.  An exception that leaves ``main`` exits as it would without this."""
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except BrokenPipeError:
+        os._exit(EXIT_PIPE)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -463,6 +463,72 @@ def test_closed_stdout_exits_141_quietly_unbuffered():
     _assert_closed_stdout_exits_141_quietly(unbuffered=True)
 
 
+@pytest.mark.parametrize("argv", [["-h"], ["mgs", "check", "-h"]], ids=["top", "mgs-check"])
+@pytest.mark.parametrize("unbuffered, code", [(False, 141), (True, 0)],
+                         ids=["buffered", "unbuffered"])
+def test_help_through_a_closed_pipe(argv, unbuffered, code):
+    # buffered, the help text waits in the buffer until run()'s flush meets
+    # the closed pipe: 141.  Unbuffered, argparse drops the failed write
+    # itself, and the run exits 0.  Neither prints anything on stderr
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "mgslab.cli", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, env=_buffering_env(unbuffered))
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (code, b"")
+
+
+# one command per exit code of a process, and help, whose text is still in
+# stdout's buffer when main returns; {empty} is an empty sequence file
+EXIT_PATHS = {
+    "0": ["validate", "--algebra", str(DATA / "a2.alg")],
+    "0-help": ["mgs", "check", "-h"],
+    "1": ["mgs", "check", "--algebra", str(DATA / "mgs5.alg"), "--max-string-len", "8",
+          "--sequence", "{empty}"],
+    "2": ["strings", "--algebra", str(DATA / "a2.alg")],
+    "3": ["hom", "--algebra", str(DATA / "a2.alg"), "e:9", "e:1"],
+    "4": ["mgs", "enumerate", "--algebra", str(DATA / "a2.alg"), "--max-string-len", "4",
+          "--budget", "0"],
+}
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("path", list(EXIT_PATHS))
+def test_process_exits_as_main_returns(capsys, monkeypatch, tmp_path, path, unbuffered):
+    """`python -m mgslab.cli` gives main()'s exit code and stdout bytes, to a
+    pipe and to a regular file, with stderr empty but for a usage error."""
+    empty = tmp_path / "empty.txt"
+    empty.write_text("")
+    argv = [arg.format(empty=empty) for arg in EXIT_PATHS[path]]
+    monkeypatch.setenv("COLUMNS", "80")
+    code = main(argv)
+    assert code == int(path[0])
+    out, err = capsys.readouterr()
+    assert bool(err) == (code == 2)
+    cmd = [sys.executable, "-m", "mgslab.cli", *argv]
+    env = _buffering_env(unbuffered)
+    piped = subprocess.run(cmd, capture_output=True, env=env)
+    assert (piped.returncode, piped.stdout, piped.stderr) == (code, out.encode(), err.encode())
+    target = tmp_path / "stdout.txt"
+    with open(target, "wb") as fh:
+        filed = subprocess.run(cmd, stdout=fh, stderr=subprocess.PIPE, env=env)
+    assert (filed.returncode, target.read_bytes(), filed.stderr) == (
+        code, out.encode(), err.encode())
+
+
+def test_console_script_enters_through_run():
+    pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+    assert 'mgslab = "mgslab.cli:run"' in pyproject.splitlines()
+    # the wrapper an installer writes for that entry; a usage error's 2
+    # passes through os._exit
+    wrapper = "import sys\nfrom mgslab.cli import run\nsys.exit(run())"
+    proc = subprocess.run([sys.executable, "-c", wrapper, *EXIT_PATHS["2"]],
+                          capture_output=True, env=_child_env())
+    assert (proc.returncode, proc.stdout) == (2, b"")
+
+
 class _Recorder:
     """A text stream that keeps each write."""
 
