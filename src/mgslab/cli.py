@@ -9,6 +9,10 @@ complete-relative verdict); 1 negative verdict or theorem-check failure;
 payload still printed); 141 the reader closed standard output early
 (128 + SIGPIPE), with nothing on standard error.
 
+A command is declared once, as a row of ``_COMMANDS``: its path's words,
+help, arguments and handler.  The path parser, the whole tree and dispatch
+are all built from that table.
+
 A cold command pays for little besides its own work.  A handler imports
 the modules it uses when it runs, so ``validate`` loads the presentation
 and its axioms only, not the Hom machinery.  Only the argparse parsers on
@@ -162,142 +166,6 @@ def _count(text: str) -> int:
     return value
 
 
-# the --band-len of the mgs commands
-_BAND_LEN_HELP = ("longest band whose band bricks enter the insertion pool"
-                  " (default: the string length); a shorter bound can pass"
-                  " a non-maximal chain as complete")
-
-
-class _PathRefused(Exception):
-    """A usage error met by a parser built for one command path only."""
-
-
-class _PathParser(argparse.ArgumentParser):
-    """A parser of one command path, which leaves every usage error to the
-    whole tree: its own help and usage lines would name only that path."""
-
-    def error(self, message):
-        raise _PathRefused(message)
-
-
-def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser | None:
-    """The argument parser of every command, or, given argv, of the command
-    path its leading words name: at each level only the subparser named
-    (for ``mgs check``, 3 parsers instead of 17).  Returns None if argv's
-    leading words name no complete path.  The path parser raises
-    ``_PathRefused`` instead of reporting a usage error."""
-    words = None if argv is None else tuple(argv[:2])
-    unnamed = 0  # subcommand groups in which the words name no subparser
-
-    def group(parser, dest):
-        nonlocal unnamed
-        unnamed += 1
-        return parser.add_subparsers(dest=dest, required=True)
-
-    def add(sub, *path, **kwargs):
-        # the subparser of command path, unless argv names another
-        nonlocal unnamed
-        if words is not None:
-            if words[:len(path)] != path:
-                return None
-            unnamed -= 1
-        return sub.add_parser(path[-1], **kwargs)
-
-    p = (argparse.ArgumentParser if words is None else _PathParser)(prog="mgslab")
-    sub = group(p, "cmd")
-
-    def alg_arg(sp):
-        sp.add_argument("--algebra", required=True, help="algebra file")
-
-    if sp := add(sub, "validate", help="string/gentle axiom report"):
-        alg_arg(sp)
-
-    if sp := add(sub, "strings", help="enumerate strings up to a length"):
-        alg_arg(sp)
-        sp.add_argument("--max-len", type=_count, required=True)
-
-    if sp := add(sub, "bands", help="enumerate band classes up to a length"):
-        alg_arg(sp)
-        sp.add_argument("--max-len", type=_count, required=True)
-
-    if sp := add(sub, "module", help="string or band module representations"):
-        msub = group(sp, "module_cmd")
-        if ms := add(msub, "module", "show", help="string module with ASCII diagram"):
-            alg_arg(ms)
-            ms.add_argument("walk")
-        if mb := add(msub, "module", "band", help="band module M(w, lambda, k)"):
-            alg_arg(mb)
-            mb.add_argument("walk")
-            mb.add_argument("--lam", default="1")
-            mb.add_argument("--k", type=int, default=1)
-
-    if sp := add(sub, "hom", help="Hom dimension, combinatorial and oracle"):
-        alg_arg(sp)
-        sp.add_argument("source")
-        sp.add_argument("target")
-
-    if sp := add(sub, "bricks", help="enumerate string bricks"):
-        alg_arg(sp)
-        sp.add_argument("--max-len", type=_count, required=True)
-
-    if sp := add(sub, "oracle", help="linear-algebra oracle"):
-        osub = group(sp, "oracle_cmd")
-        if oh := add(osub, "oracle", "hom", help="intertwiner-space dimension"):
-            alg_arg(oh)
-            oh.add_argument("source")
-            oh.add_argument("target")
-            oh.add_argument("--band1", default=None, help="treat source as band, M(w, LAM, 1)")
-            oh.add_argument("--band2", default=None, help="treat target as band, M(w, LAM, 1)")
-
-    if sp := add(sub, "mgs", help="maximal green sequences"):
-        gsub = group(sp, "mgs_cmd")
-
-        def pool_args(spp):
-            spp.add_argument("--max-string-len", type=_count, required=True)
-            spp.add_argument("--band-len", type=_count, default=None, help=_BAND_LEN_HELP)
-
-        if ge := add(gsub, "mgs", "enumerate", help="enumerate complete sequences"):
-            alg_arg(ge)
-            pool_args(ge)
-            ge.add_argument("--budget", type=_count, default=None)
-            ge.add_argument("--contains", default=None,
-                            help="sequence file; restrict to sequences containing"
-                                 " these entries in this relative order")
-        if gc := add(gsub, "mgs", "check", help="verify a sequence file"):
-            alg_arg(gc)
-            pool_args(gc)
-            gc.add_argument("--sequence", required=True)
-        if gx := add(gsub, "mgs", "exists", help="existence constructions"):
-            alg_arg(gx)
-            gx.add_argument("--method", choices=("simples", "gentle"), required=True)
-            gx.add_argument("--max-string-len", type=_count, default=8)
-            gx.add_argument("--band-len", type=_count, default=None, help=_BAND_LEN_HELP)
-            gx.add_argument("--budget", type=_count, default=None)
-
-    if sp := add(sub, "lemmas", help="lemma property suite"):
-        lsub = group(sp, "lemmas_cmd")
-        if lr := add(lsub, "lemmas", "run"):
-            alg_arg(lr)
-            lr.add_argument("--max-len", type=_count, required=True)
-            lr.add_argument("--band-len", type=_count, default=None,
-                            help="longest band the band lemmas sweep (default: --max-len)")
-            lr.add_argument("--budget", type=_count, default=500_000)
-
-    return p if words is None or not unnamed else None
-
-
-def _parse(argv: list[str]) -> argparse.Namespace:
-    """Parse argv with the parsers of its command path only.  Help, and any
-    argv that names no complete path or that those parsers refuse, go to
-    the whole tree, which prints every help text and usage error."""
-    if not {"-h", "--help"} & set(argv) and (parser := build_parser(argv)):
-        try:
-            return parser.parse_args(argv)
-        except _PathRefused:
-            pass
-    return build_parser().parse_args(argv)
-
-
 def _cmd_validate(alg, args):
     report = validate_axioms(alg)
     return {
@@ -326,25 +194,29 @@ def _cmd_bands(alg, args):
     }, None
 
 
-def _cmd_module(alg, args):
-    from .modules import band_module, string_module, top_socle
+def _cmd_module_show(alg, args):
+    from . import diagram
+    from .modules import string_module, top_socle
     from .oracle import to_explicit
     from .words import parse_walk
 
-    if args.module_cmd == "show":
-        from . import diagram
+    M = string_module(alg, parse_walk(alg, args.walk))
+    top, socle = top_socle(M)
+    payload = {
+        "walk": str(M.walk),
+        "top": list(top),
+        "socle": list(socle),
+        "diagram": diagram.render_diagram(M.walk),
+    }
+    payload.update(_mat_payload(to_explicit(M)))
+    return payload, None
 
-        w = parse_walk(alg, args.walk)
-        M = string_module(alg, w)
-        top, socle = top_socle(M)
-        payload = {
-            "walk": str(M.walk),
-            "top": list(top),
-            "socle": list(socle),
-            "diagram": diagram.render_diagram(M.walk),
-        }
-        payload.update(_mat_payload(to_explicit(M)))
-        return payload, None
+
+def _cmd_module_band(alg, args):
+    from .modules import band_module
+    from .oracle import to_explicit
+    from .words import parse_walk
+
     w = parse_walk(alg, args.walk)
     B = band_module(alg, w, _fraction(args.lam), args.k)
     payload = {"walk": str(w), "lambda": args.lam, "k": args.k}
@@ -407,54 +279,51 @@ def _pools_for(alg, args):
     return build_brick_pools(alg, args.max_string_len, band_bound=args.band_len)
 
 
-def _cmd_mgs(alg, args):
-    from .mgs import (
-        HomTable,
-        complete_from_prefix,
-        domestic_gentle_order,
-        enumerate_mgs,
-        is_complete_relative,
-        is_weakly_fho,
-        simple_order_socle_first,
-    )
+def _cmd_mgs_enumerate(alg, args):
+    from .mgs import enumerate_mgs
+
+    pools = _pools_for(alg, args)
+    contains = _read_sequence(alg, args.contains) if args.contains else None
+    result = enumerate_mgs(alg, pools, budget=args.budget,
+                           require_subsequence=contains)
+    names = {id(w): str(w) for w in pools.member}  # one string per member
+    payload = {
+        "sequences": [[names[id(w)] for w in s] for s in result.sequences],
+        "count": len(result.sequences),
+        "nodes": result.nodes,
+        "member_pool": _walks(pools.member),
+        "excluded": [
+            {"brick": str(b), "band": str(w)} for b, w in pools.excluded
+        ],
+        "notes": [],
+    }
+    if contains is not None:
+        payload["contains"] = _walks(contains)
+    return payload, pools.descriptor()
+
+
+def _cmd_mgs_check(alg, args):
+    from .mgs import HomTable, is_complete_relative, is_weakly_fho
+
+    pools = _pools_for(alg, args)
+    entries = _read_sequence(alg, args.sequence)
+    table = HomTable(alg)
+    weakly = is_weakly_fho(alg, entries, table)
+    payload = {"entries": _walks(entries), "weakly_fho": weakly}
+    if weakly:
+        verdict = is_complete_relative(alg, entries, pools, table)
+        payload["verdict"] = _verdict_payload(verdict)
+        code = EXIT_OK if verdict.kind == "complete" else EXIT_VERDICT
+    else:
+        payload["verdict"] = None
+        code = EXIT_VERDICT
+    return payload, pools.descriptor(), code
+
+
+def _cmd_mgs_exists(alg, args):
+    from .mgs import complete_from_prefix, domestic_gentle_order, simple_order_socle_first
     from .words import enumerate_bands
 
-    if args.mgs_cmd == "enumerate":
-        pools = _pools_for(alg, args)
-        contains = None
-        if args.contains:
-            contains = _read_sequence(alg, args.contains)
-        result = enumerate_mgs(alg, pools, budget=args.budget,
-                               require_subsequence=contains)
-        names = {id(w): str(w) for w in pools.member}  # one string per member
-        payload = {
-            "sequences": [[names[id(w)] for w in s] for s in result.sequences],
-            "count": len(result.sequences),
-            "nodes": result.nodes,
-            "member_pool": _walks(pools.member),
-            "excluded": [
-                {"brick": str(b), "band": str(w)} for b, w in pools.excluded
-            ],
-            "notes": [],
-        }
-        if contains is not None:
-            payload["contains"] = _walks(contains)
-        return payload, pools.descriptor()
-    if args.mgs_cmd == "check":
-        pools = _pools_for(alg, args)
-        entries = _read_sequence(alg, args.sequence)
-        table = HomTable(alg)
-        weakly = is_weakly_fho(alg, entries, table)
-        payload = {"entries": _walks(entries), "weakly_fho": weakly}
-        if weakly:
-            verdict = is_complete_relative(alg, entries, pools, table)
-            payload["verdict"] = _verdict_payload(verdict)
-            code = EXIT_OK if verdict.kind == "complete" else EXIT_VERDICT
-        else:
-            payload["verdict"] = None
-            code = EXIT_VERDICT
-        return payload, pools.descriptor(), code
-    # exists
     pools = _pools_for(alg, args)
     bands = enumerate_bands(alg, pools.band_bound)
     if args.method == "simples":
@@ -467,7 +336,6 @@ def _cmd_mgs(alg, args):
             ],
             "order": list(res.order),
         }
-        order = res.order
     else:
         res = domestic_gentle_order(alg, bands)
         payload = {
@@ -475,8 +343,7 @@ def _cmd_mgs(alg, args):
             "chunks": [list(c) for c in res.chunks],
             "order": list(res.order),
         }
-        order = res.order
-    completed = complete_from_prefix(alg, pools, order, budget=args.budget)
+    completed = complete_from_prefix(alg, pools, res.order, budget=args.budget)
     payload["completed"] = None if completed is None else _walks(completed)
     return payload, pools.descriptor()
 
@@ -489,6 +356,114 @@ def _cmd_lemmas(alg, args):
     )
     payload = report.payload()
     return payload, {"max_len": args.max_len, "band_bound": report.bounds["band_bound"]}
+
+
+def _arg(*flags, **keywords) -> tuple:
+    """One argument of a command: its flags and add_argument keywords."""
+    return flags, keywords
+
+
+_ALGEBRA = _arg("--algebra", required=True, help="algebra file")
+_MAX_LEN = _arg("--max-len", type=_count, required=True)
+_BAND_LEN = _arg("--band-len", type=_count, default=None,
+                 help="longest band whose band bricks enter the insertion pool"
+                      " (default: the string length); a shorter bound can pass"
+                      " a non-maximal chain as complete")
+_BUDGET = _arg("--budget", type=_count, default=None)
+_POOLS = (_arg("--max-string-len", type=_count, required=True), _BAND_LEN)
+_SOURCE_TARGET = (_arg("source"), _arg("target"))
+
+# the help of each group of commands
+_GROUPS = {
+    "module": "string or band module representations",
+    "oracle": "linear-algebra oracle",
+    "mgs": "maximal green sequences",
+    "lemmas": "lemma property suite",
+}
+
+# every command path, in the order of the help listing: its words, help
+# (None: none), arguments and handler
+_COMMANDS = (
+    (("validate",), "string/gentle axiom report", (_ALGEBRA,), _cmd_validate),
+    (("strings",), "enumerate strings up to a length", (_ALGEBRA, _MAX_LEN), _cmd_strings),
+    (("bands",), "enumerate band classes up to a length", (_ALGEBRA, _MAX_LEN), _cmd_bands),
+    (("module", "show"), "string module with ASCII diagram", (_ALGEBRA, _arg("walk")),
+     _cmd_module_show),
+    (("module", "band"), "band module M(w, lambda, k)",
+     (_ALGEBRA, _arg("walk"), _arg("--lam", default="1"), _arg("--k", type=int, default=1)),
+     _cmd_module_band),
+    (("hom",), "Hom dimension, combinatorial and oracle", (_ALGEBRA, *_SOURCE_TARGET),
+     _cmd_hom),
+    (("bricks",), "enumerate string bricks", (_ALGEBRA, _MAX_LEN), _cmd_bricks),
+    (("oracle", "hom"), "intertwiner-space dimension",
+     (_ALGEBRA, *_SOURCE_TARGET,
+      _arg("--band1", default=None, help="treat source as band, M(w, LAM, 1)"),
+      _arg("--band2", default=None, help="treat target as band, M(w, LAM, 1)")),
+     _cmd_oracle),
+    (("mgs", "enumerate"), "enumerate complete sequences",
+     (_ALGEBRA, *_POOLS, _BUDGET,
+      _arg("--contains", default=None, help="sequence file; restrict to sequences containing"
+                                            " these entries in this relative order")),
+     _cmd_mgs_enumerate),
+    (("mgs", "check"), "verify a sequence file",
+     (_ALGEBRA, *_POOLS, _arg("--sequence", required=True)), _cmd_mgs_check),
+    (("mgs", "exists"), "existence constructions",
+     (_ALGEBRA, _arg("--method", choices=("simples", "gentle"), required=True),
+      _arg("--max-string-len", type=_count, default=8), _BAND_LEN, _BUDGET),
+     _cmd_mgs_exists),
+    (("lemmas", "run"), None,
+     (_ALGEBRA, _MAX_LEN,
+      _arg("--band-len", type=_count, default=None,
+           help="longest band the band lemmas sweep (default: --max-len)"),
+      _arg("--budget", type=_count, default=500_000)),
+     _cmd_lemmas),
+)
+
+
+class _PathRefused(Exception):
+    """A usage error met by a parser built for one command path only."""
+
+
+class _PathParser(argparse.ArgumentParser):
+    """A parser of one command path, which leaves every usage error to the
+    whole tree: its own help and usage lines would name only that path."""
+
+    def error(self, message):
+        raise _PathRefused(message)
+
+
+def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser | None:
+    """The argument parser of every command in ``_COMMANDS``, or, given argv,
+    of the command path its leading words name: at each level only the
+    subparser named (for ``mgs check``, 3 parsers instead of 17).  Returns
+    None if argv's leading words name no complete path.  The path parser
+    raises ``_PathRefused`` instead of reporting a usage error."""
+    p = (argparse.ArgumentParser if argv is None else _PathParser)(prog="mgslab")
+    subparsers = {(): p.add_subparsers(dest="cmd", required=True)}
+    for path, help_, arguments, handler in _COMMANDS:
+        if argv is not None and tuple(argv[:len(path)]) != path:
+            continue
+        group = path[:-1]
+        if group not in subparsers:  # the group, made for the first of its leaves built
+            sp = subparsers[()].add_parser(group[0], help=_GROUPS[group[0]])
+            subparsers[group] = sp.add_subparsers(dest=f"{group[0]}_cmd", required=True)
+        leaf = subparsers[group].add_parser(path[-1], **({} if help_ is None else {"help": help_}))
+        for flags, keywords in arguments:
+            leaf.add_argument(*flags, **keywords)
+        leaf.set_defaults(handler=handler)
+    return p if subparsers[()].choices else None
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """Parse argv with the parsers of its command path only.  Help, and any
+    argv that names no complete path or that those parsers refuse, go to
+    the whole tree, which prints every help text and usage error."""
+    if not {"-h", "--help"} & set(argv) and (parser := build_parser(argv)):
+        try:
+            return parser.parse_args(argv)
+        except _PathRefused:
+            pass
+    return build_parser().parse_args(argv)
 
 
 def _loaded(*names: str) -> tuple:
@@ -510,25 +485,15 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
 
-    handlers = {
-        "validate": _cmd_validate,
-        "strings": _cmd_strings,
-        "bands": _cmd_bands,
-        "module": _cmd_module,
-        "hom": _cmd_hom,
-        "bricks": _cmd_bricks,
-        "oracle": _cmd_oracle,
-        "mgs": _cmd_mgs,
-        "lemmas": _cmd_lemmas,
-    }
     code = EXIT_OK
     try:
         alg = load_algebra(args.algebra)
         # validate reports the axioms; every other command needs them to hold
-        if args.cmd != "validate" and not (report := validate_axioms(alg)).is_string_algebra:
+        if args.handler is not _cmd_validate and not (
+                report := validate_axioms(alg)).is_string_algebra:
             raise AlgebraError("not a string algebra: " + "; ".join(
                 f"{t}: {w}" for t, w in report.violations))
-        out = handlers[args.cmd](alg, args)
+        out = args.handler(alg, args)
         if len(out) == 3:
             payload, certificate, code = out
         else:

@@ -669,6 +669,23 @@ def test_path_parser_reads_argv_as_the_whole_tree_does(argv):
     assert path_parser.parse_args(argv) == cli.build_parser().parse_args(argv)
 
 
+def _leaf_paths(parser, path=()) -> list[tuple]:
+    """The command paths of parser's tree that end in a leaf parser."""
+    import argparse
+
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            return [leaf for word, sub in action.choices.items()
+                    for leaf in _leaf_paths(sub, path + (word,))]
+    return [path]
+
+
+def test_every_leaf_path_has_an_argv():
+    # so that no command escapes the path-parser and whole-tree tests
+    assert sorted(_leaf_paths(cli.build_parser())) == sorted(
+        tuple(_path_id(argv).split()) for argv in LEAF_ARGVS)
+
+
 @pytest.mark.parametrize("argv", [[], ["-h"], ["mgs"], ["mgs", "-h"], ["mgs", "bogus"],
                                   ["bogus"], ["--algebra", A2, "validate"]])
 def test_no_path_parser_without_a_complete_command_path(argv):
@@ -719,7 +736,8 @@ def test_unrecognized_argument_is_reported_with_the_top_level_usage(capsys, monk
     assert err.endswith("mgslab: error: unrecognized arguments: --bogus\n")
 
 
-def test_mgs_check_builds_three_parsers(capsys, monkeypatch):
+def _count_parsers(monkeypatch) -> list:
+    """The progs of the ArgumentParsers constructed from now on."""
     import argparse
 
     built = []
@@ -730,6 +748,18 @@ def test_mgs_check_builds_three_parsers(capsys, monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    return built
+
+
+def test_mgs_check_builds_three_parsers(capsys, monkeypatch):
+    built = _count_parsers(monkeypatch)
     assert main(COLD_MGS[0]) == 0
     assert json.loads(capsys.readouterr().out)["payload"]["weakly_fho"]
     assert len(built) <= 3
+
+
+@pytest.mark.parametrize("argv", LEAF_ARGVS, ids=_path_id)
+def test_path_parser_builds_one_parser_per_word_and_the_top(monkeypatch, argv):
+    built = _count_parsers(monkeypatch)
+    assert cli.build_parser(argv) is not None
+    assert len(built) == len(_path_id(argv).split()) + 1
