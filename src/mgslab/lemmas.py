@@ -1,15 +1,16 @@
 """Executable property checks for the brick lemmas and the band-square rule.
 
 Each check visits every enumerated instance of its hypothesis inside the
-given length bounds and records how many instances were examined, how many
-satisfied the hypothesis, and any counterexamples found.  A counterexample
-to any of these is a build failure, not data.  Checks that share an instance
-family share one sweep over it: one over the (band, brick supported on it)
-pairs, with the brick's maximal substrings over the band, and one over the
-strings u^k v of each minimal band.  Each check still visits its instances
-in the same order, so its tallies do not depend on the sweeps it shares.
-Whether a word sits as a quotient or a submodule of another brick is read
-from that brick's class sets (``hom_classes``).
+given length bounds and records, through one rule (``CheckResult.count``),
+how many instances were examined and how many satisfied the hypothesis,
+and any counterexamples found.  A counterexample to any of these is a
+build failure, not data.  Checks that share an instance family share one
+sweep over it: one over the (band, brick supported on it) pairs, with the
+brick's maximal substrings over the band, and one over the strings u^k v
+of each minimal band.  Each check still visits its instances in the same
+order, so its tallies do not depend on the sweeps it shares.  Whether a
+word sits as a quotient or a submodule of another brick is read from that
+brick's class sets (``hom_classes``).
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .modules import band_module, enumerate_bricks, hom_classes, is_brick, strin
 from .oracle import exists_full_rank_hom, probe_seed, to_explicit
 from .words import (
     Walk,
+    canonical_rotation,
     canonical_string,
     enumerate_bands,
     enumerate_strings,
@@ -42,6 +44,14 @@ class CheckResult(SimpleNamespace):
 
     def __init__(self):
         super().__init__(examined=0, satisfied=0, counterexamples=[], mode=None)
+
+    def count(self, hypothesis: bool = True) -> bool:
+        """Tally one examined instance, and one satisfied if its hypothesis
+        holds; returns the hypothesis."""
+        self.examined += 1
+        if hypothesis:
+            self.satisfied += 1
+        return hypothesis
 
     def payload(self) -> dict:
         out = {
@@ -134,9 +144,7 @@ def run_lemma_suite(alg: AlgebraPresentation, max_string_len: int,
             # maximal w-substrings of bricks are submodules or quotients
             chk = report.sub_or_quotient
             for m in maximal:
-                chk.examined += 1
-                chk.satisfied += 1
-                if not (m.submodule or m.quotient):
+                if chk.count() and not (m.submodule or m.quotient):
                     chk.counterexamples.append(
                         f"M({m.word}) inside brick M({gamma}) is neither"
                         " submodule nor quotient"
@@ -146,11 +154,7 @@ def run_lemma_suite(alg: AlgebraPresentation, max_string_len: int,
             chk = report.square_substring_brick
             if any(m.power >= 2 for m in maximal):
                 for m in maximal:
-                    chk.examined += 1
-                    if m.power < 2:
-                        continue
-                    chk.satisfied += 1
-                    if not is_brick(alg, m.word):
+                    if chk.count(m.power >= 2) and not is_brick(alg, m.word):
                         chk.counterexamples.append(
                             f"maximal substring {m.word} of brick {gamma} over {w}^2"
                             " is not a brick"
@@ -159,9 +163,7 @@ def run_lemma_suite(alg: AlgebraPresentation, max_string_len: int,
             # bricks periodic over a band embed in or surject from M(w,l,N+1)
             chk = report.band_module_embedding
             u = next((m.band for m in maximal if m.word.length == gamma.length), None)
-            if u is not None:
-                chk.examined += 1
-                chk.satisfied += 1
+            if u is not None and chk.count():
                 N = -(-gamma.length // w.length)
                 gamma_rep = to_explicit(string_module(alg, gamma))
                 for lam in _LAMBDAS:
@@ -179,16 +181,10 @@ def run_lemma_suite(alg: AlgebraPresentation, max_string_len: int,
             chk = report.dual_host_shaped
             if w in minimal:
                 for m in maximal:
-                    if m.power != 1:
-                        continue
-                    if not (m.submodule or m.quotient):
+                    if m.power != 1 or not (m.submodule or m.quotient):
                         continue
                     other = _find_second_host(alg, m.word, gamma, bricks, m.submodule)
-                    if other is None:
-                        continue
-                    chk.examined += 1
-                    chk.satisfied += 1
-                    if not is_brick(alg, m.word):
+                    if other is not None and chk.count() and not is_brick(alg, m.word):
                         chk.counterexamples.append(
                             f"dual-host substring {m.word} in {gamma} and {other} is not a brick"
                         )
@@ -198,18 +194,14 @@ def run_lemma_suite(alg: AlgebraPresentation, max_string_len: int,
     for u in strings:
         if u.length < 1 or not u.is_cyclic or is_directed(u):
             continue
-        chk.examined += 1
-        if not is_string(alg, u.power(2)):
+        if not chk.count(is_string(alg, u.power(2))):
             continue
-        chk.satisfied += 1
         root = primitive_root(u)
         if not is_band(alg, root):
             chk.counterexamples.append(f"{u} has square-string but root {root} is not a band")
             continue
-        if root.length > band_bound or not any(
-            root.length == b.length and periodic_factor(root.letters, b) is not None
-            for b in bands
-        ):
+        # a root longer than the band bound is out of the pool's reach
+        if root.length <= band_bound and canonical_rotation(root) not in bands:
             chk.counterexamples.append(f"band root {root} missing from enumerated pool")
 
     # --- sweep 2: each minimal band w and each string u^k v over it
@@ -219,24 +211,17 @@ def run_lemma_suite(alg: AlgebraPresentation, max_string_len: int,
 
             # a square prefix of the band forces non-brick powers
             chk = report.square_prefix_nonbrick
-            chk.examined += 1
-            if _has_square_prefix(u):
-                chk.satisfied += 1
-                if brick:
-                    chk.counterexamples.append(
-                        f"{walk} = {u}^{k} {v} with square-prefixed band is a brick"
-                    )
+            if chk.count(_has_square_prefix(u)) and brick:
+                chk.counterexamples.append(
+                    f"{walk} = {u}^{k} {v} with square-prefixed band is a brick"
+                )
 
             # prepending another band copy to a brick u^k v, k >= 2, keeps a brick
             chk = report.extension_brick
-            if k >= 2:
-                chk.examined += 1
-                if brick:
-                    chk.satisfied += 1
-                    if not is_brick(alg, u.concat(walk)):
-                        chk.counterexamples.append(
-                            f"M({u} {walk}) lost brickhood, from brick {u}^{k} {v}"
-                        )
+            if k >= 2 and chk.count(brick) and not is_brick(alg, u.concat(walk)):
+                chk.counterexamples.append(
+                    f"M({u} {walk}) lost brickhood, from brick {u}^{k} {v}"
+                )
             if not brick:
                 continue
 
@@ -251,9 +236,7 @@ def run_lemma_suite(alg: AlgebraPresentation, max_string_len: int,
                 for z in bricks
             ):
                 continue
-            chk.examined += 1
-            chk.satisfied += 1
-            if not is_brick(alg, u.concat(walk)):
+            if chk.count() and not is_brick(alg, u.concat(walk)):
                 chk.counterexamples.append(
                     f"extension-host case: extending brick {walk} by {u} lost brickhood"
                 )
@@ -270,8 +253,7 @@ def run_lemma_suite(alg: AlgebraPresentation, max_string_len: int,
         report.notes.append(f"mgs enumeration exhausted budget at {exc.nodes} nodes")
     for seq in sequences:
         for entry in seq:
-            chk.examined += 1
-            chk.satisfied += 1
+            chk.count()
             for b in square_pool:
                 if supported_on(entry, b, 2):
                     chk.counterexamples.append(

@@ -40,13 +40,11 @@ class ModuleError(Exception):
 
 class StringModuleRep(NamedTuple):
     """M(w): one basis vector per visited vertex position, arrows acting
-    along the letters of the walk."""
+    along the letters of the walk (laid out by ``oracle.to_explicit``)."""
 
     alg: AlgebraPresentation
     walk: Walk  # canonical representative
     dim_vector: tuple[tuple[str, int], ...]
-    # per arrow: transitions (from_position, to_position), positions 1-based
-    arrow_actions: tuple[tuple[str, tuple[tuple[int, int], ...]], ...]
 
     def dims(self) -> dict[str, int]:
         return dict(self.dim_vector)
@@ -74,18 +72,7 @@ def string_module(alg: AlgebraPresentation, w: Walk) -> StringModuleRep:
     if not is_string(alg, w):
         raise ModuleError(f"walk {w} is not a string")
     w = canonical_string(w)
-    dims = {v: 0 for v in alg.vertices}
-    for v in w.vertices:
-        dims[v] += 1
-    actions: dict[str, list[tuple[int, int]]] = {}
-    for i, letter in enumerate(w.letters, start=1):
-        actions.setdefault(letter.arrow, []).append((i + 1, i) if letter.bit else (i, i + 1))
-    return StringModuleRep(
-        alg,
-        w,
-        tuple((v, dims[v]) for v in alg.vertices),
-        tuple(sorted((a, tuple(sorted(ts))) for a, ts in actions.items())),
-    )
+    return StringModuleRep(alg, w, tuple((v, w.vertices.count(v)) for v in alg.vertices))
 
 
 def band_module(alg: AlgebraPresentation, w: Walk, lam: Fraction, k: int) -> BandModuleRep:
@@ -98,12 +85,8 @@ def band_module(alg: AlgebraPresentation, w: Walk, lam: Fraction, k: int) -> Ban
         raise ModuleError("band module parameter k must be >= 1")
     if not is_band(alg, w):
         raise ModuleError(f"walk {w} is not a band")
-    visits = {v: 0 for v in alg.vertices}
-    for v in w.vertices[:-1]:
-        visits[v] += 1
-    return BandModuleRep(
-        alg, w, lam, k, tuple((v, k * visits[v]) for v in alg.vertices)
-    )
+    visited = w.vertices[:-1]
+    return BandModuleRep(alg, w, lam, k, tuple((v, k * visited.count(v)) for v in alg.vertices))
 
 
 def top_socle(M: StringModuleRep) -> tuple[tuple[str, ...], tuple[str, ...]]:

@@ -242,15 +242,10 @@ def to_explicit(M: StringModuleRep | BandModuleRep) -> ExplicitRep:
     every relation path acts by zero (a nonzero product is a bug upstream).
     The view is built from the module's nonzero entries; the dense matrices
     wait until ``mats`` is read."""
-    if isinstance(M, StringModuleRep):
-        slot = _slots(M.walk.vertices, 1)
-        entries = [(a, slot[t - 1], slot[f - 1], 1) for a, ts in M.arrow_actions for f, t in ts]
-    elif isinstance(M, BandModuleRep):
-        entries = _band_entries(M)
-    else:
+    if not isinstance(M, (StringModuleRep, BandModuleRep)):
         raise OracleError(f"cannot expand {type(M).__name__}")
     cells = {a.name: {} for a in M.alg.arrows}
-    for name, r, c, v in entries:
+    for name, r, c, v in _entries(M):
         cell = cells[name]
         cell[r, c] = cell.get((r, c), 0) + v
     rep = ExplicitRep.__new__(ExplicitRep)
@@ -261,35 +256,32 @@ def to_explicit(M: StringModuleRep | BandModuleRep) -> ExplicitRep:
     return rep
 
 
-def _slots(vertices, k: int) -> dict[int, int]:
-    """Per visited position (0-based), the first of its k basis slots at its
-    vertex, positions in walk order."""
-    slot, seen = {}, {}
-    for p, v in enumerate(vertices):
-        slot[p] = seen.get(v, 0)
-        seen[v] = slot[p] + k
-    return slot
-
-
-def _band_entries(M: BandModuleRep):
-    """The (arrow, row, column, value) entries of a band module: identity
-    blocks along the band, and on the last letter the lower triangular
-    Jordan block J_k(lambda) (J_k(1/lambda) if it is inverse)."""
-    w, lam, k = M.walk, M.lam, M.k
-    d = w.length
-    slot = _slots(w.vertices[:-1], k)
+def _entries(M: StringModuleRep | BandModuleRep):
+    """The (arrow, row, column, value) entries of M(w) or M(w, lambda, k).
+    Each visited position of w has k basis slots at its vertex (k = 1 for
+    a string; a band's last vertex is its first position), numbered at
+    each vertex in walk order.  Each letter is an identity block from its
+    source position's slots to its target's; a band's last letter, which
+    closes the walk, carries the lower triangular Jordan block J_k(lambda)
+    instead (J_k(1/lambda) if the letter is inverse)."""
+    band = isinstance(M, BandModuleRep)
+    w, k = M.walk, M.k if band else 1
+    n = w.length if band else w.length + 1  # visited positions
+    slot, seen = [], {}
+    for v in w.vertices[:n]:
+        slot.append(seen.get(v, 0))
+        seen[v] = slot[-1] + k
     entries = []
-    for i, letter in enumerate(w.letters):
-        src, dst = i, (i + 1) % d
-        if letter.bit:
+    for i, (arrow, bit) in enumerate(w.letters):
+        src, dst = i, (i + 1) % n
+        if bit:
             src, dst = dst, src
-        last = i == d - 1
-        diag = (1 / lam if letter.bit else lam) if last else 1
-        r0, c0 = slot[dst], slot[src]
+        jordan = i == n - 1  # only a band's last letter closes the walk
+        diag = (1 / M.lam if bit else M.lam) if jordan else 1
         for j in range(k):
-            entries.append((letter.arrow, r0 + j, c0 + j, diag))
-            if last and j + 1 < k:
-                entries.append((letter.arrow, r0 + j + 1, c0 + j, 1))
+            entries.append((arrow, slot[dst] + j, slot[src] + j, diag))
+            if jordan and j + 1 < k:
+                entries.append((arrow, slot[dst] + j + 1, slot[src] + j, 1))
     return entries
 
 

@@ -55,3 +55,13 @@ def test_suite_payload_shape(a2):
     ):
         assert key in payload
         assert set(payload[key]) >= {"examined", "satisfied", "counterexamples"}
+
+
+def test_short_band_bound_reports_no_missing_root(a12tilde):
+    # every band root, a rotation of a b2- b1- or of its inverse, has length
+    # 3: a band bound of 2 leaves it out of the pool, which is no
+    # counterexample to the power factorization
+    report = run_lemma_suite(a12tilde, 8, band_bound=2, mgs_budget=100_000)
+    assert report.total_counterexamples == 0
+    chk = report.power_factorization
+    assert (chk.examined, chk.satisfied) == (6, 6)

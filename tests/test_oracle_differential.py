@@ -366,18 +366,36 @@ def test_hand_built_zero_classes_merge_and_mixed_lines(kronecker, two_loops):
 
 
 def _dense_mats(M):
-    """The dense Fraction matrices of a string or band module, built entry
-    by entry into zero matrices, sorted by arrow name."""
-    if isinstance(M, BandModuleRep):
-        entries = oracle._band_entries(M)
-    else:
-        slot = oracle._slots(M.walk.vertices, 1)
-        entries = [(a, slot[t - 1], slot[f - 1], 1) for a, ts in M.arrow_actions for f, t in ts]
-    dims = M.dims()
-    mats = {a.name: [[_ZERO] * dims[a.source] for _ in range(dims[a.target])]
-            for a in M.alg.arrows}
-    for name, r, c, v in entries:
-        mats[name][r][c] += v
+    """The dense Fraction matrices of a string or band module, sorted by
+    arrow name, from the textbook basis and no oracle helper.  A basis
+    vector is a (position, copy) pair: positions 0..n of a string M(w) with
+    one copy each, or positions 0..n-1 of a band M(w, lambda, k) with k
+    copies each.  At each vertex they are ordered by position, then copy.
+    Letter i joins positions i and i + 1 (mod n for a band) and maps copy j
+    at its arrow's source to copy j at its target, except a band's last
+    letter: there copy j goes to mu times copy j plus copy j + 1, mu =
+    lambda, or 1 / lambda if the letter is inverse (a lower triangular
+    Jordan block)."""
+    w, alg = M.walk, M.alg
+    band = isinstance(M, BandModuleRep)
+    k, n = (M.k, w.length) if band else (1, w.length + 1)
+    basis = {v: [(p, j) for p in range(n) if w.vertices[p] == v for j in range(k)]
+             for v in alg.vertices}
+    mats = {a.name: [[_ZERO] * len(basis[a.source]) for _ in basis[a.target]]
+            for a in alg.arrows}
+    arrows = {a.name: a for a in alg.arrows}
+    for i, letter in enumerate(w.letters):
+        a = arrows[letter.arrow]
+        s, t = i, (i + 1) % n
+        if letter.bit:
+            s, t = t, s
+        jordan = band and i == n - 1
+        mu = (1 / M.lam if letter.bit else M.lam) if jordan else 1
+        for j in range(k):
+            c = basis[a.source].index((s, j))
+            mats[a.name][basis[a.target].index((t, j))][c] += mu
+            if jordan and j + 1 < k:
+                mats[a.name][basis[a.target].index((t, j + 1))][c] += 1
     return tuple(sorted((name, tuple(map(tuple, m))) for name, m in mats.items()))
 
 
